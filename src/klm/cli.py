@@ -81,6 +81,11 @@ def run_key(command: str, params: dict) -> str:
 
 
 def cache_lookup(path: Path, key: str) -> dict | None:
+    """The record stored under key, skipping lines that are not JSON objects.
+
+    A torn or hand-edited line is never a replayable record, so it is passed
+    over rather than failing every later command.
+    """
     if not path.exists():
         return None
     with path.open() as fh:
@@ -88,15 +93,24 @@ def cache_lookup(path: Path, key: str) -> dict | None:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec.get("key") == key:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(rec, dict) and rec.get("key") == key:
                 return rec
     return None
 
 
 def cache_append(path: Path, record: dict) -> None:
-    with path.open("a") as fh:
-        fh.write(_emit_json(record) + "\n")
+    """Append one record line, first ending a torn last line if there is one."""
+    line = (_emit_json(record) + "\n").encode()
+    with path.open("a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)
 
 
 def cached_run(args, command: str, params: dict, produce) -> tuple[str, int]:

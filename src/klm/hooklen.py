@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import binomial
 from .certificate import Certificate, Stopwatch
 from .klcoeff import c_recursive
 

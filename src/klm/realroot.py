@@ -1,9 +1,16 @@
 """Exact real-rootedness certification.
 
-Sturm chains give exact distinct-real-root counts over intervals with
-extended-rational endpoints; Borchardt-Hermite Hurwitz determinants give
-an independent distinct-real-zeros criterion, numerically and symbolically
-in the shifted parameter d' = d - 2(m-1); the n-sequence test and
+Every real-root count comes from one integer Sturm chain per polynomial:
+the remainder sequence of (p, p') run as a primitive pseudo-remainder
+sequence (Collins 1967; Brown-Traub 1971).  Each step scales by a positive
+power of |lc| and divides out the content, so every element is a positive
+multiple of the true Sturm remainder and sign variations stay exact.  The
+chain need not start from a squarefree p: its sign variations count the
+distinct real roots in (a, b] for endpoints that are not roots, and its
+last element is gcd(p, p'), which gives the distinct-root count and seeds
+the multiplicity profile.  Borchardt-Hermite Hurwitz determinants give an
+independent distinct-real-zeros criterion, numerically and symbolically in
+the shifted parameter d' = d - 2(m-1); the n-sequence test and
 multiplier-sequence spot checks complete the toolbox.
 """
 
@@ -11,12 +18,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd, lcm
 
 from .arith import binomial
 from .certificate import Certificate, Stopwatch
-from .polyring import (Poly, X, _primitive, as_poly, det_fraction,
-                       det_parametric, poly_gcd, squarefree_part)
+from .polyring import Poly, X, as_poly, det_fraction, det_parametric
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -30,32 +36,83 @@ def _sign(x) -> int:
     return 0
 
 
+def _primitive_ints(cs: list[int]) -> list[int]:
+    """Divide an integer coefficient list by its (positive) content."""
+    g = gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) * (a mod b), ascending integer coefficients."""
+    lead, db = b[-1], len(b) - 1
+    steps = len(a) - db
+    r = list(a)
+    for k in range(steps - 1, -1, -1):
+        c = r[k + db]
+        r = [lead * x for x in r[:k + db]]
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    if lead < 0 and steps % 2:
+        r = [-x for x in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Signed remainder chain of (p, p'), content-stripped at each step."""
+    """Sturm chain of (p, p') over the integers, each element primitive.
+
+    Every element is a positive multiple of the signed Euclidean remainder,
+    and the last one is gcd(p, p') up to a scalar.
+    """
     if not p:
         raise ValueError("Sturm chain of the zero polynomial")
-    chain = [_primitive(p)]
-    if p.degree >= 1:
-        chain.append(_primitive(p.derivative()))
-        while chain[-1].degree >= 0:
-            r = chain[-2].rem(chain[-1])
+    fr = [Fraction(c) for c in p.coeffs]
+    den = lcm(*(c.denominator for c in fr))
+    cur = _primitive_ints([c.numerator * (den // c.denominator) for c in fr])
+    chain = [cur]
+    if len(cur) > 1:
+        chain.append(_primitive_ints([k * c for k, c in enumerate(cur) if k]))
+        while len(chain[-1]) > 1:
+            r = _pseudo_rem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(_primitive(-r))
-    return chain
+            chain.append(_primitive_ints([-c for c in r]))
+    return [Poly(cs) for cs in chain]
 
 
 def _sign_at(p: Poly, x) -> int:
+    cs = p.coeffs
     if x == NEG_INF:
-        return _sign(p.leading) * (-1) ** (p.degree % 2) if p else 0
+        return _sign(cs[-1]) * (-1) ** (p.degree % 2)
     if x == POS_INF:
-        return _sign(p.leading) if p else 0
-    return _sign(p.eval(Fraction(x)))
+        return _sign(cs[-1])
+    x = Fraction(x)
+    if not x:
+        return _sign(cs[0])
+    # p(x) * den^deg, evaluated in integers by homogenised Horner.
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * num + c * scale
+        scale *= den
+    return _sign(acc)
 
 
 def _variations(chain: list[Poly], x) -> int:
     signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _count(chain: list[Poly], a, b) -> int:
+    """Distinct real roots in (a, b] of the chain's polynomial; a, b not roots."""
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def _distinct(p: Poly, chain: list[Poly]) -> int:
+    """Distinct complex roots of p, from the gcd(p, p') closing its chain."""
+    return p.degree - chain[-1].degree
 
 
 def _deflate(p: Poly, root: Fraction) -> tuple[Poly, int]:
@@ -87,8 +144,7 @@ def sturm_count(p: Poly, a, b) -> int:
         extra = 1
     if p.degree == 0:
         return extra
-    chain = sturm_chain(p)
-    return _variations(chain, a) - _variations(chain, b) + extra
+    return _count(sturm_chain(p), a, b) + extra
 
 
 def count_real_roots(p: Poly) -> int:
@@ -96,13 +152,25 @@ def count_real_roots(p: Poly) -> int:
     return sturm_count(p, NEG_INF, POS_INF)
 
 
-def multiplicity_profile(p: Poly) -> list[int]:
-    """Number of distinct roots of each multiplicity >= 1, via iterated gcd."""
+def _all_real(p: Poly) -> bool:
+    """Every complex root of p (degree >= 1) is real, read from one chain."""
+    chain = sturm_chain(p)
+    return _count(chain, NEG_INF, POS_INF) == _distinct(p, chain)
+
+
+def multiplicity_profile(p: Poly, gcd_pp: Poly | None = None) -> list[int]:
+    """Number of distinct roots of each multiplicity >= 1.
+
+    gcd_pp is gcd(p, p') up to a scalar, such as the last element of
+    sturm_chain(p), when the caller already has it.  The iterated gcds
+    below it are taken only while they are non-constant.
+    """
     out = []
     while p.degree >= 1:
-        g = poly_gcd(p, p.derivative())
-        out.append(p.degree - g.degree)
-        p = g
+        if gcd_pp is None:
+            gcd_pp = sturm_chain(p)[-1]
+        out.append(p.degree - gcd_pp.degree)
+        p, gcd_pp = gcd_pp, None
     # out[k] counts roots of multiplicity > k; convert to exact counts
     return [out[k] - (out[k + 1] if k + 1 < len(out) else 0) for k in range(len(out))]
 
@@ -110,8 +178,9 @@ def multiplicity_profile(p: Poly) -> list[int]:
 def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     """Certify that every complex zero of p is real and negative.
 
-    Uses the squarefree part, which carries exactly the distinct zeros;
-    multiplicities cannot move a zero off the negative axis.
+    One Sturm chain counts the distinct negative zeros and, through its
+    last element gcd(p, p'), the distinct zeros; multiplicities cannot
+    move a zero off the negative axis.
     """
     watch = Stopwatch()
     subject = subject or "polynomial"
@@ -119,14 +188,15 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
         raise ValueError("zero polynomial has no zero locus to certify")
     if p.eval(Fraction(0)) == 0:
         raise ValueError("p(0) = 0: a zero root fails 'only negative zeros' by definition")
-    sf = squarefree_part(p)
-    negative = sturm_count(sf, NEG_INF, 0)
-    if negative == sf.degree:
+    chain = sturm_chain(p)
+    distinct = _distinct(p, chain)
+    negative = _count(chain, NEG_INF, 0)
+    if negative == distinct:
         return watch.done(subject, "sturm", None, {
-            "distinct_zeros": sf.degree,
-            "multiplicities": multiplicity_profile(p)})
+            "distinct_zeros": distinct,
+            "multiplicities": multiplicity_profile(p, chain[-1])})
     return watch.done(subject, "sturm", {
-        "distinct_zeros": sf.degree, "negative_real_zeros": negative,
+        "distinct_zeros": distinct, "negative_real_zeros": negative,
         "coeffs": [str(c) for c in p.coeffs]})
 
 
@@ -181,7 +251,8 @@ def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificat
     b = a.derivative()
     deltas = [hurwitz_delta(a, b, k) for k in range(1, n + 1)]
     hurwitz_ok = all(v > 0 for v in deltas)
-    sturm_ok = count_real_roots(squarefree_part(a)) == n and squarefree_part(a).degree == n
+    sturm_real = count_real_roots(a)
+    sturm_ok = sturm_real == n
     if hurwitz_ok != sturm_ok:
         raise RuntimeError(
             f"Hurwitz and Sturm disagree on {subject}: {hurwitz_ok} vs {sturm_ok}")
@@ -190,7 +261,7 @@ def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificat
                           {"deltas": [str(v) for v in deltas]})
     return watch.done(subject, "hurwitz", {
         "deltas": [str(v) for v in deltas],
-        "sturm_distinct_real": count_real_roots(squarefree_part(a))})
+        "sturm_distinct_real": sturm_real})
 
 
 def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
@@ -230,8 +301,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         if g.degree < 1:
             small_cases.append({"d": d, "degree": g.degree, "real_rooted": True})
             continue
-        sf = squarefree_part(g)
-        ok = count_real_roots(sf) == sf.degree
+        ok = _all_real(g)
         small_cases.append({"d": d, "degree": g.degree, "real_rooted": ok})
         if not ok:
             return watch.done(subject, "hurwitz", {
@@ -262,16 +332,18 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
     if p.eval(Fraction(0)) == 0:
         return watch.done(subject, "nseq", {
             "reason": "zero root", "coeffs": [str(c) for c in p.coeffs]})
-    sf = squarefree_part(p)
-    neg = sturm_count(sf, NEG_INF, 0)
-    pos = sturm_count(sf, 0, POS_INF)
-    if neg == sf.degree or pos == sf.degree:
+    # p(0) != 0, so one chain counts both half-lines.
+    chain = sturm_chain(p)
+    distinct = _distinct(p, chain)
+    neg = _count(chain, NEG_INF, 0)
+    pos = _count(chain, 0, POS_INF)
+    if neg == distinct or pos == distinct:
         return watch.done(subject, "nseq", None, {
-            "degree": p.degree, "distinct_zeros": sf.degree,
-            "sign": "negative" if neg == sf.degree else "positive"})
+            "degree": p.degree, "distinct_zeros": distinct,
+            "sign": "negative" if neg == distinct else "positive"})
     return watch.done(subject, "nseq", {
         "degree": p.degree, "negative": neg, "positive": pos,
-        "distinct": sf.degree, "coeffs": [str(c) for c in p.coeffs]})
+        "distinct": distinct, "coeffs": [str(c) for c in p.coeffs]})
 
 
 def random_real_rooted(rng: random.Random, max_degree: int = 6) -> Poly:
@@ -302,8 +374,7 @@ def multiplier_spot_check(m: int, d: int, trials: int, seed: int = 0) -> Certifi
                            for i, c in enumerate(p.coeffs)))
         if image.degree < 1:
             continue
-        sf = squarefree_part(image)
-        if count_real_roots(sf) != sf.degree:
+        if not _all_real(image):
             return watch.done(subject, "multiplier", {
                 "trial": trial,
                 "input": [str(c) for c in p.coeffs],

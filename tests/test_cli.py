@@ -132,3 +132,29 @@ def test_main_entry_point_in_process(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KLM_CACHE", str(tmp_path / "c.jsonl"))
     assert main(["compute", "kl", "--m", "1", "--d", "3"]) == 0
     assert capsys.readouterr().out == "1 + 2*t\n"
+
+
+def test_corrupt_cache_line_is_skipped(tmp_path, run_cli):
+    cache = tmp_path / "cache.jsonl"
+    good = ["compute", "kl", "--m", "2", "--d", "3"]
+    code, out, err = run_cli(good, tmp_path, env_cache=cache)
+    assert code == 0, err
+    good_record = cache.read_text()
+    # A record torn mid-write: no closing quote, brace or newline.
+    cache.write_text(good_record + '{"key": "abc", "payload": "1 + 5*t')
+    code, replay, err = run_cli(good, tmp_path, env_cache=cache)
+    assert (code, replay) == (0, out), err
+    assert cache.read_text().startswith(good_record)
+    fresh = ["compute", "kl", "--m", "3", "--d", "4"]
+    code, fresh_out, err = run_cli(fresh, tmp_path, env_cache=cache)
+    assert code == 0 and fresh_out == "1 + 28*t\n", err
+    # The fresh record starts on a line of its own, so it replays too.
+    lines_before = cache.read_text().count("\n")
+    assert run_cli(fresh, tmp_path, env_cache=cache)[:2] == (0, fresh_out)
+    assert cache.read_text().count("\n") == lines_before
+    # A line that parses but is not an object is skipped the same way.
+    with cache.open("a") as fh:
+        fh.write("[1, 2]\n")
+    assert run_cli(good, tmp_path, env_cache=cache)[:2] == (0, out)
+    assert run_cli(["compute", "kl", "--m", "0", "--d", "3"], tmp_path,
+                   env_cache=cache)[0] == 2

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from klm.klcoeff import kl_poly
-from klm.polyring import ONE, Poly, X, as_poly
+from klm.polyring import ONE, Poly, X, as_poly, poly_gcd, squarefree_part
 from klm.realroot import (NEG_INF, POS_INF, all_zeros_real_negative,
                           count_real_roots, distinct_real_certificate,
                           hurwitz_delta, hurwitz_positivity_symbolic,
                           multiplicity_profile, multiplier_spot_check,
-                          n_sequence_test, random_real_rooted, sturm_count)
+                          n_sequence_test, random_real_rooted, sturm_chain,
+                          sturm_count)
 from klm.seqfactor import SeqSpec, gy_poly
 from klm.zcoeff import z_from_kl
 
@@ -154,3 +157,123 @@ def test_multiplier_spot_check_examples():
     assert count_real_roots(image) == 2
     cert = multiplier_spot_check(2, 4, 100)
     assert cert.passed, cert.witness
+
+
+# -- the integer chain against the Fraction reference -----------------------------
+
+
+def reference_sturm(p: Poly) -> list[Poly]:
+    """Euclidean Sturm chain of (p, p') over Fraction, without rescaling."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree >= 1:
+        r = chain[-2].rem(chain[-1])
+        if not r:
+            break
+        chain.append(-r)
+    return chain
+
+
+def reference_count(p: Poly, a, b) -> int:
+    """Distinct real roots of squarefree_part(p) in (a, b]; p(a), p(b) != 0."""
+    def variations(x):
+        vals = []
+        for q in reference_sturm(squarefree_part(p)):
+            if x == NEG_INF:
+                vals.append(q.leading * (-1) ** q.degree)
+            elif x == POS_INF:
+                vals.append(q.leading)
+            else:
+                vals.append(q.eval(Fraction(x)))
+        signs = [v > 0 for v in vals if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return variations(a) - variations(b)
+
+
+def assert_positive_multiples(chain: list[Poly], ref: list[Poly]) -> None:
+    assert len(chain) == len(ref)
+    for got, want in zip(chain, ref):
+        ratio = Fraction(got.leading) / want.leading
+        assert ratio > 0 and got == want * ratio
+
+
+def reference_profile(p: Poly) -> list[int]:
+    """The multiplicity profile by iterated Fraction gcds."""
+    out = []
+    while p.degree >= 1:
+        g = poly_gcd(p, p.derivative())
+        out.append(p.degree - g.degree)
+        p = g
+    return [out[k] - (out[k + 1] if k + 1 < len(out) else 0) for k in range(len(out))]
+
+
+small = st.integers(-6, 6)
+nonzero = small.filter(bool)
+linear = st.builds(lambda a, b: P(b, a), nonzero, small)
+quadratic = st.builds(lambda a, b, c: P(c, b, a), nonzero, small, small)
+factor_power = st.builds(lambda f, k: f ** k, st.one_of(linear, quadratic),
+                         st.integers(1, 3))
+
+
+def _product(fs, scale):
+    out = ONE * scale
+    for f in fs:
+        out = out * f
+    return out
+
+
+# Products of repeated linear and quadratic factors with a scale of either sign,
+# and dense integer polynomials whose roots nothing controls.
+factored = st.builds(_product, st.lists(factor_power, min_size=1, max_size=4),
+                     st.sampled_from([-3, -1, 1, 2]))
+dense = st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(lambda cs: P(*cs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(factored, dense))
+def test_integer_chain_matches_fraction_reference(p):
+    assume(p.degree >= 1 and p.eval(Fraction(0)) != 0)
+    chain = sturm_chain(p)
+    assert all(isinstance(c, int) for q in chain for c in q.coeffs)
+    assert_positive_multiples(chain, reference_sturm(p))
+    last = chain[-1]
+    assert last * (1 / Fraction(last.leading)) == poly_gcd(p, p.derivative())
+    assert p.degree - last.degree == squarefree_part(p).degree
+    assert sturm_count(p, NEG_INF, 0) == reference_count(p, NEG_INF, 0)
+    assert sturm_count(p, 0, POS_INF) == reference_count(p, 0, POS_INF)
+    assert count_real_roots(p) == reference_count(p, NEG_INF, POS_INF)
+    assert multiplicity_profile(p) == reference_profile(p)
+    assert multiplicity_profile(p, last) == reference_profile(p)
+
+
+def test_sturm_chain_elements_are_positive_multiples():
+    # -(t+1)^2 (t-3): a negative leading coefficient and a repeated root.
+    p = -(P(1, 1) ** 2) * P(-3, 1)
+    assert_positive_multiples(sturm_chain(p), reference_sturm(p))
+    # Degrees 4, 3, 1, 0: the step past the gap divides by an element with a
+    # negative leading coefficient, raised to the odd power 3.
+    p = P(-3, 2, 0, 0, -3)
+    chain = sturm_chain(p)
+    assert [q.degree for q in chain] == [4, 3, 1, 0] and chain[2].leading < 0
+    assert_positive_multiples(chain, reference_sturm(p))
+
+
+# -- certificate branches the bench grids never reach -----------------------------
+
+
+@pytest.mark.parametrize("p, passed, witness", [
+    (P(1, 1) ** 2 * P(3, 1), True, {"distinct_zeros": 2, "multiplicities": [1, 1]}),
+    (P(1, 1) * P(-2, 1), False, {"distinct_zeros": 2, "negative_real_zeros": 1,
+                                 "coeffs": ["-2", "-1", "1"]}),
+    (P(1, 0, 1), False, {"distinct_zeros": 2, "negative_real_zeros": 0,
+                         "coeffs": ["1", "0", "1"]}),
+])
+def test_all_zeros_real_negative_branches(p, passed, witness):
+    cert = all_zeros_real_negative(p)
+    assert (cert.passed, cert.witness) == (passed, witness)
+
+
+def test_n_sequence_positive_branch():
+    # Gamma[(1+t)^2] = 2 - 3t + t^2 = (t-1)(t-2): both zeros positive.
+    cert = n_sequence_test([Fraction(2), Fraction(-3, 2), Fraction(1)], 2)
+    assert cert.passed
+    assert cert.witness == {"degree": 2, "distinct_zeros": 2, "sign": "positive"}
