@@ -142,6 +142,7 @@ def kl_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
 
 def kl_poly(m: int, d: int, route: str = "positive") -> Poly:
     """P_{U_{m,d}}(t) assembled from the requested coefficient route."""
+    _check_range(m, d, 0)
     return Poly(tuple(Fraction(kl_coefficient(m, d, i, route))
                       for i in range(max_index(d) + 1)))
 

@@ -6,8 +6,12 @@ ordinary univariate case) or themselves Polys in a parameter d (the
 symbolic machinery).  The same class covers both; nesting one level deeper
 gives bivariate polynomials in (i, d).
 
-Also here: falling-factorial basis conversion and exact parametric
-determinants via evaluation and interpolation.
+Also here: falling-factorial basis conversion and exact determinants.  One
+fraction-free Bareiss elimination over the integers (Bareiss 1968) serves
+them all: with row swaps it gives the determinant of a Fraction matrix;
+without them its diagonal holds every leading principal minor, which is how
+a matrix of Polys-in-d yields all its leading minors from one pass per
+integer evaluation point, interpolated back exactly.
 """
 
 from __future__ import annotations
@@ -294,10 +298,40 @@ def from_falling_basis(gs) -> Poly:
 # -- exact determinants ------------------------------------------------------
 
 
+def _bareiss(mat: list[list[int]], swap: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
+
+    Returns the pivots and the sign of the row permutation.  Every pivot is
+    an exact minor.  Without swaps the k-th pivot is the leading
+    (k+1) x (k+1) minor and elimination stops at the first zero pivot; with
+    swaps a zero pivot is replaced from below where possible, and the sign
+    times the last pivot is the determinant.
+    """
+    n = len(mat)
+    sign, prev, pivots = 1, 1, []
+    for k in range(n):
+        if swap and not mat[k][k]:
+            for r in range(k + 1, n):
+                if mat[r][k]:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+        piv = mat[k][k]
+        pivots.append(piv)
+        if not piv:
+            break
+        tail = mat[k][k + 1:]
+        for row in mat[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(x * piv - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = piv
+    return pivots, sign
+
+
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant of a square Fraction matrix.
 
-    Rows are cleared to integers, then fraction-free Bareiss elimination
+    Rows are cleared to integers, then Bareiss elimination with row swaps
     keeps every intermediate an exact minor.
     """
     n = len(rows)
@@ -309,32 +343,32 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     scale = 1
     for r in rows:
         fr = [Fraction(c) for c in r]
-        den = lcm(*(c.denominator for c in fr)) if len(fr) > 1 else fr[0].denominator
+        den = lcm(*(c.denominator for c in fr))
         scale *= den
         mat.append([int(c * den) for c in fr])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for r in range(k + 1, n):
-                if mat[r][k] != 0:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return Fraction(sign * mat[n - 1][n - 1], scale)
+    pivots, sign = _bareiss(mat, swap=True)
+    return Fraction(sign * pivots[-1], scale)
 
 
-def _entry_eval(entry, x: Fraction) -> Fraction:
-    if isinstance(entry, Poly):
-        return Fraction(entry.eval(x))
-    return Fraction(entry)
+def _interpolate_steps(ys: list[int], den: int) -> Poly:
+    """The polynomial taking ys[t] / den at t = 0, 1, ..., len(ys) - 1.
+
+    Newton forward differences, then sum_k diff_k (t)_k / k! by Horner in
+    the falling factorials, all over the integers scaled by (len(ys)-1)!.
+    """
+    n = len(ys) - 1
+    diffs = list(ys)
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc: list[int] = []
+    fact = 1  # n! / k!
+    for k in range(n, -1, -1):
+        # acc <- acc * (t - k) + diffs[k] * n! / k!
+        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc[0] += diffs[k] * fact
+        fact *= k or 1
+    return Poly(tuple(Fraction(c, den * fact) for c in acc))
 
 
 def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
@@ -351,21 +385,73 @@ def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return out
 
 
-def det_parametric(rows: list[list], degree_bound: int) -> Poly:
-    """Exact determinant of a matrix of Polys-in-d.
+def minor_degree_bound(rows: list[list], j: int) -> int:
+    """Degree bound of the j x j leading minor of a matrix of Polys-in-d:
+    the smaller of the row-sum and column-sum bounds on its entry degrees."""
+    degs = [[max(as_poly(e).degree, 0) for e in row[:j]] for row in rows[:j]]
+    return min(sum(map(max, degs)), sum(map(max, zip(*degs))))
 
-    Evaluated at the integer points 0..degree_bound and interpolated back;
-    degree_bound must dominate the true determinant degree.
+
+def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0) -> list[Poly]:
+    """Leading principal minors of a square matrix of Polys-in-d (or scalars).
+
+    bounds maps each wanted order j to a bound on the degree of the j x j
+    leading minor.  Each row is cleared to integer polynomials once, and
+    each distinct entry is evaluated once per point, by integer Horner, at
+    d = start, start + 1, ..., start + max bound.  One Bareiss pass without
+    row swaps per point puts every leading minor on the diagonal; where a
+    pivot vanishes, the larger wanted minors at that point come from
+    det_fraction on their leading block.  Each minor is interpolated from
+    its first bound + 1 values and returned as a polynomial in d - start.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    pts = []
-    for k in range(degree_bound + 1):
-        x = Fraction(k)
-        val = det_fraction([[_entry_eval(e, x) for e in row] for row in rows])
-        pts.append((x, val))
-    return interpolate(pts)
+    if any(not 0 <= j <= n for j in bounds):
+        raise ValueError(f"leading minor orders must lie in [0, {n}]")
+    index: dict[tuple[int, ...], int] = {}
+    cells, scales = [], []
+    for row in rows:
+        entries = [as_poly(e).coeffs for e in row]
+        den = lcm(*(Fraction(c).denominator for cs in entries for c in cs))
+        scales.append(den)
+        cells.append([index.setdefault(tuple(int(c * den) for c in cs), len(index))
+                      for cs in entries])
+    values: dict[int, list[int]] = {j: [] for j in bounds}
+    for t in range(max(bounds.values(), default=-1) + 1):
+        x = start + t
+        at_x = []
+        for cs in index:
+            v = 0
+            for c in reversed(cs):
+                v = v * x + c
+            at_x.append(v)
+        pivots, _ = _bareiss([[at_x[i] for i in row] for row in cells], swap=False)
+        for j, ys in values.items():
+            if t > bounds[j]:
+                continue
+            if j <= len(pivots):
+                ys.append(pivots[j - 1] if j else 1)
+            else:
+                block = [[at_x[i] for i in row[:j]] for row in cells[:j]]
+                ys.append(det_fraction(block).numerator)
+    out = []
+    for j, ys in values.items():
+        den = 1
+        for s in scales[:j]:
+            den *= s
+        out.append(_interpolate_steps(ys, den))
+    return out
+
+
+def det_parametric(rows: list[list], degree_bound: int) -> Poly:
+    """Exact determinant of a matrix of Polys-in-d.
+
+    The full-order case of :func:`leading_minors`: evaluated at the integer
+    points 0..degree_bound and interpolated back; degree_bound must
+    dominate the true determinant degree.
+    """
+    return leading_minors(rows, {len(rows): degree_bound})[0]
 
 
 def det_cofactor(rows: list[list]):

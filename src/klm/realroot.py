@@ -10,8 +10,10 @@ distinct real roots in (a, b] for endpoints that are not roots, and its
 last element is gcd(p, p'), which gives the distinct-root count and seeds
 the multiplicity profile.  Borchardt-Hermite Hurwitz determinants give an
 independent distinct-real-zeros criterion, numerically and symbolically in
-the shifted parameter d' = d - 2(m-1); the n-sequence test and
-multiplier-sequence spot checks complete the toolbox.
+the shifted parameter d' = d - 2(m-1); all of them are leading minors of one
+Hurwitz matrix and come from one integer elimination per evaluation point.
+The n-sequence test and multiplier-sequence spot checks complete the
+toolbox.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd, lcm
 
 from .arith import binomial
 from .certificate import Certificate, Stopwatch
-from .polyring import Poly, X, as_poly, det_fraction, det_parametric
+from .polyring import Poly, X, leading_minors, minor_degree_bound
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -220,22 +222,32 @@ def hurwitz_matrix(a_desc: list, b_desc: list, k: int) -> list[list]:
     return rows
 
 
-def hurwitz_delta(a: Poly, b: Poly, k: int):
-    """Hurwitz determinant Delta_2k(A, B), exact.
+def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
+    """Hurwitz determinants [Delta_2, ..., Delta_2K](A, B) for K = k_max, exact.
 
-    Numeric coefficients give a Fraction; Poly-in-d coefficients give the
-    determinant as an exact polynomial in d (evaluation-interpolation).
+    The 2k x 2k Hurwitz matrix is the leading block of the 2K x 2K one, so
+    every Delta_2k is a leading principal minor of one matrix, and one
+    integer Bareiss pass per evaluation point yields them all.  Numeric
+    coefficients give Fractions; Poly-in-d coefficients give each Delta_2k
+    as an exact polynomial in d - shift.
     """
     if not a:
         raise ValueError("Hurwitz determinants need a nonzero leading coefficient")
-    if k < 1:
-        raise ValueError(f"Hurwitz index k must be >= 1, got {k}")
+    if k_max < 1:
+        raise ValueError(f"Hurwitz index k must be >= 1, got {k_max}")
     n = a.degree
-    rows = hurwitz_matrix(_descending(a, n), _descending(b, n), k)
-    if any(isinstance(c, Poly) for c in a.coeffs) or any(isinstance(c, Poly) for c in b.coeffs):
-        bound = sum(max((as_poly(e).degree for e in row), default=0) for row in rows)
-        return det_parametric(rows, max(bound, 0))
-    return det_fraction([[Fraction(e) for e in row] for row in rows])
+    rows = hurwitz_matrix(_descending(a, n), _descending(b, n), k_max)
+    minors = leading_minors(rows, {2 * k: minor_degree_bound(rows, 2 * k)
+                                   for k in range(1, k_max + 1)}, shift)
+    if any(isinstance(c, Poly) for c in a.coeffs + b.coeffs):
+        return minors
+    return [v.coeff(0) for v in minors]
+
+
+def hurwitz_delta(a: Poly, b: Poly, k: int):
+    """Hurwitz determinant Delta_2k(A, B), exact: a Fraction for numeric
+    coefficients, a polynomial in d for Poly-in-d ones."""
+    return hurwitz_deltas(a, b, k)[-1]
 
 
 def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificate:
@@ -248,8 +260,7 @@ def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificat
     n = a.degree
     if n < 1:
         raise ValueError("criterion applies to polynomials of degree >= 1")
-    b = a.derivative()
-    deltas = [hurwitz_delta(a, b, k) for k in range(1, n + 1)]
+    deltas = hurwitz_deltas(a, a.derivative(), n)
     hurwitz_ok = all(v > 0 for v in deltas)
     sturm_real = count_real_roots(a)
     sturm_ok = sturm_real == n
@@ -282,12 +293,10 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     subject = f"hurwitz-{name} m={m}"
 
     sym = gy_poly(spec)  # polynomial in t, coefficients Poly-in-d
-    dsym = sym.derivative()
-    shift = X + 2 * (m - 1)  # d = d' + 2(m-1)
+    # Evaluated at d = 2(m-1) + j, so every Delta_2k comes out in d'.
+    deltas = hurwitz_deltas(sym, sym.derivative(), 2 * (m - 1), 2 * (m - 1))
     expansions = []
-    for k in range(1, 2 * (m - 1) + 1):
-        delta = hurwitz_delta(sym, dsym, k)
-        shifted = delta.compose(shift)
+    for k, shifted in enumerate(deltas, 1):
         for idx, c in enumerate(shifted.coeffs):
             if not c > 0:
                 return watch.done(subject, "hurwitz", {

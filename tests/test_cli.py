@@ -100,6 +100,12 @@ def test_certify_targets_and_ranges(tmp_path, run_cli):
     assert code == 0 and out == "hurwitz-Y m=2: pass\n", err
 
 
+def test_kl_roots_at_d_zero_names_the_bad_index(tmp_path, run_cli):
+    code, out, err = run_cli(["certify", "kl-roots", "--m", "2", "--d", "0"], tmp_path)
+    assert (code, out) == (2, "")
+    assert "uniform matroid indices must be positive" in err, err
+
+
 def test_parse_range():
     assert parse_range("2..6") == [2, 3, 4, 5, 6]
     assert parse_range("4") == [4]

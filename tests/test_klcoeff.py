@@ -54,6 +54,12 @@ def test_kl_poly_examples():
     assert kl_poly(1, 5) == Poly((Fraction(1), Fraction(9), Fraction(5)))
 
 
+def test_kl_poly_rejects_nonpositive_indices():
+    for m, d in ((2, 0), (0, 3)):
+        with pytest.raises(ValueError, match="uniform matroid indices must be positive"):
+            kl_poly(m, d)
+
+
 def test_kl_poly_degree_and_constant_term():
     for m in range(1, 6):
         for d in range(1, 12):

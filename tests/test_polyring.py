@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from klm.polyring import (ONE, Poly, X, as_poly, det_cofactor, det_fraction,
                           det_parametric, expand_binomial_affine, interpolate,
-                          poly_gcd, render, render_in_d, reverse,
-                          squarefree_part, to_falling_basis, from_falling_basis)
+                          leading_minors, minor_degree_bound, poly_gcd, render,
+                          render_in_d, reverse, squarefree_part, to_falling_basis,
+                          from_falling_basis)
 
 
 def P(*coeffs) -> Poly:
@@ -105,6 +106,68 @@ def test_det_fraction_matches_cofactor_random():
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                  for _ in range(n)] for _ in range(n)]
         assert det_fraction(rows) == det_cofactor(rows)
+
+
+def random_poly_matrix(rng, n):
+    """Polys in d with small rational coefficients; some entries are zero."""
+    return [[Poly(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(rng.randint(0, 3))))
+             for _ in range(n)] for _ in range(n)]
+
+
+def cofactor_minor(rows, j) -> Poly:
+    return as_poly(det_cofactor([row[:j] for row in rows[:j]]))
+
+
+def assert_leading_minors_match_cofactor(rows, start=0):
+    n = len(rows)
+    bounds = {j: minor_degree_bound(rows, j) for j in range(n + 1)}
+    got = leading_minors(rows, bounds, start)
+    shift = X + start
+    assert got == [cofactor_minor(rows, j).compose(shift) for j in range(n + 1)]
+
+
+def test_leading_minors_match_cofactor_random():
+    rng = random.Random(23)
+    for _ in range(60):
+        rows = random_poly_matrix(rng, rng.randint(1, 5))
+        assert_leading_minors_match_cofactor(rows, start=rng.choice([0, 0, 3, -2]))
+
+
+def test_leading_minors_with_vanishing_pivots():
+    d = X
+    # The (0,0) pivot d - 1 vanishes at d = 1 only.
+    rows = [[d - 1, ONE, d], [d, d * d, ONE], [ONE, d + 2, d - 3]]
+    assert_leading_minors_match_cofactor(rows)
+    # Pivots that vanish at every point: at order 1, and at order 2 below.
+    assert_leading_minors_match_cofactor([[Poly(), ONE], [ONE, Poly()]])
+    assert_leading_minors_match_cofactor(
+        [[ONE, d, ONE, Poly()], [d, d * d, ONE, d], [ONE, d, ONE, ONE],
+         [d, Poly(), ONE - d, d]])
+    # Scalar entries and the empty matrix.
+    assert leading_minors([[0, 1], [1, 0]], {1: 0, 2: 0}) == [Poly(), -ONE]
+    assert leading_minors([], {0: 0}) == [ONE]
+
+
+def test_leading_minors_rejects_bad_orders():
+    with pytest.raises(ValueError):
+        leading_minors([[ONE]], {2: 0})
+    with pytest.raises(ValueError):
+        leading_minors([[ONE, ONE]], {1: 0})
+
+
+def test_minor_degree_bound_dominates_true_degree():
+    rng = random.Random(29)
+    for _ in range(80):
+        rows = random_poly_matrix(rng, rng.randint(1, 5))
+        for j in range(len(rows) + 1):
+            assert cofactor_minor(rows, j).degree <= minor_degree_bound(rows, j)
+    d = X
+    # Row maxima (2, 2) and column maxima (2, 0): the column bound 2 wins;
+    # the transpose has the row bound 2.  Both bounds are 3 on the last.
+    assert minor_degree_bound([[d * d, ONE], [d * d, ONE]], 2) == 2
+    assert minor_degree_bound([[d * d, d * d], [ONE, ONE]], 2) == 2
+    assert minor_degree_bound([[d * d, d], [d, ONE]], 2) == 3
 
 
 def test_interpolate():

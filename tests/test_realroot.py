@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from klm.klcoeff import kl_poly
-from klm.polyring import ONE, Poly, X, as_poly, poly_gcd, squarefree_part
+from klm.polyring import (ONE, Poly, X, as_poly, det_cofactor, minor_degree_bound,
+                          poly_gcd, squarefree_part)
 from klm.realroot import (NEG_INF, POS_INF, all_zeros_real_negative,
                           count_real_roots, distinct_real_certificate,
-                          hurwitz_delta, hurwitz_positivity_symbolic,
+                          hurwitz_delta, hurwitz_deltas, hurwitz_matrix,
+                          hurwitz_positivity_symbolic,
                           multiplicity_profile, multiplier_spot_check,
                           n_sequence_test, random_real_rooted, sturm_chain,
                           sturm_count)
@@ -88,6 +90,60 @@ def test_hurwitz_symbolic_matches_numeric_evaluation():
         num_poly = gy_poly(SeqSpec("f", 3), dd)
         num = hurwitz_delta(num_poly, num_poly.derivative(), 2)
         assert sym.eval(Fraction(dd)) == num
+
+
+def hurwitz_rows(a: Poly, b: Poly, k: int) -> list[list]:
+    n = a.degree
+    return hurwitz_matrix([a.coeff(n - j) for j in range(n + 1)],
+                          [b.coeff(n - j) for j in range(n + 1)], k)
+
+
+def test_hurwitz_deltas_match_single_deltas_and_paper():
+    for family in ("f", "b"):
+        for m in (2, 3):
+            g = gy_poly(SeqSpec(family, m))
+            dg = g.derivative()
+            k_max = 2 * (m - 1)
+            deltas = hurwitz_deltas(g, dg, k_max)
+            assert deltas == [hurwitz_delta(g, dg, k) for k in range(1, k_max + 1)]
+            # Evaluating from d = 2(m-1) on writes each Delta_2k in d'.
+            shift = X + 2 * (m - 1)
+            assert hurwitz_deltas(g, dg, k_max, 2 * (m - 1)) == [
+                v.compose(shift) for v in deltas]
+            rows = hurwitz_rows(g, dg, k_max)
+            for k, v in enumerate(deltas, 1):
+                assert v.degree <= minor_degree_bound(rows, 2 * k)
+    g = gy_poly(SeqSpec("f", 2))
+    in_dprime = hurwitz_deltas(g, g.derivative(), 2, 2)
+    assert [str(c) for c in in_dprime[0].coeffs] == ["2", "6", "13/2", "3", "1/2"]
+    assert [str(c) for c in in_dprime[1].coeffs] == [
+        "13", "60", "233/2", "124", "1265/16", "31", "59/8", "1", "1/16"]
+
+
+def test_hurwitz_deltas_symbolic_match_cofactor_at_m2():
+    for family in ("f", "b"):
+        g = gy_poly(SeqSpec(family, 2))
+        rows = hurwitz_rows(g, g.derivative(), 2)
+        want = [as_poly(det_cofactor([r[:j] for r in rows[:j]])) for j in (2, 4)]
+        assert hurwitz_deltas(g, g.derivative(), 2) == want
+
+
+def test_hurwitz_deltas_numeric_match_cofactor():
+    # t^2 + 1 and t^3 have a later pivot that vanishes; so do many of the
+    # dense integer polynomials, most of them not real-rooted.
+    cases = [(a, a.derivative()) for a in (P(1, 0, 1), P(0, 0, 0, 1))]
+    rng = random.Random(31)
+    for _ in range(100):
+        a = P(*(rng.randint(-3, 3) for _ in range(rng.randint(2, 4))))
+        if a.degree >= 1:
+            b = a.derivative() if rng.random() < 0.7 else P(*(rng.randint(-2, 2) for _ in range(3)))
+            cases.append((a, b))
+    for a, b in cases:
+        rows = hurwitz_rows(a, b, a.degree)
+        want = [Fraction(det_cofactor([r[:2 * k] for r in rows[:2 * k]]))
+                for k in range(1, a.degree + 1)]
+        got = hurwitz_deltas(a, b, a.degree)
+        assert got == want and all(isinstance(v, Fraction) for v in got)
 
 
 def test_distinct_real_certificate_examples():
