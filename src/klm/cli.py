@@ -5,29 +5,25 @@ as JSON with big integers serialized as decimal strings.  Every run is
 recorded in an append-only JSON-lines cache keyed by a content hash of the
 command; re-running an identical command replays the stored payload byte
 for byte.
+
+The module has two parts.  The front (cache, argument parsing, ``replay``)
+uses the standard library alone; the command code below it imports the
+engine.  Started as ``python -m klm.cli``, the module answers a cache hit
+from the front and exits before the engine loads, so a hit costs an
+interpreter, argparse and one scan of the cache file.  ``import klm.cli``
+(and with it the ``klm`` console script) always loads the whole module, and
+reaches the same ``replay`` from ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import fcntl
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from pathlib import Path
-
-from . import hooklen, klcoeff, oracle, seqfactor, zcoeff
-from .certificate import Certificate, Stopwatch
-from .klcoeff import kl_poly, max_index
-from .polyring import Poly, render, render_in_d
-from .realroot import (all_zeros_real_negative, hurwitz_positivity_symbolic,
-                       n_sequence_test)
-from .seqfactor import SeqSpec, gy_poly, qr_poly, seq_value
-from .zcoeff import z_from_kl
 
 ENGINE_VERSION = "klm-0.1.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
@@ -41,6 +37,203 @@ CERTIFY_TARGETS = ("kl-roots", "z-roots", "dseq-f", "dseq-b",
 
 class UsageError(Exception):
     pass
+
+
+def _emit_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# -- cache -----------------------------------------------------------------------
+
+
+def cache_path(args) -> str:
+    return args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE)
+
+
+def run_key(command: str, params: dict) -> str:
+    blob = _emit_json({"engine": ENGINE_VERSION, "command": command, "params": params})
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def cache_lookup(path, key: str) -> dict | None:
+    """The record stored under key, skipping lines that are not replayable.
+
+    Only a line that contains the key is parsed.  A torn or hand-edited line,
+    or a record without a text payload and an integer exit code, is never a
+    replayable record, so it is passed over rather than failing every later
+    command.
+    """
+    needle = key.encode()
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        for line in fh:
+            if needle not in line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                continue
+            if (isinstance(rec, dict) and rec.get("key") == key
+                    and isinstance(rec.get("payload"), str)
+                    and type(rec.get("exit")) is int):
+                return rec
+    return None
+
+
+def cache_append(path, record: dict) -> None:
+    """Append one record line, first ending a torn last line if there is one.
+
+    The check and the write happen under an exclusive ``flock``, and the line
+    goes to an ``O_APPEND`` descriptor in one write, so records appended by
+    concurrent runs never interleave.
+    """
+    line = (_emit_json(record) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            line = b"\n" + line
+        while line:
+            line = line[os.write(fd, line):]
+    finally:
+        os.close(fd)
+
+
+def run_params(args) -> dict | None:
+    """The parameters that key the run record of args' command.
+
+    None for ``verify --csv``: a hit there still writes the CSV, which needs
+    the engine, so ``cmd_verify`` replays the same command without ``--csv``.
+    """
+    if args.command == "compute":
+        return {"kind": args.kind, "m": args.m, "d": args.d, "route": args.route,
+                "symbolic_d": args.symbolic_d, "json": args.json}
+    if args.command == "verify":
+        if args.csv:
+            return None
+        return {"suite": args.suite, "m_max": args.m_max, "d_max": args.d_max,
+                "json": args.json}
+    return {"target": args.target, "m": args.m, "d": args.d, "json": args.json}
+
+
+def replay(args) -> int | None:
+    """Print the cached payload of args' command and return its exit code.
+
+    None when the cache holds no record for it.
+    """
+    params = run_params(args)
+    if params is None:
+        return None
+    hit = cache_lookup(cache_path(args), run_key(args.command, params))
+    if hit is None:
+        return None
+    sys.stdout.write(hit["payload"])
+    return hit["exit"]
+
+
+def record_run(args, produce) -> int:
+    """Produce, print and record a fresh run of args' command.
+
+    produce() returns (payload_text, exit_code).
+    """
+    start = time.monotonic()
+    payload, code = produce()
+    sys.stdout.write(payload)
+    params = run_params(args)
+    cache_append(cache_path(args), {
+        "key": run_key(args.command, params), "command": args.command,
+        "params": params, "payload": payload, "exit": code,
+        "millis": int((time.monotonic() - start) * 1000), "jobs": args.jobs})
+    return code
+
+
+# -- arguments -------------------------------------------------------------------
+
+
+def parse_range(text: str) -> list[int]:
+    """'2..6' -> [2,...,6]; '4' -> [4]."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        out = list(range(int(lo), int(hi) + 1))
+        if not out:
+            raise UsageError(f"empty range {text!r}")
+        return out
+    return [int(text)]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; ``args.command`` names the subcommand to run."""
+    top = argparse.ArgumentParser(prog="klm",
+                                  description="Kazhdan-Lusztig and Z-polynomials of "
+                                              "uniform matroids, exactly")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--json", action="store_true", help="emit JSON payloads")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--cache", default=None, help="run-record cache path "
+                       "(default $KLM_CACHE or .klm-cache.jsonl)")
+
+    pc = sub.add_parser("compute", help="compute one polynomial")
+    pc.add_argument("kind", choices=COMPUTE_KINDS)
+    pc.add_argument("--m", type=int, required=True)
+    pc.add_argument("--d", type=int, default=None)
+    pc.add_argument("--route", default="positive",
+                    choices=("recursive", "hook", "alternating", "positive"))
+    pc.add_argument("--symbolic-d", action="store_true", dest="symbolic_d",
+                    help="leave d symbolic (kinds G and Y)")
+    common(pc)
+
+    pv = sub.add_parser("verify", help="run a cross-check grid")
+    pv.add_argument("suite", choices=VERIFY_SUITES)
+    pv.add_argument("--m-max", type=int, default=4, dest="m_max")
+    pv.add_argument("--d-max", type=int, default=10, dest="d_max")
+    pv.add_argument("--csv", default=None, help="write per-route CSV rows here")
+    common(pv)
+
+    pz = sub.add_parser("certify", help="emit certificates for a target family")
+    pz.add_argument("target", choices=CERTIFY_TARGETS)
+    pz.add_argument("--m", required=True, help="m or lo..hi")
+    pz.add_argument("--d", default=None, help="d or lo..hi")
+    common(pz)
+    return top
+
+
+def _exit_code(run, args) -> int | None:
+    """run(args), with bad input reported as a usage error (exit 2)."""
+    try:
+        return run(args)
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+
+
+# A cache hit needs nothing below this point, and importing the engine costs
+# more than the interpreter's own start-up, so `python -m klm.cli` replays a
+# hit here and exits before the imports that follow.  A miss falls through;
+# the end of the module runs its command with these same arguments, without
+# scanning the cache a second time.
+if __name__ == "__main__":
+    _ARGS = build_parser().parse_args()
+    _REPLAYED = _exit_code(replay, _ARGS)
+    if _REPLAYED is not None:
+        sys.exit(_REPLAYED)
+
+import csv  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from . import hooklen, klcoeff, oracle, seqfactor, zcoeff  # noqa: E402
+from .certificate import Certificate, Stopwatch  # noqa: E402
+from .klcoeff import kl_poly, max_index  # noqa: E402
+from .polyring import Poly, render, render_in_d  # noqa: E402
+from .realroot import (all_zeros_real_negative, hurwitz_positivity_symbolic,  # noqa: E402
+                       n_sequence_test)
+from .seqfactor import SeqSpec, gy_poly, qr_poly, seq_value  # noqa: E402
+from .zcoeff import z_from_kl  # noqa: E402
 
 
 # -- JSON rendering --------------------------------------------------------------
@@ -62,78 +255,6 @@ def parse_poly_payload(payload: dict) -> Poly:
     return Poly(tuple(Fraction(c) for c in payload["coeffs"]))
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# -- cache -----------------------------------------------------------------------
-
-
-def cache_path(args) -> Path:
-    if args.cache:
-        return Path(args.cache)
-    return Path(os.environ.get("KLM_CACHE", DEFAULT_CACHE))
-
-
-def run_key(command: str, params: dict) -> str:
-    blob = _emit_json({"engine": ENGINE_VERSION, "command": command, "params": params})
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def cache_lookup(path: Path, key: str) -> dict | None:
-    """The record stored under key, skipping lines that are not JSON objects.
-
-    A torn or hand-edited line is never a replayable record, so it is passed
-    over rather than failing every later command.
-    """
-    if not path.exists():
-        return None
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(rec, dict) and rec.get("key") == key:
-                return rec
-    return None
-
-
-def cache_append(path: Path, record: dict) -> None:
-    """Append one record line, first ending a torn last line if there is one."""
-    line = (_emit_json(record) + "\n").encode()
-    with path.open("a+b") as fh:
-        if fh.seek(0, os.SEEK_END):
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                line = b"\n" + line
-        fh.write(line)
-
-
-def cached_run(args, command: str, params: dict, produce) -> tuple[str, int]:
-    """Replay a cached payload or produce, print, and record a fresh one.
-
-    produce() returns (payload_text, exit_code).
-    """
-    path = cache_path(args)
-    key = run_key(command, params)
-    hit = cache_lookup(path, key)
-    if hit is not None:
-        sys.stdout.write(hit["payload"])
-        return hit["payload"], int(hit["exit"])
-    start = time.monotonic()
-    payload, code = produce()
-    sys.stdout.write(payload)
-    cache_append(path, {
-        "key": key, "command": command, "params": params, "payload": payload,
-        "exit": code, "millis": int((time.monotonic() - start) * 1000),
-        "jobs": getattr(args, "jobs", 1)})
-    return payload, code
-
-
 # -- parallel grid driver ----------------------------------------------------------
 
 
@@ -141,6 +262,7 @@ def _map_cells(worker, cells: list, jobs: int) -> list:
     """Deterministic map over grid cells, optionally across processes."""
     if jobs <= 1 or len(cells) < 2:
         return [worker(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(cells) // (jobs * 4))
         return list(pool.map(worker, cells, chunksize=chunk))
@@ -203,16 +325,13 @@ def compute_poly(kind: str, m: int, d: int | None, route: str,
 
 
 def cmd_compute(args) -> int:
-    params = {"kind": args.kind, "m": args.m, "d": args.d, "route": args.route,
-              "symbolic_d": args.symbolic_d, "json": args.json}
-
     def produce():
         p, d = compute_poly(args.kind, args.m, args.d, args.route, args.symbolic_d)
         if args.json:
             return _emit_json(poly_payload(args.kind, args.m, d, p)) + "\n", 0
         return render(p) + "\n", 0
 
-    return cached_run(args, "compute", params, produce)[1]
+    return record_run(args, produce)
 
 
 # -- verify ----------------------------------------------------------------------
@@ -250,30 +369,12 @@ def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificat
                 oracle.restriction_contraction_audit(min(10, m_max + d_max))]
     if suite == "identities":
         return [klcoeff.verify_proof_identities(m_max, d_max),
-                verify_diagonal_identities(m_max, d_max)]
+                seqfactor.verify_diagonal_identities(m_max, d_max)]
     if suite == "narayana":
         return [zcoeff.narayana_check(d_max)]
     if suite == "reform":
         return [seqfactor.kl_reformulation_check(m_max, d_max)]
     raise UsageError(f"unknown verify suite {suite!r}")
-
-
-def verify_diagonal_identities(m_max: int, d_max: int) -> Certificate:
-    """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
-    from .arith import binomial
-    watch = Stopwatch()
-    subject = f"diagonal-identities m<={m_max} d<={d_max}"
-    for m in range(1, m_max + 1):
-        spec = SeqSpec("f", m)
-        for d in range(1, d_max + 1):
-            want = binomial(m + d - 1, m - 1)
-            got = seq_value(spec, d, d)
-            at_one = gy_poly(spec, d).eval(Fraction(1))
-            if got != want or at_one != want:
-                return watch.done(subject, "identity", {
-                    "m": m, "d": d, "f_diagonal": str(got),
-                    "G_at_1": str(at_one), "binomial": want})
-    return watch.done(subject, "identity", None, {"m_max": m_max, "d_max": d_max})
 
 
 def _format_certs(certs: list[Certificate], as_json: bool) -> tuple[str, int]:
@@ -315,33 +416,19 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.csv and args.suite not in ("formulas", "z-formulas"):
-        raise UsageError("--csv is supported for the formulas and z-formulas suites")
-    params = {"suite": args.suite, "m_max": args.m_max, "d_max": args.d_max,
-              "json": args.json}
-
-    def produce():
-        certs = run_verify(args.suite, args.m_max, args.d_max, args.jobs)
-        return _format_certs(certs, args.json)
-
-    payload, code = cached_run(args, "verify", params, produce)
     if args.csv:
+        if args.suite not in ("formulas", "z-formulas"):
+            raise UsageError("--csv is supported for the formulas and z-formulas suites")
+        # Stdout and the run record are those of the same command without
+        # --csv, replayed or fresh; the CSV is written either way.
+        code = execute(argparse.Namespace(**{**vars(args), "csv": None}))
         write_routes_csv(args.csv, args.suite, args.m_max, args.d_max)
-    return code
+        return code
+    return record_run(args, lambda: _format_certs(
+        run_verify(args.suite, args.m_max, args.d_max, args.jobs), args.json))
 
 
 # -- certify ---------------------------------------------------------------------
-
-
-def parse_range(text: str) -> list[int]:
-    """'2..6' -> [2,...,6]; '4' -> [4]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-        if not out:
-            raise UsageError(f"empty range {text!r}")
-        return out
-    return [int(text)]
 
 
 def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[dict]:
@@ -361,7 +448,6 @@ def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[di
 def cmd_certify(args) -> int:
     ms = parse_range(args.m)
     ds = parse_range(args.d) if args.d else [1]
-    params = {"target": args.target, "m": args.m, "d": args.d, "json": args.json}
 
     def produce():
         records = run_certify(args.target, ms, ds, args.jobs)
@@ -376,63 +462,28 @@ def cmd_certify(args) -> int:
                 code = 1
         return "\n".join(lines) + "\n", code
 
-    return cached_run(args, "certify", params, produce)[1]
+    return record_run(args, produce)
 
 
 # -- entry point -------------------------------------------------------------------
 
+COMMANDS = {"compute": cmd_compute, "verify": cmd_verify, "certify": cmd_certify}
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="klm",
-                                  description="Kazhdan-Lusztig and Z-polynomials of "
-                                              "uniform matroids, exactly")
-    sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON payloads")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--cache", default=None, help="run-record cache path "
-                       "(default $KLM_CACHE or .klm-cache.jsonl)")
+def run_fresh(args) -> int:
+    """Run args' command on a cache miss: compute, print and record it."""
+    return COMMANDS[args.command](args)
 
-    pc = sub.add_parser("compute", help="compute one polynomial")
-    pc.add_argument("kind", choices=COMPUTE_KINDS)
-    pc.add_argument("--m", type=int, required=True)
-    pc.add_argument("--d", type=int, default=None)
-    pc.add_argument("--route", default="positive",
-                    choices=("recursive", "hook", "alternating", "positive"))
-    pc.add_argument("--symbolic-d", action="store_true", dest="symbolic_d",
-                    help="leave d symbolic (kinds G and Y)")
-    common(pc)
-    pc.set_defaults(fn=cmd_compute)
 
-    pv = sub.add_parser("verify", help="run a cross-check grid")
-    pv.add_argument("suite", choices=VERIFY_SUITES)
-    pv.add_argument("--m-max", type=int, default=4, dest="m_max")
-    pv.add_argument("--d-max", type=int, default=10, dest="d_max")
-    pv.add_argument("--csv", default=None, help="write per-route CSV rows here")
-    common(pv)
-    pv.set_defaults(fn=cmd_verify)
-
-    pz = sub.add_parser("certify", help="emit certificates for a target family")
-    pz.add_argument("target", choices=CERTIFY_TARGETS)
-    pz.add_argument("--m", required=True, help="m or lo..hi")
-    pz.add_argument("--d", default=None, help="d or lo..hi")
-    common(pz)
-    pz.set_defaults(fn=cmd_certify)
-    return top
+def execute(args) -> int:
+    """Replay args' command from the cache, or run it fresh."""
+    code = replay(args)
+    return run_fresh(args) if code is None else code
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    return _exit_code(execute, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_exit_code(run_fresh, _ARGS))

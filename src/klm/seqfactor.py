@@ -194,3 +194,20 @@ def kl_reformulation_check(m_max: int, d_max: int) -> Certificate:
 def diagonal_value(m: int, d: int) -> Fraction:
     """f_m(d,d), which collapses to binom(m+d-1, m-1)."""
     return seq_value(SeqSpec("f", m), d, d)
+
+
+def verify_diagonal_identities(m_max: int, d_max: int) -> Certificate:
+    """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
+    watch = Stopwatch()
+    subject = f"diagonal-identities m<={m_max} d<={d_max}"
+    for m in range(1, m_max + 1):
+        spec = SeqSpec("f", m)
+        for d in range(1, d_max + 1):
+            want = binomial(m + d - 1, m - 1)
+            got = seq_value(spec, d, d)
+            at_one = gy_poly(spec, d).eval(Fraction(1))
+            if got != want or at_one != want:
+                return watch.done(subject, "identity", {
+                    "m": m, "d": d, "f_diagonal": str(got),
+                    "G_at_1": str(at_one), "binomial": want})
+    return watch.done(subject, "identity", None, {"m_max": m_max, "d_max": d_max})

@@ -133,8 +133,7 @@ def test_criterion_08_d_sequences_and_falling_invariants():
 
 def test_criterion_09_identity_suite():
     proofs = klcoeff.verify_proof_identities(12, 20)
-    from klm.cli import verify_diagonal_identities
-    diag = verify_diagonal_identities(15, 20)
+    diag = seqfactor.verify_diagonal_identities(15, 20)
     reform = seqfactor.kl_reformulation_check(6, 16)
     report(9, "proof identities m<=12 d<=20 and diagonal/G(1) identities m<=15",
            proofs.passed and diag.passed and reform.passed,

@@ -1,5 +1,6 @@
 """Command-line surface: rendering, JSON schema, cache replay, exit codes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from klm import cli
 from klm.cli import main, parse_poly_payload, parse_range
 from klm.polyring import Poly
 
@@ -164,3 +166,149 @@ def test_corrupt_cache_line_is_skipped(tmp_path, run_cli):
     assert run_cli(good, tmp_path, env_cache=cache)[:2] == (0, out)
     assert run_cli(["compute", "kl", "--m", "0", "--d", "3"], tmp_path,
                    env_cache=cache)[0] == 2
+
+
+# -- the replay front: a hit is answered before the engine loads ------------------
+
+ENGINE_MODULES = ("klm.realroot", "klm.polyring", "concurrent.futures")
+
+
+def _imported_modules(importtime_stderr: str) -> set[str]:
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cache_hit_loads_no_engine_module(tmp_path, cli_env):
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
+    args = [sys.executable, "-X", "importtime", "-m", "klm.cli",
+            "certify", "kl-roots", "--m", "2", "--d", "1..3", "--jobs", "2"]
+    miss = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tmp_path)
+    hit = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert miss.returncode == hit.returncode == 0, (miss.stderr, hit.stderr)
+    assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
+    assert set(ENGINE_MODULES) <= _imported_modules(miss.stderr)
+    assert not set(ENGINE_MODULES) & _imported_modules(hit.stderr)
+
+
+def test_import_klm_is_lazy(cli_env):
+    script = ("import sys, klm\n"
+              "print(sorted(n for n in sys.modules if n.startswith('klm.')))\n"
+              "print(klm.kl_poly(2, 3) == klm.Poly((1, 5)), klm.__all__)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    loaded, resolved = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert resolved == ("True ['Certificate', 'IntegrityError', 'Poly', 'kl_coefficient', "
+                        "'kl_poly', 'render', 'z_coefficient', 'z_from_kl', 'z_poly', "
+                        "'__version__']")
+    import klm
+    assert all(getattr(klm, name) is not None for name in klm.__all__)
+    assert set(klm.__all__) <= set(dir(klm))
+    with pytest.raises(AttributeError):
+        klm.no_such_name
+
+
+def test_import_klm_cli_loads_every_traced_layer(cli_env):
+    """The benchmark tracer imports klm.cli and wraps functions in these modules."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    script = ("import json, sys, klm.cli\n"
+              "layers = json.loads(sys.argv[1])\n"
+              "print(json.dumps([f'{layer}.{name}' for layer, names in layers.items()\n"
+              "                  for name in names\n"
+              "                  if not hasattr(sys.modules.get('klm.' + layer), name)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(tracer.LAYERS)],
+                          capture_output=True, text=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    assert {"run_certify", "run_verify"} <= set(tracer.LAYERS["cli"])
+
+
+def _seed_record(cache: Path, argv: list[str], payload: str, code: int,
+                 key: str | None = None) -> str:
+    """Append a hand-made record for argv's command; return argv's key."""
+    args = cli.build_parser().parse_args(argv)
+    params = cli.run_params(args)
+    real_key = cli.run_key(args.command, params)
+    cli.cache_append(cache, {"key": key or real_key, "command": args.command,
+                             "params": params, "payload": payload, "exit": code,
+                             "millis": 0, "jobs": 1})
+    return real_key
+
+
+def test_replay_returns_the_recorded_exit_code(tmp_path, run_cli, monkeypatch, capsys):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["certify", "z-roots", "--m", "3", "--d", "4"]
+    _seed_record(cache, argv, "z-roots m=3 d=4: fail\n", 1)
+    assert run_cli(argv, tmp_path, env_cache=cache)[:2] == (1, "z-roots m=3 d=4: fail\n")
+    monkeypatch.setenv("KLM_CACHE", str(cache))
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "z-roots m=3 d=4: fail\n"
+
+
+def test_verify_csv_on_a_cache_hit_still_writes_the_csv(tmp_path, run_cli):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["verify", "z-formulas", "--m-max", "2", "--d-max", "3"]
+    code, out, err = run_cli(argv, tmp_path, env_cache=cache)
+    assert code == 0, err
+    records = cache.read_text()
+    csv_path = tmp_path / "z.csv"
+    assert run_cli(argv + ["--csv", str(csv_path)], tmp_path, env_cache=cache)[:2] == (0, out)
+    assert cache.read_text() == records
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "m,d,i,from_kl,alternating,positive" and len(lines) == 1 + 2 * (2 + 3 + 4)
+
+
+def test_payload_holding_another_key_is_not_a_hit(tmp_path, run_cli):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["compute", "kl", "--m", "2", "--d", "3"]
+    key = _seed_record(cache, argv, "decoy\n", 0, key="0" * 64)
+    cache.write_text(cache.read_text().replace("decoy", f"decoy {key}"))
+    assert key in cache.read_text()
+    assert cli.cache_lookup(cache, key) is None
+    assert run_cli(argv, tmp_path, env_cache=cache)[:2] == (0, "1 + 5*t\n")
+    assert cli.cache_lookup(cache, key)["payload"] == "1 + 5*t\n"
+
+
+def test_record_without_payload_or_integer_exit_is_not_a_hit(tmp_path, run_cli):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["compute", "kl", "--m", "2", "--d", "3"]
+    key = _seed_record(cache, argv, "stale\n", 0)
+    cache.write_text(f'{{"key": "{key}"}}\n'
+                     f'{{"key": "{key}", "payload": "stale\\n", "exit": "0"}}\n')
+    assert cli.cache_lookup(cache, key) is None
+    assert run_cli(argv, tmp_path, env_cache=cache)[:2] == (0, "1 + 5*t\n")
+    assert run_cli(argv, tmp_path, env_cache=cache)[:2] == (0, "1 + 5*t\n")
+    assert cache.read_text().count("\n") == 3
+
+
+def test_concurrent_appends_never_interleave(tmp_path, cli_env):
+    cache = tmp_path / "cache.jsonl"
+    # Each record is several times a default 8 KiB I/O buffer, so a buffered
+    # or unlocked append could reach the file in pieces that interleave.
+    tags = ("a", "b", "c")
+    script = ("import sys\n"
+              "from klm.cli import cache_append\n"
+              "tag = sys.argv[2]\n"
+              "for i in range(200):\n"
+              "    cache_append(sys.argv[1], {'key': f'{tag}-{i}', 'exit': 0,\n"
+              "                               'payload': tag * (30000 + i)})\n")
+    writers = [subprocess.Popen([sys.executable, "-c", script, str(cache), tag],
+                                env=cli_env, stderr=subprocess.PIPE)
+               for tag in tags]
+    for proc in writers:
+        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+        proc.stderr.close()
+    lines = cache.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    records = [json.loads(line) for line in lines]
+    assert sorted(r["key"] for r in records) == sorted(
+        f"{tag}-{i}" for tag in tags for i in range(200))
+    for r in records:
+        tag, i = r["key"].split("-")
+        assert r["payload"] == tag * (30000 + int(i))
+    for key in ("a-0", "b-199", "c-100"):
+        assert cli.cache_lookup(cache, key)["key"] == key
