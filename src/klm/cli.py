@@ -165,6 +165,14 @@ def parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for counts and grid bounds: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; ``args.command`` names the subcommand to run."""
     top = argparse.ArgumentParser(prog="klm",
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON payloads")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
         p.add_argument("--cache", default=None, help="run-record cache path "
                        "(default $KLM_CACHE or .klm-cache.jsonl)")
 
@@ -190,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a cross-check grid")
     pv.add_argument("suite", choices=VERIFY_SUITES)
-    pv.add_argument("--m-max", type=int, default=4, dest="m_max")
-    pv.add_argument("--d-max", type=int, default=10, dest="d_max")
+    pv.add_argument("--m-max", type=positive_int, default=4, dest="m_max")
+    pv.add_argument("--d-max", type=positive_int, default=10, dest="d_max")
     pv.add_argument("--csv", default=None, help="write per-route CSV rows here")
     common(pv)
 

@@ -174,25 +174,12 @@ def q_sum(m: int, d: int, i: int) -> Fraction:
 
 def f_normalized_alternating(m: int, d: int, i: int) -> Fraction:
     """c(m,d,i)/binom(d+m,i) computed from the alternating form."""
-    total = Fraction(0)
-    for h in range(1, m + 1):
-        total += (Fraction((-1) ** (h + 1) * h, d - h - i + m)
-                  * binomial(d - h - i + m, d - 2 * i - h)
-                  * binomial(m + i, m - h))
-    return total
+    return c_alternating(m, d, i) / binomial(d + m, i)
 
 
 def f_normalized_hook(m: int, d: int, i: int) -> Fraction:
     """c(m,d,i)/binom(d+m,i) computed from the extended hook form (i >= 1)."""
-    total = Fraction(0)
-    for h in range(1, m + 1):
-        e = m + d - i - h
-        total += Fraction(
-            (e - i - h + 1) * factorial(m + d - i),
-            e * (e + 1) * (i + h) * (i + h - 1)
-            * factorial(e - i) * factorial(h - 1) * factorial(i - 1),
-        )
-    return total
+    return c_hook_form(m, d, i, extended_bound=True) / binomial(d + m, i)
 
 
 def verify_proof_identities(m_max: int, d_max: int) -> Certificate:

@@ -129,44 +129,71 @@ def z_defining(m: int, d: int) -> Poly:
 # -- explicit-closure audit ----------------------------------------------------
 
 
+def _elements(s: int) -> list[int]:
+    """The elements of the subset with bitmask s, in ascending order."""
+    return [x for x in range(s.bit_length()) if s >> x & 1]
+
+
+def _submasks(s: int):
+    """Every subset of the bitmask s, from s itself down to the empty set."""
+    g = s
+    while True:
+        yield g
+        if not g:
+            return
+        g = (g - 1) & s
+
+
 class ExplicitLattice:
-    """Lattice of flats built from the raw rank function by subset closure."""
+    """Lattice of flats built from the raw rank function by subset closure.
+
+    A subset of the ground set {0, ..., n-1} is an int bitmask with bit x set
+    when x belongs to it.  ``masks`` lists the flats by size, then
+    lexicographically; ``flats`` builds the same list as frozensets.
+    """
 
     def __init__(self, n: int, d: int):
         if n > 20:
             raise ValueError("explicit closure is a tiny-scale audit path")
         self.n = n
         self.d = d
-        self.flats: list[frozenset[int]] = []
-        universe = frozenset(range(n))
+        self.masks: list[int] = []
         for size in range(n + 1):
             for combo in combinations(range(n), size):
-                s = frozenset(combo)
-                if self._closure(s, universe) == s:
-                    self.flats.append(s)
+                s = sum(1 << x for x in combo)
+                if self._closure(s) == s:
+                    self.masks.append(s)
 
-    def rank_fn(self, s: frozenset[int]) -> int:
-        return min(len(s), self.d)
+    def rank_fn(self, s: int) -> int:
+        return min(s.bit_count(), self.d)
 
-    def _closure(self, s: frozenset[int], universe: frozenset[int]) -> frozenset[int]:
+    def _closure(self, s: int) -> int:
         rk = self.rank_fn(s)
-        return frozenset(x for x in universe if self.rank_fn(s | {x}) == rk)
+        out = 0
+        for x in range(self.n):
+            if self.rank_fn(s | (1 << x)) == rk:
+                out |= 1 << x
+        return out
+
+    @property
+    def flats(self) -> list[frozenset[int]]:
+        return [frozenset(_elements(s)) for s in self.masks]
 
     def counts_by_rank(self) -> list[int]:
         out = [0] * (self.d + 1)
-        for f in self.flats:
+        for f in self.masks:
             out[self.rank_fn(f)] += 1
         return out
 
     def char_poly(self) -> Poly:
         """chi from the honest Mobius recursion over the explicit flat poset."""
-        order = sorted(self.flats, key=len)
-        mu: dict[frozenset[int], int] = {}
-        for f in order:
-            below = [g for g in order if g < f]
+        flat_set = set(self.masks)
+        mu: dict[int, int] = {}
+        for f in self.masks:  # by size, so every flat below f comes first
+            below = [g for g in _submasks(f) if g != f and g in flat_set]
             mu[f] = 1 if not below else -sum(mu[g] for g in below)
         coeffs = [Fraction(0)] * (self.d + 1)
-        for f in self.flats:
+        for f in self.masks:
             coeffs[self.d - self.rank_fn(f)] += mu[f]
         return Poly(coeffs)
 
@@ -196,36 +223,44 @@ def restriction_contraction_audit(n_max: int) -> Certificate:
 
 
 def _audit_one(lat: ExplicitLattice, m: int, d: int) -> dict | None:
+    """Audit one explicit lattice against the rank-grouped facts.
+
+    Works on bitmasks: the flats inside a flat f are found among the
+    submasks of f, and the flats above f among the supermasks of f.
+    """
     n = m + d
-    universe = frozenset(range(n))
-    expected = {frozenset(c) for size in range(d) for c in combinations(range(n), size)}
+    universe = (1 << n) - 1
+    expected = {s for s in range(universe + 1) if s.bit_count() < d}
     expected.add(universe)
-    if set(lat.flats) != expected:
+    flats = set(lat.masks)
+    if flats != expected:
         return {"m": m, "d": d, "reason": "flat set mismatch",
-                "extra": sorted(map(sorted, set(lat.flats) - expected)),
-                "missing": sorted(map(sorted, expected - set(lat.flats)))}
-    for f in lat.flats:
+                "extra": sorted(map(_elements, flats - expected)),
+                "missing": sorted(map(_elements, expected - flats))}
+    wants: dict[int, list[int]] = {}
+    for f in lat.masks:
         k = lat.rank_fn(f)
         if f == universe:
             continue
         # Restriction to f: flats of the matroid restricted to f are the
         # flats contained in f; Boolean means all 2^k subsets appear.
-        inside = [g for g in lat.flats if g <= f]
-        if len(inside) != 2 ** k:
-            return {"m": m, "d": d, "flat": sorted(f),
+        inside = sum(1 for g in _submasks(f) if g in flats)
+        if inside != 2 ** k:
+            return {"m": m, "d": d, "flat": _elements(f),
                     "reason": "restriction lattice not Boolean",
-                    "flats_inside": len(inside)}
+                    "flats_inside": inside}
         # Contraction by f: upper interval, ranks shifted down by k,
         # compared against the rank-grouped counts of U_{m, d-k}.
-        above = [g for g in lat.flats if g >= f]
         counts = [0] * (d - k + 1)
-        for g in above:
-            counts[lat.rank_fn(g) - k] += 1
-        want = [RankedLattice(m, d - k).flat_count(j) for j in range(d - k + 1)]
-        if counts != want:
-            return {"m": m, "d": d, "flat": sorted(f),
+        for g in _submasks(universe ^ f):
+            if (f | g) in flats:
+                counts[lat.rank_fn(f | g) - k] += 1
+        if k not in wants:
+            wants[k] = [RankedLattice(m, d - k).flat_count(j) for j in range(d - k + 1)]
+        if counts != wants[k]:
+            return {"m": m, "d": d, "flat": _elements(f),
                     "reason": "contraction lattice mismatch",
-                    "counts": counts, "expected": want}
+                    "counts": counts, "expected": wants[k]}
     return None
 
 

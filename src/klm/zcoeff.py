@@ -10,6 +10,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .arith import as_integer, binomial
 from .certificate import Certificate, Stopwatch
@@ -70,25 +71,28 @@ def z_alternating(m: int, d: int, i: int) -> Fraction:
     _check_range(m, d, i)
     if i == d:
         raise ValueError("z_alternating is stated for i <= d-1; z(m,d,d) = 1 by convention")
-    total = Fraction(0)
+    # The h-sum over its common denominator m, then one division.
+    total = 0
     for h in range(1, m + 1):
-        total += (Fraction((-1) ** (h + 1) * h, m)
+        total += ((-1) ** (h + 1) * h
                   * binomial(i + m, m - h)
                   * binomial(d - i - h + m - 1, m - 1))
-    pref = Fraction(binomial(d + 2 * m, i + m) * binomial(d, i), binomial(d + 2 * m, m))
-    return pref * total
+    return Fraction(binomial(d + 2 * m, i + m) * binomial(d, i) * total,
+                    binomial(d + 2 * m, m) * m)
 
 
 def z_positive(m: int, d: int, i: int) -> Fraction:
     """Positive closed form for z(m,d,i), valid on the full range 0 <= i <= d."""
     _check_range(m, d, i)
-    total = Fraction(0)
+    # The h-sum over its common denominator lcm(1..m)*m, then one division.
+    den = lcm(*range(1, m + 1)) * m
+    total = 0
     for h in range(m):
         b = 1 if h == 0 else binomial(i - 1 + h, h)
-        total += (Fraction(i * (h - m + 1) + m, (h + 1) * m)
+        total += ((i * (h - m + 1) + m) * (den // ((h + 1) * m))
                   * b * binomial(d - i + h, h))
-    pref = Fraction(binomial(d + m, i + m) * binomial(d + m, i), binomial(d + m, m))
-    return pref * total
+    return Fraction(binomial(d + m, i + m) * binomial(d + m, i) * total,
+                    binomial(d + m, m) * den)
 
 
 def z_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
@@ -172,30 +176,41 @@ def narayana_ratio(d: int, i: int) -> int:
 def dyck_peak_counts(n: int) -> list[int]:
     """Counts of Dyck paths of semilength n by number of peaks.
 
-    Explicit enumeration of all paths; entry k-1 counts paths with k peaks.
-    Brute force, so only sensible at desk scale (n <= 13 or so).
+    Entry k-1 counts the paths with k peaks.  The paths are counted by the
+    step recursion (an up step, or a down step above the axis, which ends a
+    peak after an up step), memoised on (ups left, downs left, height, last
+    step up): each state's completions are counted once, by the number of
+    peaks they add.
     """
-    counts = [0] * n
+    memo: dict[tuple[int, int, int, bool], list[int]] = {}
 
-    def walk(ups_left: int, downs_left: int, height: int, last_up: bool, peaks: int):
-        if ups_left == 0 and downs_left == 0:
-            counts[peaks - 1] += 1
-            return
-        if ups_left:
-            walk(ups_left - 1, downs_left, height + 1, True, peaks)
-        if downs_left and height > 0:
-            walk(ups_left, downs_left - 1, height - 1, False, peaks + (1 if last_up else 0))
+    def walk(ups_left: int, downs_left: int, height: int, last_up: bool) -> list[int]:
+        # Entry p counts the completions from this state that add p peaks.
+        key = (ups_left, downs_left, height, last_up)
+        if key not in memo:
+            by_peaks = [0] * (n + 1)
+            if ups_left == 0 and downs_left == 0:
+                by_peaks[0] = 1
+            if ups_left:
+                for p, c in enumerate(walk(ups_left - 1, downs_left, height + 1, True)):
+                    by_peaks[p] += c
+            if downs_left and height > 0:
+                peak = 1 if last_up else 0
+                tail = walk(ups_left, downs_left - 1, height - 1, False)
+                # No path has more than n peaks, so the dropped entries are 0.
+                for p, c in enumerate(tail[:n + 1 - peak]):
+                    by_peaks[p + peak] += c
+            memo[key] = by_peaks
+        return memo[key]
 
-    if n > 0:
-        walk(n, n, 0, False, 0)
-    return counts
+    return walk(n, n, 0, False)[1:] if n > 0 else []
 
 
 def narayana_check(d_max: int, enumeration_cap: int = 12) -> Certificate:
     """Certify Z_{U_{1,d}} against two independent Narayana oracles.
 
-    The closed ratio covers every d <= d_max; explicit Dyck-path peak
-    enumeration additionally covers d <= enumeration_cap.
+    The closed ratio covers every d <= d_max; the Dyck-path count by peaks
+    additionally covers d <= enumeration_cap.
     """
     watch = Stopwatch()
     subject = f"narayana z(1,d) d<={d_max}"

@@ -108,6 +108,36 @@ def test_kl_roots_at_d_zero_names_the_bad_index(tmp_path, run_cli):
     assert "uniform matroid indices must be positive" in err, err
 
 
+def test_verify_empty_grid_is_a_usage_error(tmp_path, run_cli):
+    code, out, err = run_cli(["verify", "oracle", "--m-max", "0", "--d-max", "0"], tmp_path)
+    assert (code, out) == (2, ""), err
+    assert "argument --m-max: must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "oracle", "--m-max", "0", "--d-max", "0"], "--m-max"),
+    (["verify", "oracle", "--m-max", "2", "--d-max", "0"], "--d-max"),
+    (["verify", "formulas", "--m-max", "-1"], "--m-max"),
+    (["verify", "formulas", "--jobs", "0"], "--jobs"),
+    (["compute", "kl", "--m", "2", "--d", "3", "--jobs", "-3"], "--jobs"),
+    (["certify", "kl-roots", "--m", "2", "--d", "3", "--jobs", "0"], "--jobs"),
+])
+def test_counts_below_one_are_usage_errors(argv, option, tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache", str(cache)])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least 1" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_smallest_grid_and_one_job_run(tmp_path, capsys):
+    argv = ["verify", "oracle", "--m-max", "1", "--d-max", "1", "--jobs", "1",
+            "--cache", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count(": pass") == 2
+
+
 def test_parse_range():
     assert parse_range("2..6") == [2, 3, 4, 5, 6]
     assert parse_range("4") == [4]

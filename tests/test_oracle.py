@@ -1,6 +1,7 @@
 """Lattice-of-flats oracle: characteristic, KL, and Z polynomials from axioms."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from klm.klcoeff import kl_poly
 from klm.oracle import (ExplicitLattice, RankedLattice, char_poly, kl_defining,
@@ -46,6 +47,28 @@ def test_explicit_lattice_structure():
     assert len(free.flats) == 8
 
 
+def closure_flats(n: int, d: int) -> list[frozenset[int]]:
+    """Reference: flats of U_{n-d,d} by frozenset subset closure of min(|S|, d)."""
+    def rank(s):
+        return min(len(s), d)
+    flats = []
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            s = frozenset(combo)
+            if frozenset(x for x in range(n) if rank(s | {x}) == rank(s)) == s:
+                flats.append(s)
+    return flats
+
+
+def test_bitmask_flats_match_frozenset_closure():
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            lat = ExplicitLattice(n, d)
+            assert lat.flats == closure_flats(n, d)
+            assert lat.counts_by_rank() == [RankedLattice(n - d, d).flat_count(k)
+                                            for k in range(d + 1)]
+
+
 def test_explicit_char_matches_fast_path():
     for n in range(1, 9):
         for d in range(1, n + 1):
@@ -64,6 +87,28 @@ def test_oracle_matches_closed_forms():
 def test_audit_certificate():
     cert = restriction_contraction_audit(8)
     assert cert.passed, cert.witness
+
+
+def test_audit_fails_on_a_wrong_rank_function(monkeypatch):
+    # Rank capped at d+1 instead of d: in U_{1,1} the singletons become flats.
+    monkeypatch.setattr(ExplicitLattice, "rank_fn",
+                        lambda self, s: min(s.bit_count(), self.d + 1))
+    cert = restriction_contraction_audit(6)
+    assert not cert.passed
+    assert cert.witness == {"m": 1, "d": 1, "reason": "flat set mismatch",
+                            "extra": [[0], [1]], "missing": []}
+
+
+def test_audit_fails_on_wrong_contraction_counts(monkeypatch):
+    # One rank-1 flat too many in the rank-grouped counts of U_{0,2}: the
+    # flats counted above the empty flat of U_{0,2} no longer match them.
+    real = RankedLattice.flat_count
+    monkeypatch.setattr(RankedLattice, "flat_count", lambda self, k: (
+        real(self, k) + (self.m == 0 and self.d == 2 and k == 1)))
+    cert = restriction_contraction_audit(4)
+    assert not cert.passed
+    assert cert.witness == {"m": 0, "d": 2, "flat": [], "reason": "contraction lattice mismatch",
+                            "counts": [1, 2, 1], "expected": [1, 3, 1]}
 
 
 def test_agreement_certificate():

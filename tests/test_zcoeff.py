@@ -69,6 +69,29 @@ def test_narayana_examples():
     assert sum(dyck_peak_counts(5)) == 42  # Catalan number C_5
 
 
+def brute_dyck_peak_counts(n: int) -> list[int]:
+    """Reference: walk every Dyck path of semilength n, tallying it by peaks."""
+    counts = [0] * n
+
+    def walk(ups_left, downs_left, height, last_up, peaks):
+        if ups_left == 0 and downs_left == 0:
+            counts[peaks - 1] += 1
+            return
+        if ups_left:
+            walk(ups_left - 1, downs_left, height + 1, True, peaks)
+        if downs_left and height > 0:
+            walk(ups_left, downs_left - 1, height - 1, False, peaks + (1 if last_up else 0))
+
+    if n > 0:
+        walk(n, n, 0, False, 0)
+    return counts
+
+
+def test_dyck_counts_match_the_path_walk():
+    for n in range(11):
+        assert dyck_peak_counts(n) == brute_dyck_peak_counts(n)
+
+
 def test_narayana_certificate():
     cert = narayana_check(20)
     assert cert.passed, cert.witness
