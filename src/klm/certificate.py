@@ -1,4 +1,4 @@
-"""Machine-checkable verdict records emitted by every verification run."""
+"""Machine-checkable verdict records, and the one routine that runs every grid."""
 
 from __future__ import annotations
 
@@ -59,3 +59,34 @@ class Stopwatch:
         if failure is not None:
             return Certificate(subject, method, "fail", failure, self.millis())
         return Certificate(subject, method, "pass", witness, self.millis())
+
+
+# -- grids -----------------------------------------------------------------------
+
+
+def map_cells(worker, cells: list[tuple], jobs: int = 1) -> list:
+    """[worker(*cell) for cell in cells], across jobs processes when jobs > 1.
+
+    Results keep grid order.  A worker run in another process must be a
+    module-level function, so that it pickles by name.
+    """
+    if jobs <= 1 or len(cells) < 2:
+        return [worker(*cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(cells) // (jobs * 4))
+        return list(pool.map(worker, *zip(*cells), chunksize=chunk))
+
+
+def grid_certificate(subject: str, worker, cells: list[tuple], jobs: int = 1) -> Certificate:
+    """An identity certificate for a grid; worker(*cell) is None or the cell's failure.
+
+    It passes with the witness {"checked": len(cells)}, or fails with the
+    failure of the first failing cell in grid order.  At jobs = 1 the cells
+    run in order and the run stops at that cell; at jobs > 1 every cell runs.
+    """
+    watch = Stopwatch()
+    results = ((worker(*cell) for cell in cells) if jobs <= 1
+               else map_cells(worker, cells, jobs))
+    failure = next((f for f in results if f is not None), None)
+    return watch.done(subject, "identity", failure, {"checked": len(cells)})

@@ -29,6 +29,8 @@ ENGINE_VERSION = "klm-0.1.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
 
 COMPUTE_KINDS = ("kl", "z", "char", "G", "Y", "Q", "R")
+# klcoeff.ROUTES, spelled out because the front imports no engine module.
+KL_ROUTES = ("recursive", "hook", "alternating", "positive")
 VERIFY_SUITES = ("formulas", "z-formulas", "hooks", "oracle", "identities",
                  "narayana", "reform")
 CERTIFY_TARGETS = ("kl-roots", "z-roots", "dseq-f", "dseq-b",
@@ -190,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", choices=COMPUTE_KINDS)
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--d", type=int, default=None)
-    pc.add_argument("--route", default="positive",
-                    choices=("recursive", "hook", "alternating", "positive"))
+    pc.add_argument("--route", default="positive", choices=KL_ROUTES)
     pc.add_argument("--symbolic-d", action="store_true", dest="symbolic_d",
                     help="leave d symbolic (kinds G and Y)")
     common(pc)
@@ -235,8 +236,8 @@ import csv  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from . import hooklen, klcoeff, oracle, seqfactor, zcoeff  # noqa: E402
-from .certificate import Certificate, Stopwatch  # noqa: E402
-from .klcoeff import kl_poly, max_index  # noqa: E402
+from .certificate import Certificate, map_cells  # noqa: E402
+from .klcoeff import kl_poly  # noqa: E402
 from .polyring import Poly, render, render_in_d  # noqa: E402
 from .realroot import (all_zeros_real_negative, hurwitz_positivity_symbolic,  # noqa: E402
                        n_sequence_test)
@@ -263,50 +264,24 @@ def parse_poly_payload(payload: dict) -> Poly:
     return Poly(tuple(Fraction(c) for c in payload["coeffs"]))
 
 
-# -- parallel grid driver ----------------------------------------------------------
+# -- certify cells ---------------------------------------------------------------
 
 
-def _map_cells(worker, cells: list, jobs: int) -> list:
-    """Deterministic map over grid cells, optionally across processes."""
-    if jobs <= 1 or len(cells) < 2:
-        return [worker(c) for c in cells]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(cells) // (jobs * 4))
-        return list(pool.map(worker, cells, chunksize=chunk))
-
-
-def _cell_formulas(cell):
-    return klcoeff.compare_routes_at(*cell)
-
-
-def _cell_z(cell):
-    return zcoeff.compare_routes_at(*cell)
-
-
-def _cell_hook(cell):
-    return hooklen.check_hook_cell(*cell)
-
-
-def _cell_kl_root(cell):
-    m, d = cell
+def _cell_kl_root(m, d):
     return all_zeros_real_negative(kl_poly(m, d), f"kl-roots m={m} d={d}").to_json()
 
 
-def _cell_z_root(cell):
-    m, d = cell
+def _cell_z_root(m, d):
     return all_zeros_real_negative(z_from_kl(m, d), f"z-roots m={m} d={d}").to_json()
 
 
-def _cell_dseq(cell):
-    family, m, d = cell
+def _cell_dseq(family, m, d):
     spec = SeqSpec(family, m)
     gamma = [seq_value(spec, d, i) for i in range(d + 1)]
     return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}").to_json()
 
 
-def _cell_hurwitz(cell):
-    family, m = cell
+def _cell_hurwitz(family, m):
     return hurwitz_positivity_symbolic(family, m).to_json()
 
 
@@ -345,32 +320,13 @@ def cmd_compute(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 
-def _grid_certificate(subject: str, cells: list, worker, jobs: int) -> Certificate:
-    watch = Stopwatch()
-    failures = _map_cells(worker, cells, jobs)
-    for cell, failure in zip(cells, failures):
-        if failure is not None:
-            return watch.done(subject, "identity", failure)
-    return watch.done(subject, "identity", None, {"checked": len(cells)})
-
-
 def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificate]:
     if suite == "formulas":
-        cells = [(m, d, i) for m in range(1, m_max + 1)
-                 for d in range(1, d_max + 1) for i in range(max_index(d) + 1)]
-        return [_grid_certificate(f"four-route-agreement m<={m_max} d<={d_max}",
-                                  cells, _cell_formulas, jobs)]
+        return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
     if suite == "z-formulas":
-        cells = [(m, d) for m in range(1, m_max + 1) for d in range(1, d_max + 1)]
-        return [_grid_certificate(f"z-three-route-agreement m<={m_max} d<={d_max}",
-                                  cells, _cell_z, jobs)]
+        return [zcoeff.verify_three_routes(m_max, d_max, jobs)]
     if suite == "hooks":
-        cells = [(m, d, i, h) for m in range(1, m_max + 1)
-                 for d in range(1, d_max + 1)
-                 for i in range(1, (d - 1) // 2 + 1)
-                 for h in range(1, min(m, d - 2 * i) + 1)]
-        return [_grid_certificate(f"hook-factorizations m<={m_max} d<={d_max}",
-                                  cells, _cell_hook, jobs),
+        return [hooklen.verify_hook_factorizations(m_max, d_max, jobs),
                 hooklen.verify_equivariant_sum(m_max, d_max)]
     if suite == "oracle":
         return [oracle.verify_oracle_agreement(m_max + d_max),
@@ -405,22 +361,19 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
         out = csv.writer(fh)
         if suite == "formulas":
             out.writerow(["m", "d", "i", "recursive", "hook", "alternating", "positive"])
-            for m in range(1, m_max + 1):
-                for d in range(1, d_max + 1):
-                    for i in range(max_index(d) + 1):
-                        hook = str(klcoeff.c_hook_form(m, d, i)) if i >= 1 else ""
-                        out.writerow([m, d, i, klcoeff.c_recursive(m, d, i), hook,
-                                      str(klcoeff.c_alternating(m, d, i)),
-                                      str(klcoeff.c_positive(m, d, i))])
+            for m, d, i in klcoeff.grid_cells(m_max, d_max):
+                hook = str(klcoeff.c_hook_form(m, d, i)) if i >= 1 else ""
+                out.writerow([m, d, i, klcoeff.c_recursive(m, d, i), hook,
+                              str(klcoeff.c_alternating(m, d, i)),
+                              str(klcoeff.c_positive(m, d, i))])
         else:
             out.writerow(["m", "d", "i", "from_kl", "alternating", "positive"])
-            for m in range(1, m_max + 1):
-                for d in range(1, d_max + 1):
-                    z = z_from_kl(m, d)
-                    for i in range(d + 1):
-                        alt = "1" if i == d else str(zcoeff.z_alternating(m, d, i))
-                        out.writerow([m, d, i, str(z.coeff(i)), alt,
-                                      str(zcoeff.z_positive(m, d, i))])
+            for m, d in zcoeff.grid_cells(m_max, d_max):
+                z = z_from_kl(m, d)
+                for i in range(d + 1):
+                    alt = "1" if i == d else str(zcoeff.z_alternating(m, d, i))
+                    out.writerow([m, d, i, str(z.coeff(i)), alt,
+                                  str(zcoeff.z_positive(m, d, i))])
 
 
 def cmd_verify(args) -> int:
@@ -441,15 +394,17 @@ def cmd_verify(args) -> int:
 
 def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[dict]:
     if target == "kl-roots":
-        return _map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
+        return map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
     if target == "z-roots":
-        return _map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
+        return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
+        if min(ds) < 1:
+            raise UsageError(f"{target} requires d >= 1, got {min(ds)}")
         family = target[-1]
-        return _map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
+        return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
     if target in ("hurwitz-G", "hurwitz-Y"):
         family = target[-1]
-        return _map_cells(_cell_hurwitz, [(family, m) for m in ms], jobs)
+        return map_cells(_cell_hurwitz, [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
 
 

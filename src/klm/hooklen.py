@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, Stopwatch, grid_certificate
 from .klcoeff import c_recursive
 
 SYT_ENUMERATION_CAP = 8
@@ -114,25 +114,25 @@ def first_row_hooks_piecewise(m: int, d: int, i: int, h: int) -> list[int]:
     return out
 
 
-def verify_hook_factorizations(m_max: int, d_max: int) -> Certificate:
+def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int, int, int]]:
+    """Every summand (m, d, i, h) of the equivariant sums on the grid, in grid order."""
+    return [(m, d, i, h) for m in range(1, m_max + 1) for d in range(1, d_max + 1)
+            for i in range(1, (d - 1) // 2 + 1) for h in range(1, min(m, d - 2 * i) + 1)]
+
+
+def verify_hook_factorizations(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """Check the hook-length bookkeeping behind the equivariant dimension sum.
 
-    For every in-range (m, d, i, h): the piecewise first-row values match
-    the generic hook lengths; the three row-product identities hold; and
-    the dimension equals the corresponding hook-form summand of c(m,d,i).
+    For every (m, d, i, h) of ``grid_cells(m_max, d_max)``, ``check_hook_cell``
+    checks that the piecewise first-row values match the generic hook
+    lengths, that the three row-product identities hold, and that the
+    dimension equals the corresponding hook-form summand of c(m,d,i).  The
+    cells run in jobs worker processes when jobs > 1.  It passes with
+    {"checked": the number of cells}, or fails with the first failing cell
+    in grid order.
     """
-    watch = Stopwatch()
-    subject = f"hook-factorizations m<={m_max} d<={d_max}"
-    checked = 0
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            for i in range(1, (d - 1) // 2 + 1):
-                for h in range(1, min(m, d - 2 * i) + 1):
-                    failure = check_hook_cell(m, d, i, h)
-                    if failure is not None:
-                        return watch.done(subject, "identity", failure)
-                    checked += 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+    return grid_certificate(f"hook-factorizations m<={m_max} d<={d_max}",
+                            check_hook_cell, grid_cells(m_max, d_max), jobs)
 
 
 def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:

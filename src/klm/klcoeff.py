@@ -3,19 +3,19 @@
 Writing P_{U_{m,d}}(t) = sum_i c(m,d,i) t^i with deg < d/2, the four routes
 are the defining recursion on the coefficients, the hook-length closed form,
 an alternating closed form, and a manifestly positive closed form.  All
-routes compute in exact rationals and must agree on the nose; a shared
-table cross-checks every value against whatever another route produced.
+routes compute in exact rationals and must agree on the nose:
+``compare_routes_at`` compares them at one (m, d, i), and
+``verify_four_routes`` runs that comparison over a grid.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .arith import as_integer, binomial, inv_factorial, multinomial
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, Stopwatch, grid_certificate
 from .polyring import IntegrityError, Poly
 
 ROUTES = ("recursive", "hook", "alternating", "positive")
@@ -98,46 +98,18 @@ _DISPATCH = {
 }
 
 
-class KLTable:
-    """Shared coefficient cache with provenance and cross-route integrity.
-
-    Any route recording a value that disagrees with what a (possibly
-    different) route already stored raises IntegrityError.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[int, int, int], tuple[int, str]] = {}
-        self._lock = threading.Lock()
-
-    def record(self, m: int, d: int, i: int, value: int, route: str) -> int:
-        if value < 0:
-            raise IntegrityError(f"negative KL coefficient c({m},{d},{i}) = {value} via {route}")
-        with self._lock:
-            prior = self._entries.get((m, d, i))
-            if prior is not None and prior[0] != value:
-                raise IntegrityError(
-                    f"route disagreement at c({m},{d},{i}): "
-                    f"{prior[1]} gave {prior[0]}, {route} gave {value}")
-            if prior is None:
-                self._entries[(m, d, i)] = (value, route)
-        return value
-
-    def get(self, m: int, d: int, i: int) -> tuple[int, str] | None:
-        return self._entries.get((m, d, i))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-TABLE = KLTable()
-
-
 def kl_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
-    """c(m,d,i) by the requested route, integrality-checked and cached."""
+    """c(m,d,i) by the requested route, checked to be a nonnegative integer.
+
+    A value that is not an integer raises ValueError; a negative one raises
+    IntegrityError.
+    """
     if route not in _DISPATCH:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     value = as_integer(_DISPATCH[route](m, d, i))
-    return TABLE.record(m, d, i, value, route)
+    if value < 0:
+        raise IntegrityError(f"negative KL coefficient c({m},{d},{i}) = {value} via {route}")
+    return value
 
 
 def kl_poly(m: int, d: int, route: str = "positive") -> Poly:
@@ -223,19 +195,22 @@ def verify_proof_identities(m_max: int, d_max: int) -> Certificate:
     return watch.done(subject, "identity", None, {"checked": checked})
 
 
-def verify_four_routes(m_max: int, d_max: int) -> Certificate:
-    """Grid agreement of all four routes, including both hook-form bounds."""
-    watch = Stopwatch()
-    subject = f"four-route-agreement m<={m_max} d<={d_max}"
-    checked = 0
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            for i in range(max_index(d) + 1):
-                failure = compare_routes_at(m, d, i)
-                if failure is not None:
-                    return watch.done(subject, "identity", failure)
-                checked += 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int, int]]:
+    """Every coefficient (m, d, i) with m <= m_max and d <= d_max, in grid order."""
+    return [(m, d, i) for m in range(1, m_max + 1)
+            for d in range(1, d_max + 1) for i in range(max_index(d) + 1)]
+
+
+def verify_four_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+    """Grid agreement of all four routes, including both hook-form bounds.
+
+    Runs ``compare_routes_at`` on every cell of ``grid_cells(m_max, d_max)``,
+    in jobs worker processes when jobs > 1.  It passes with {"checked": the
+    number of coefficients}, or fails with the first disagreeing cell in
+    grid order.
+    """
+    return grid_certificate(f"four-route-agreement m<={m_max} d<={d_max}",
+                            compare_routes_at, grid_cells(m_max, d_max), jobs)
 
 
 def compare_routes_at(m: int, d: int, i: int) -> dict | None:
@@ -256,5 +231,4 @@ def compare_routes_at(m: int, d: int, i: int) -> dict | None:
         if val != ref:
             return {"m": m, "d": d, "i": i, "route": route,
                     "value": str(val), "recursive": str(ref)}
-    TABLE.record(m, d, i, ref.numerator, "recursive")
     return None

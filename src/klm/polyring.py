@@ -172,9 +172,6 @@ class Poly:
             out = out * inner + c
         return out
 
-    def map_coeffs(self, fn) -> "Poly":
-        return Poly(tuple(fn(c) for c in self.coeffs))
-
     # -- Euclidean structure (Fraction coefficients only) --------------------
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:

@@ -90,8 +90,11 @@ def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly:
     """G_{m,d}(t) (family f) or Y_{m,d}(t) (family b).
 
     With d None the result is symbolic: a polynomial in t whose
-    coefficients g_{m,k}(d) (d)_k are polynomials in d.
+    coefficients g_{m,k}(d) (d)_k are polynomials in d.  A numeric d must
+    be at least 1.
     """
+    if d is not None and d < 1:
+        raise ValueError(f"gy_poly requires d >= 1, got {d}")
     gs = expand_falling(spec)
     if d is None:
         return Poly(tuple(g * falling_factorial(X, k) for k, g in enumerate(gs)))

@@ -2,18 +2,19 @@
 
 Z_{U_{m,d}}(t) = sum_i z(m,d,i) t^i is assembled from the KL polynomials,
 or computed coefficientwise by an alternating closed form and by a positive
-closed form; the m = 1 column specializes to Narayana polynomials.
+closed form; ``compare_routes_at`` compares the three at one (m, d), and
+``verify_three_routes`` runs that comparison over a grid.  The m = 1 column
+specializes to Narayana polynomials.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .arith import as_integer, binomial
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, Stopwatch, grid_certificate
 from .klcoeff import kl_poly
 from .polyring import IntegrityError, Poly
 
@@ -25,28 +26,12 @@ def _check_range(m: int, d: int, i: int) -> None:
         raise ValueError(f"Z coefficient index i={i} out of range [0, {d}]")
 
 
-class ZTable:
-    """Shared Z-coefficient cache with provenance and integrity checking."""
-
-    def __init__(self):
-        self._entries: dict[tuple[int, int, int], tuple[int, str]] = {}
-        self._lock = threading.Lock()
-
-    def record(self, m: int, d: int, i: int, value: int, route: str) -> int:
-        if value <= 0:
-            raise IntegrityError(f"nonpositive Z coefficient z({m},{d},{i}) = {value} via {route}")
-        with self._lock:
-            prior = self._entries.get((m, d, i))
-            if prior is not None and prior[0] != value:
-                raise IntegrityError(
-                    f"route disagreement at z({m},{d},{i}): "
-                    f"{prior[1]} gave {prior[0]}, {route} gave {value}")
-            if prior is None:
-                self._entries[(m, d, i)] = (value, route)
-        return value
-
-
-TABLE = ZTable()
+def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
+    """value as an int: ValueError if it is not an integer, IntegrityError if not positive."""
+    value = as_integer(value)
+    if value <= 0:
+        raise IntegrityError(f"nonpositive Z coefficient z({m},{d},{i}) = {value} via {route}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -60,10 +45,9 @@ def z_from_kl(m: int, d: int, route: str = "positive") -> Poly:
         p = kl_poly(m, k, route)
         for j, c in enumerate(p.coeffs):
             coeffs[d - k + j] += pref * c
-    z = Poly(coeffs)
-    for i, c in enumerate(z.coeffs):
-        TABLE.record(m, d, i, as_integer(c), "from_kl")
-    return z
+    for i, c in enumerate(coeffs):
+        _positive_integer(m, d, i, c, "from_kl")
+    return Poly(coeffs)
 
 
 def z_alternating(m: int, d: int, i: int) -> Fraction:
@@ -96,7 +80,7 @@ def z_positive(m: int, d: int, i: int) -> Fraction:
 
 
 def z_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
-    """z(m,d,i) by the requested route, integrality-checked and cached."""
+    """z(m,d,i) by the requested route, checked to be a positive integer."""
     if route == "from_kl":
         return as_integer(z_from_kl(m, d).coeff(i))
     if route == "alternating":
@@ -105,7 +89,7 @@ def z_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
         value = z_positive(m, d, i)
     else:
         raise ValueError(f"unknown Z route {route!r}")
-    return TABLE.record(m, d, i, as_integer(value), route)
+    return _positive_integer(m, d, i, value, route)
 
 
 def z_poly(m: int, d: int, route: str = "positive") -> Poly:
@@ -114,18 +98,22 @@ def z_poly(m: int, d: int, route: str = "positive") -> Poly:
     return Poly(tuple(Fraction(z_coefficient(m, d, i, route)) for i in range(d + 1)))
 
 
-def verify_three_routes(m_max: int, d_max: int) -> Certificate:
-    """Grid agreement of the three Z routes plus the z^0 = z^d = 1 boundary."""
-    watch = Stopwatch()
-    subject = f"z-three-route-agreement m<={m_max} d<={d_max}"
-    checked = 0
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            failure = compare_routes_at(m, d)
-            if failure is not None:
-                return watch.done(subject, "identity", failure)
-            checked += d + 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int]]:
+    """Every (m, d) with m <= m_max and d <= d_max, in grid order."""
+    return [(m, d) for m in range(1, m_max + 1) for d in range(1, d_max + 1)]
+
+
+def verify_three_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+    """Grid agreement of the three Z routes plus the z^0 = z^d = 1 boundary.
+
+    Runs ``compare_routes_at`` on every cell of ``grid_cells(m_max, d_max)``,
+    in jobs worker processes when jobs > 1.  A cell is one polynomial
+    Z_{U_{m,d}} with all its coefficients, so a pass carries {"checked":
+    m_max * d_max}; a failure carries the first disagreeing cell in grid
+    order.
+    """
+    return grid_certificate(f"z-three-route-agreement m<={m_max} d<={d_max}",
+                            compare_routes_at, grid_cells(m_max, d_max), jobs)
 
 
 def compare_routes_at(m: int, d: int) -> dict | None:

@@ -1,5 +1,6 @@
 """Command-line surface: rendering, JSON schema, cache replay, exit codes."""
 
+import argparse
 import importlib.util
 import json
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from klm import cli
+from klm import cli, klcoeff
 from klm.cli import main, parse_poly_payload, parse_range
 from klm.polyring import Poly
 
@@ -106,6 +107,35 @@ def test_kl_roots_at_d_zero_names_the_bad_index(tmp_path, run_cli):
     code, out, err = run_cli(["certify", "kl-roots", "--m", "2", "--d", "0"], tmp_path)
     assert (code, out) == (2, "")
     assert "uniform matroid indices must be positive" in err, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "G", "--m", "2", "--d", "0"], "gy_poly requires d >= 1, got 0"),
+    (["compute", "Y", "--m", "3", "--d", "-1"], "gy_poly requires d >= 1, got -1"),
+    (["certify", "dseq-f", "--m", "2", "--d", "0"], "dseq-f requires d >= 1, got 0"),
+    (["certify", "dseq-b", "--m", "2", "--d", "0..3"], "dseq-b requires d >= 1, got 0"),
+])
+def test_d_below_one_is_a_usage_error(argv, message, tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    assert main(argv + ["--cache", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"usage error: {message}" in err
+    assert not cache.exists()
+
+
+def test_dseq_at_d_zero_exits_2_from_the_console(tmp_path, run_cli):
+    code, out, err = run_cli(["certify", "dseq-f", "--m", "2", "--d", "0"], tmp_path)
+    assert (code, out) == (2, ""), err
+    assert "dseq-f requires d >= 1, got 0" in err
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
+def test_route_choices_are_the_engine_routes():
+    """The front spells the routes out, as it cannot import the engine."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    route = next(a for a in commands.choices["compute"]._actions if a.dest == "route")
+    assert tuple(route.choices) == cli.KL_ROUTES == klcoeff.ROUTES
 
 
 def test_verify_empty_grid_is_a_usage_error(tmp_path, run_cli):

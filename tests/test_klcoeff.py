@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from klm import klcoeff
 from klm.arith import binomial
 from klm.klcoeff import (c_alternating, c_hook_form, c_positive, c_recursive,
                          kl_coefficient, kl_poly, max_index, p_sum, q_sum,
                          verify_four_routes, verify_proof_identities)
-from klm.polyring import Poly
+from klm.polyring import IntegrityError, Poly
 
 
 def test_c_recursive_examples():
@@ -81,6 +82,15 @@ def test_route_dispatch():
         assert kl_coefficient(2, 5, 1, route) == 28
     with pytest.raises(ValueError):
         kl_coefficient(2, 5, 1, "guess")
+
+
+def test_kl_coefficient_rejects_a_negative_or_fractional_route_value(monkeypatch):
+    monkeypatch.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(-3))
+    with pytest.raises(IntegrityError, match=r"negative KL coefficient c\(2,5,1\) = -3 via positive"):
+        kl_coefficient(2, 5, 1)
+    monkeypatch.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(7, 2))
+    with pytest.raises(ValueError, match="expected an integer value, got 7/2"):
+        kl_coefficient(2, 5, 1)
 
 
 def test_four_route_agreement_small_grid():

@@ -80,6 +80,13 @@ def test_gy_poly_examples():
     assert as_poly(g.coeff(1)) == d * (d + 1) * Fraction(1, 2)
 
 
+def test_numeric_gy_poly_rejects_d_below_one():
+    for family in ("f", "b"):
+        for d in (0, -2):
+            with pytest.raises(ValueError, match=f"gy_poly requires d >= 1, got {d}"):
+                gy_poly(SeqSpec(family, 2), d)
+
+
 def test_qr_poly_examples():
     # Q_2 for m=2: coefficients f_2(2,i) * binom(2,i) = [1, 5, 3].
     assert qr_poly(SeqSpec("f", 2), 2) == P(1, 5, 3)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from klm.polyring import Poly
+from klm import zcoeff
+from klm.polyring import IntegrityError, Poly
 from klm.zcoeff import (dyck_peak_counts, narayana_check, narayana_ratio,
                         verify_three_routes, z_alternating, z_diagonal_symbolic,
-                        z_from_kl, z_poly, z_positive)
+                        z_coefficient, z_from_kl, z_poly, z_positive)
 
 
 def P(*coeffs) -> Poly:
@@ -34,6 +35,27 @@ def test_z_positive_examples():
             assert z_positive(m, d, d) == 1
             assert z_positive(m, d, 0) == 1
     assert z_positive(2, 3, 1) == 10
+
+
+def test_z_from_kl_rejects_a_nonpositive_coefficient(monkeypatch):
+    # With P = -1 for every k, Z_{U_{1,2}} = -1 - 3t + t^2.
+    monkeypatch.setattr(zcoeff, "kl_poly", lambda m, k, route: P(-1))
+    z_from_kl.cache_clear()
+    try:
+        with pytest.raises(IntegrityError,
+                           match=r"nonpositive Z coefficient z\(1,2,0\) = -1 via from_kl"):
+            z_from_kl(1, 2)
+    finally:
+        z_from_kl.cache_clear()
+
+
+def test_z_coefficient_rejects_a_nonpositive_or_fractional_value(monkeypatch):
+    monkeypatch.setattr(zcoeff, "z_positive", lambda m, d, i: Fraction(0))
+    with pytest.raises(IntegrityError, match=r"nonpositive Z coefficient z\(2,3,1\) = 0 via positive"):
+        z_coefficient(2, 3, 1)
+    monkeypatch.setattr(zcoeff, "z_positive", lambda m, d, i: Fraction(21, 2))
+    with pytest.raises(ValueError, match="expected an integer value, got 21/2"):
+        z_coefficient(2, 3, 1)
 
 
 def test_three_route_agreement_small_grid():
