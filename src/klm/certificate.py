@@ -78,15 +78,18 @@ def map_cells(worker, cells: list[tuple], jobs: int = 1) -> list:
         return list(pool.map(worker, *zip(*cells), chunksize=chunk))
 
 
-def grid_certificate(subject: str, worker, cells: list[tuple], jobs: int = 1) -> Certificate:
+def grid_certificate(subject: str, worker, cells: list[tuple], jobs: int = 1,
+                     witness: dict | None = None) -> Certificate:
     """An identity certificate for a grid; worker(*cell) is None or the cell's failure.
 
-    It passes with the witness {"checked": len(cells)}, or fails with the
-    failure of the first failing cell in grid order.  At jobs = 1 the cells
-    run in order and the run stops at that cell; at jobs > 1 every cell runs.
+    It passes with witness, by default {"checked": len(cells)}, or fails with
+    the failure of the first failing cell in grid order.  At jobs = 1 the
+    cells run in order and the run stops at that cell; at jobs > 1 every
+    cell runs.
     """
     watch = Stopwatch()
     results = ((worker(*cell) for cell in cells) if jobs <= 1
                else map_cells(worker, cells, jobs))
     failure = next((f for f in results if f is not None), None)
-    return watch.done(subject, "identity", failure, {"checked": len(cells)})
+    return watch.done(subject, "identity", failure,
+                      {"checked": len(cells)} if witness is None else witness)

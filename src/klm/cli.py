@@ -213,12 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(run, args) -> int | None:
-    """run(args), with bad input reported as a usage error (exit 2)."""
+    """run(args), with bad input reported as a usage error (exit 2) and any
+    other fault as an internal error (exit 3)."""
     try:
         return run(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 # A cache hit needs nothing below this point, and importing the engine costs
@@ -327,17 +331,17 @@ def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificat
         return [zcoeff.verify_three_routes(m_max, d_max, jobs)]
     if suite == "hooks":
         return [hooklen.verify_hook_factorizations(m_max, d_max, jobs),
-                hooklen.verify_equivariant_sum(m_max, d_max)]
+                hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
     if suite == "oracle":
-        return [oracle.verify_oracle_agreement(m_max + d_max),
-                oracle.restriction_contraction_audit(min(10, m_max + d_max))]
+        return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
+                oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
     if suite == "identities":
-        return [klcoeff.verify_proof_identities(m_max, d_max),
-                seqfactor.verify_diagonal_identities(m_max, d_max)]
+        return [klcoeff.verify_proof_identities(m_max, d_max, jobs),
+                seqfactor.verify_diagonal_identities(m_max, d_max, jobs)]
     if suite == "narayana":
-        return [zcoeff.narayana_check(d_max)]
+        return [zcoeff.narayana_check(d_max, jobs=jobs)]
     if suite == "reform":
-        return [seqfactor.kl_reformulation_check(m_max, d_max)]
+        return [seqfactor.kl_reformulation_check(m_max, d_max, jobs)]
     raise UsageError(f"unknown verify suite {suite!r}")
 
 

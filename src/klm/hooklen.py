@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .certificate import Certificate, Stopwatch, grid_certificate
-from .klcoeff import c_recursive
+from .certificate import Certificate, grid_certificate
+from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
 
 SYT_ENUMERATION_CAP = 8
 
@@ -172,30 +172,24 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
         return {**where, "identity": "tail product", "product": tail,
                 "closed_form": want_tail}
 
-    e = m + d - i - h
-    summand = Fraction(
-        (e - i - h + 1) * factorial(m + d),
-        e * (e + 1) * (i + h) * (i + h - 1)
-        * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1))
+    summand = hook_summand(m, d, i, h)
     if dim_irrep(shape) != summand:
         return {**where, "identity": "dimension equals hook-form summand",
                 "dimension": dim_irrep(shape), "summand": str(summand)}
     return None
 
 
-def verify_equivariant_sum(m_max: int, d_max: int) -> Certificate:
-    """c(m,d,i) from the dimension sum equals the recursion on the grid."""
-    watch = Stopwatch()
-    subject = f"equivariant-dimension-sum m<={m_max} d<={d_max}"
-    checked = 0
-    for m in range(1, m_max + 1):
-        for d in range(1, d_max + 1):
-            for i in range(1, (d - 1) // 2 + 1):
-                got = c_equivariant_sum(m, d, i)
-                want = c_recursive(m, d, i)
-                if got != want:
-                    return watch.done(subject, "identity", {
-                        "m": m, "d": d, "i": i,
-                        "dimension_sum": got, "recursive": want})
-                checked += 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+def verify_equivariant_sum(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+    """c(m,d,i) from the dimension sum equals the recursion, for every i >= 1 on the grid."""
+    cells = [(m, d, i) for m, d, i in kl_grid_cells(m_max, d_max) if i >= 1]
+    return grid_certificate(f"equivariant-dimension-sum m<={m_max} d<={d_max}",
+                            check_equivariant_cell, cells, jobs)
+
+
+def check_equivariant_cell(m: int, d: int, i: int) -> dict | None:
+    """One (m,d,i) cell of the equivariant check; None means the two values agree."""
+    got = c_equivariant_sum(m, d, i)
+    want = c_recursive(m, d, i)
+    if got != want:
+        return {"m": m, "d": d, "i": i, "dimension_sum": got, "recursive": want}
+    return None

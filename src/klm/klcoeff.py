@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from .arith import as_integer, binomial, inv_factorial, multinomial
-from .certificate import Certificate, Stopwatch, grid_certificate
+from .certificate import Certificate, grid_certificate
 from .polyring import IntegrityError, Poly
 
 ROUTES = ("recursive", "hook", "alternating", "positive")
@@ -57,15 +57,19 @@ def c_hook_form(m: int, d: int, i: int, extended_bound: bool = False) -> Fractio
     if i < 1:
         raise ValueError("hook-form route requires i >= 1; use another route for i = 0")
     top = m if extended_bound else min(m, d - 2 * i)
-    total = Fraction(0)
-    for h in range(1, top + 1):
-        e = m + d - i - h
-        total += Fraction(
-            (e - i - h + 1) * factorial(m + d),
-            e * (e + 1) * (i + h) * (i + h - 1)
-            * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1),
-        )
-    return total
+    return sum((hook_summand(m, d, i, h) for h in range(1, top + 1)), Fraction(0))
+
+
+def hook_summand(m: int, d: int, i: int, h: int) -> Fraction:
+    """The h-th summand of the hook-length form of c(m,d,i), with e = m+d-i-h:
+
+    (e-i-h+1) (m+d)! / (e (e+1) (i+h) (i+h-1) (e-i)! (h-1)! i! (i-1)!).
+    """
+    e = m + d - i - h
+    return Fraction(
+        (e - i - h + 1) * factorial(m + d),
+        e * (e + 1) * (i + h) * (i + h - 1)
+        * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1))
 
 
 def c_alternating(m: int, d: int, i: int) -> Fraction:
@@ -154,45 +158,45 @@ def f_normalized_hook(m: int, d: int, i: int) -> Fraction:
     return c_hook_form(m, d, i, extended_bound=True) / binomial(d + m, i)
 
 
-def verify_proof_identities(m_max: int, d_max: int) -> Certificate:
+def verify_proof_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """Exhaustively check the hypergeometric identities behind the closed forms.
 
-    (a) p_m - q_m = 1 on every in-range (m, d, i);
+    A pass counts the checks: m_max per (d, i), plus 2(m_max - 1) when i >= 1.
+    """
+    cells = [(m_max, d, i) for d in range(1, d_max + 1) for i in range(max_index(d) + 1)]
+    checked = sum(m_max + (2 * (m_max - 1) if i >= 1 else 0) for _, _, i in cells)
+    return grid_certificate(f"proof-identities m<={m_max} d<={d_max}",
+                            check_proof_identities_at, cells, jobs, {"checked": checked})
+
+
+def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
+    """The proof identities at one (d, i) for m <= m_max; None means they hold.
+
+    (a) p_m - q_m = 1;
     (b) the normalized coefficient f = c/binom(d+m,i), in both the
         alternating and the hook form, satisfies the telescoping step
         f_{m+1} - f_m = binom(d-i+m, m+i+1) binom(i-1+m, m) / (d-i);
     (c) the base case f_1 = binom(d-i, i+1) / (d-i).
     """
-    watch = Stopwatch()
-    subject = f"proof-identities m<={m_max} d<={d_max}"
-    checked = 0
-    for d in range(1, d_max + 1):
-        for i in range(max_index(d) + 1):
-            for m in range(1, m_max + 1):
-                if p_sum(m, d, i) - q_sum(m, d, i) != 1:
-                    return watch.done(subject, "identity", {
-                        "identity": "p_m - q_m = 1", "m": m, "d": d, "i": i,
-                        "p": str(p_sum(m, d, i)), "q": str(q_sum(m, d, i))})
-                checked += 1
-            if i < 1:
-                continue
-            base = Fraction(binomial(d - i, i + 1), d - i)
-            for form, fn in (("alternating", f_normalized_alternating),
-                             ("hook", f_normalized_hook)):
-                if fn(1, d, i) != base:
-                    return watch.done(subject, "identity", {
-                        "identity": "f_1 base case", "form": form, "d": d, "i": i,
-                        "got": str(fn(1, d, i)), "want": str(base)})
-                for m in range(1, m_max):
-                    step = Fraction(binomial(d - i + m, m + i + 1) * binomial(i - 1 + m, m), d - i)
-                    if fn(m + 1, d, i) - fn(m, d, i) != step:
-                        return watch.done(subject, "identity", {
-                            "identity": "recurrence difference", "form": form,
-                            "m": m, "d": d, "i": i,
-                            "difference": str(fn(m + 1, d, i) - fn(m, d, i)),
-                            "want": str(step)})
-                    checked += 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+    for m in range(1, m_max + 1):
+        if p_sum(m, d, i) - q_sum(m, d, i) != 1:
+            return {"identity": "p_m - q_m = 1", "m": m, "d": d, "i": i,
+                    "p": str(p_sum(m, d, i)), "q": str(q_sum(m, d, i))}
+    if i < 1:
+        return None
+    base = Fraction(binomial(d - i, i + 1), d - i)
+    for form, fn in (("alternating", f_normalized_alternating), ("hook", f_normalized_hook)):
+        if fn(1, d, i) != base:
+            return {"identity": "f_1 base case", "form": form, "d": d, "i": i,
+                    "got": str(fn(1, d, i)), "want": str(base)}
+        for m in range(1, m_max):
+            step = Fraction(binomial(d - i + m, m + i + 1) * binomial(i - 1 + m, m), d - i)
+            if fn(m + 1, d, i) - fn(m, d, i) != step:
+                return {"identity": "recurrence difference", "form": form,
+                        "m": m, "d": d, "i": i,
+                        "difference": str(fn(m + 1, d, i) - fn(m, d, i)),
+                        "want": str(step)}
+    return None
 
 
 def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int, int]]:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .arith import binomial
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, grid_certificate
 from .polyring import Poly
 
 
@@ -111,7 +111,6 @@ def kl_defining(m: int, d: int) -> tuple[Poly, bool]:
     return p, consistent
 
 
-@lru_cache(maxsize=None)
 def z_defining(m: int, d: int) -> Poly:
     """Z_{U_{m,d}}(t) = sum_F t^{rk M_F} P_{M^F}(t), grouped by flat rank."""
     if m < 1 or d < 1:
@@ -198,38 +197,26 @@ class ExplicitLattice:
         return Poly(coeffs)
 
 
-def restriction_contraction_audit(n_max: int) -> Certificate:
-    """Exhaustively validate the structural facts behind the fast path.
-
-    For every uniform matroid with m + d <= n_max: proper flats are exactly
-    the subsets of size < d; every proper flat's lower interval is Boolean;
-    and the upper interval of a rank-k flat matches the rank-grouped flat
-    counts of U_{m, d-k}.
-    """
+def restriction_contraction_audit(n_max: int, jobs: int = 1) -> Certificate:
+    """Exhaustively validate the fast path's structural facts for every m + d <= n_max."""
     if n_max > 12:
         raise ValueError("audit is exhaustive over subsets; n_max capped at 12")
-    watch = Stopwatch()
-    subject = f"restriction-contraction-audit m+d<={n_max}"
-    checked = 0
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            m = n - d
-            lat = ExplicitLattice(n, d)
-            failure = _audit_one(lat, m, d)
-            if failure is not None:
-                return watch.done(subject, "identity", failure)
-            checked += 1
-    return watch.done(subject, "identity", None, {"matroids": checked})
+    cells = [(n - d, d) for n in range(1, n_max + 1) for d in range(1, n + 1)]
+    return grid_certificate(f"restriction-contraction-audit m+d<={n_max}", audit_matroid,
+                            cells, jobs, {"matroids": len(cells)})
 
 
-def _audit_one(lat: ExplicitLattice, m: int, d: int) -> dict | None:
-    """Audit one explicit lattice against the rank-grouped facts.
+def audit_matroid(m: int, d: int) -> dict | None:
+    """Audit the explicit lattice of U_{m,d} against the rank-grouped facts.
 
-    Works on bitmasks: the flats inside a flat f are found among the
-    submasks of f, and the flats above f among the supermasks of f.
+    Proper flats are exactly the subsets of size < d; every proper flat's
+    lower interval is Boolean; and the upper interval of a rank-k flat
+    matches the rank-grouped flat counts of U_{m, d-k}.  Works on bitmasks:
+    the flats inside a flat f are found among the submasks of f, and the
+    flats above f among the supermasks of f.  None means the audit passes.
     """
-    n = m + d
-    universe = (1 << n) - 1
+    lat = ExplicitLattice(m + d, d)
+    universe = (1 << (m + d)) - 1
     expected = {s for s in range(universe + 1) if s.bit_count() < d}
     expected.add(universe)
     flats = set(lat.masks)
@@ -264,26 +251,24 @@ def _audit_one(lat: ExplicitLattice, m: int, d: int) -> dict | None:
     return None
 
 
-def verify_oracle_agreement(total_max: int) -> Certificate:
+def verify_oracle_agreement(total_max: int, jobs: int = 1) -> Certificate:
     """kl_defining and z_defining match the closed-form routes for m+d <= total_max."""
+    cells = [(m, d) for m in range(1, total_max) for d in range(1, total_max - m + 1)]
+    return grid_certificate(f"oracle-agreement m+d<={total_max}", check_oracle_pair,
+                            cells, jobs, {"pairs": len(cells)})
+
+
+def check_oracle_pair(m: int, d: int) -> dict | None:
+    """One (m, d) of the oracle agreement; None means oracle and closed forms agree."""
     from .klcoeff import kl_poly
     from .zcoeff import z_from_kl
-    watch = Stopwatch()
-    subject = f"oracle-agreement m+d<={total_max}"
-    checked = 0
-    for m in range(1, total_max):
-        for d in range(1, total_max - m + 1):
-            p, consistent = kl_defining(m, d)
-            if not consistent:
-                return watch.done(subject, "identity", {
-                    "m": m, "d": d, "reason": "defining identity inconsistent"})
-            if p != kl_poly(m, d):
-                return watch.done(subject, "identity", {
-                    "m": m, "d": d, "reason": "KL mismatch",
-                    "oracle": [str(c) for c in p.coeffs],
-                    "closed_form": [str(c) for c in kl_poly(m, d).coeffs]})
-            if z_defining(m, d) != z_from_kl(m, d):
-                return watch.done(subject, "identity", {
-                    "m": m, "d": d, "reason": "Z mismatch"})
-            checked += 1
-    return watch.done(subject, "identity", None, {"pairs": checked})
+    p, consistent = kl_defining(m, d)
+    if not consistent:
+        return {"m": m, "d": d, "reason": "defining identity inconsistent"}
+    if p != kl_poly(m, d):
+        return {"m": m, "d": d, "reason": "KL mismatch",
+                "oracle": [str(c) for c in p.coeffs],
+                "closed_form": [str(c) for c in kl_poly(m, d).coeffs]}
+    if z_defining(m, d) != z_from_kl(m, d):
+        return {"m": m, "d": d, "reason": "Z mismatch"}
+    return None

@@ -15,9 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import binomial, falling_factorial
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, grid_certificate
+from .klcoeff import kl_coefficient, max_index
 from .polyring import (IntegrityError, ONE, Poly, X, as_poly,
                        expand_binomial_affine, to_falling_basis)
+from .zcoeff import grid_cells, z_coefficient
 
 FAMILIES = ("f", "b")
 
@@ -158,40 +160,29 @@ def fibonacci_poly(d: int) -> Poly:
     return Poly(coeffs)
 
 
-def kl_reformulation_check(m_max: int, d_max: int) -> Certificate:
-    """Check the f/b reformulations of the KL and Z coefficients exactly.
+def kl_reformulation_check(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+    """Check the f/b reformulations of the KL, then the Z, coefficients of each (m, d)."""
+    cells = [(side, m, d, i) for m, d in grid_cells(m_max, d_max)
+             for side, top in (("kl", max_index(d)), ("z", d)) for i in range(top + 1)]
+    return grid_certificate(f"reformulation m<={m_max} d<={d_max}",
+                            check_reformulation_at, cells, jobs)
 
-    c(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d-i-1,i) f_m(d,i) and
-    z(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d,i)     b_m(d,i).
+
+def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
+    """One coefficient of the reformulation check; None means both sides agree.
+
+    side "kl": c(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d-i-1,i) f_m(d,i);
+    side "z":  z(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d,i)     b_m(d,i).
     """
-    from .klcoeff import kl_coefficient, max_index
-    from .zcoeff import z_coefficient
-    watch = Stopwatch()
-    subject = f"reformulation m<={m_max} d<={d_max}"
-    checked = 0
-    for m in range(1, m_max + 1):
-        f_spec, b_spec = SeqSpec("f", m), SeqSpec("b", m)
-        for d in range(1, d_max + 1):
-            denom = binomial(d + 2 * m, m)
-            for i in range(max_index(d) + 1):
-                lhs = kl_coefficient(m, d, i) * denom
-                rhs = (binomial(d + 2 * m, i + m) * binomial(d - i - 1, i)
-                       * seq_value(f_spec, d, i))
-                if lhs != rhs:
-                    return watch.done(subject, "identity", {
-                        "side": "kl", "m": m, "d": d, "i": i,
-                        "lhs": str(lhs), "rhs": str(rhs)})
-                checked += 1
-            for i in range(d + 1):
-                lhs = z_coefficient(m, d, i) * denom
-                rhs = (binomial(d + 2 * m, i + m) * binomial(d, i)
-                       * seq_value(b_spec, d, i))
-                if lhs != rhs:
-                    return watch.done(subject, "identity", {
-                        "side": "z", "m": m, "d": d, "i": i,
-                        "lhs": str(lhs), "rhs": str(rhs)})
-                checked += 1
-    return watch.done(subject, "identity", None, {"checked": checked})
+    if side == "kl":
+        lhs, choose, family = kl_coefficient(m, d, i), binomial(d - i - 1, i), "f"
+    else:
+        lhs, choose, family = z_coefficient(m, d, i), binomial(d, i), "b"
+    lhs *= binomial(d + 2 * m, m)
+    rhs = binomial(d + 2 * m, i + m) * choose * seq_value(SeqSpec(family, m), d, i)
+    if lhs != rhs:
+        return {"side": side, "m": m, "d": d, "i": i, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
 
 
 def diagonal_value(m: int, d: int) -> Fraction:
@@ -199,18 +190,17 @@ def diagonal_value(m: int, d: int) -> Fraction:
     return seq_value(SeqSpec("f", m), d, d)
 
 
-def verify_diagonal_identities(m_max: int, d_max: int) -> Certificate:
+def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
-    watch = Stopwatch()
-    subject = f"diagonal-identities m<={m_max} d<={d_max}"
-    for m in range(1, m_max + 1):
-        spec = SeqSpec("f", m)
-        for d in range(1, d_max + 1):
-            want = binomial(m + d - 1, m - 1)
-            got = seq_value(spec, d, d)
-            at_one = gy_poly(spec, d).eval(Fraction(1))
-            if got != want or at_one != want:
-                return watch.done(subject, "identity", {
-                    "m": m, "d": d, "f_diagonal": str(got),
-                    "G_at_1": str(at_one), "binomial": want})
-    return watch.done(subject, "identity", None, {"m_max": m_max, "d_max": d_max})
+    return grid_certificate(f"diagonal-identities m<={m_max} d<={d_max}", check_diagonal_at,
+                            grid_cells(m_max, d_max), jobs, {"m_max": m_max, "d_max": d_max})
+
+
+def check_diagonal_at(m: int, d: int) -> dict | None:
+    """The two diagonal identities at one (m, d); None means both hold."""
+    want = binomial(m + d - 1, m - 1)
+    got = diagonal_value(m, d)
+    at_one = gy_poly(SeqSpec("f", m), d).eval(Fraction(1))
+    if got != want or at_one != want:
+        return {"m": m, "d": d, "f_diagonal": str(got), "G_at_1": str(at_one), "binomial": want}
+    return None

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 
 from .arith import as_integer, binomial
-from .certificate import Certificate, Stopwatch, grid_certificate
+from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_poly
 from .polyring import IntegrityError, Poly
 
@@ -194,29 +194,30 @@ def dyck_peak_counts(n: int) -> list[int]:
     return walk(n, n, 0, False)[1:] if n > 0 else []
 
 
-def narayana_check(d_max: int, enumeration_cap: int = 12) -> Certificate:
+def narayana_check(d_max: int, enumeration_cap: int = 12, jobs: int = 1) -> Certificate:
     """Certify Z_{U_{1,d}} against two independent Narayana oracles.
 
     The closed ratio covers every d <= d_max; the Dyck-path count by peaks
     additionally covers d <= enumeration_cap.
     """
-    watch = Stopwatch()
-    subject = f"narayana z(1,d) d<={d_max}"
-    for d in range(1, d_max + 1):
-        z = z_from_kl(1, d)
+    cells = [(d, d <= enumeration_cap) for d in range(1, d_max + 1)]
+    return grid_certificate(f"narayana z(1,d) d<={d_max}", check_narayana_at, cells, jobs,
+                            {"d_max": d_max, "enumerated_up_to": min(d_max, enumeration_cap)})
+
+
+def check_narayana_at(d: int, enumerate_paths: bool) -> dict | None:
+    """Z_{U_{1,d}} against the Narayana ratio, and against the Dyck-path
+    count when enumerate_paths; None means every coefficient agrees."""
+    z = z_from_kl(1, d)
+    for i in range(d + 1):
+        want = narayana_ratio(d, i)
+        if z.coeff(i) != want:
+            return {"d": d, "i": i, "z": str(z.coeff(i)), "narayana_ratio": want}
+    if enumerate_paths:
+        # Z_{U_{1,d}} coefficient i is the count of Dyck paths of
+        # semilength d+1 with i+1 peaks.
+        counts = dyck_peak_counts(d + 1)
         for i in range(d + 1):
-            want = narayana_ratio(d, i)
-            if z.coeff(i) != want:
-                return watch.done(subject, "identity", {
-                    "d": d, "i": i, "z": str(z.coeff(i)), "narayana_ratio": want})
-        if d <= enumeration_cap:
-            # Z_{U_{1,d}} coefficient i is the count of Dyck paths of
-            # semilength d+1 with i+1 peaks.
-            counts = dyck_peak_counts(d + 1)
-            for i in range(d + 1):
-                if z.coeff(i) != counts[i]:
-                    return watch.done(subject, "identity", {
-                        "d": d, "i": i, "z": str(z.coeff(i)),
-                        "dyck_peak_count": counts[i]})
-    return watch.done(subject, "identity", None, {"d_max": d_max,
-                                                  "enumerated_up_to": min(d_max, enumeration_cap)})
+            if z.coeff(i) != counts[i]:
+                return {"d": d, "i": i, "z": str(z.coeff(i)), "dyck_peak_count": counts[i]}
+    return None

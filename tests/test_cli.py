@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from klm import cli, klcoeff
+from klm import cli, klcoeff, seqfactor
 from klm.cli import main, parse_poly_payload, parse_range
-from klm.polyring import Poly
+from klm.polyring import IntegrityError, Poly
 
 
 @pytest.fixture
@@ -74,12 +74,26 @@ def test_verify_suites(tmp_path, run_cli):
     assert code == 0 and out.count("pass") == 2, err
 
 
-def test_verify_jobs_parallel(tmp_path, run_cli):
-    code, out, err = run_cli(["verify", "formulas", "--m-max", "3", "--d-max", "8",
+# The pass witnesses of every verify suite at --m-max 3 --d-max 8.
+VERIFY_WITNESSES = {
+    "formulas": [{"checked": 60}],
+    "z-formulas": [{"checked": 24}],
+    "hooks": [{"checked": 60}, {"checked": 36}],
+    "oracle": [{"pairs": 55}, {"matroids": 55}],
+    "identities": [{"checked": 108}, {"m_max": 3, "d_max": 8}],
+    "narayana": [{"d_max": 8, "enumerated_up_to": 8}],
+    "reform": [{"checked": 192}],
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_WITNESSES)
+def test_verify_jobs_parallel(suite, tmp_path, run_cli):
+    code, out, err = run_cli(["verify", suite, "--m-max", "3", "--d-max", "8",
                               "--jobs", "4", "--json"], tmp_path)
     assert code == 0, err
-    cert = json.loads(out)
-    assert cert["verdict"] == "pass" and cert["witness"] == {"checked": 60}
+    certs = [json.loads(line) for line in out.splitlines()]
+    assert [(c["verdict"], c["witness"]) for c in certs] == [
+        ("pass", w) for w in VERIFY_WITNESSES[suite]]
 
 
 def test_verify_csv_export(tmp_path, run_cli):
@@ -158,6 +172,23 @@ def test_counts_below_one_are_usage_errors(argv, option, tmp_path, capsys):
         main(argv + ["--cache", str(cache)])
     assert exc.value.code == 2
     assert f"argument {option}: must be at least 1" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("module, argv", [
+    (klcoeff, ["compute", "kl", "--m", "2", "--d", "3"]),
+    (seqfactor, ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"]),
+], ids=["compute", "verify-jobs-2"])
+def test_internal_fault_exits_3(module, argv, tmp_path, monkeypatch, capsys):
+    def broken(m, d, i, route="positive"):
+        raise IntegrityError(f"negative KL coefficient c({m},{d},{i})")
+
+    # An engine cross-check failing is neither a counterexample (1) nor a
+    # usage error (2); with --jobs 2 it is raised in a worker process.
+    monkeypatch.setattr(module, "kl_coefficient", broken)
+    cache = tmp_path / "c.jsonl"
+    assert main(argv + ["--cache", str(cache)]) == 3
+    assert "internal error: IntegrityError: negative KL coefficient" in capsys.readouterr().err
     assert not cache.exists()
 
 

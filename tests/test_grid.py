@@ -1,14 +1,37 @@
 """One grid runner: the library verify functions and `klm verify` share it."""
 
+from fractions import Fraction
+
 import pytest
 
-from klm import cli, hooklen, klcoeff, zcoeff
+from klm import cli, hooklen, klcoeff, oracle, seqfactor, zcoeff
 from klm.certificate import grid_certificate, map_cells
 
+# Every certificate `klm verify` prints: (suite, position in its output, the
+# library call the CLI makes at (m_max, d_max), the pass witness at (3, 8)).
 GRID_CHECKS = {
-    "formulas": klcoeff.verify_four_routes,
-    "z-formulas": zcoeff.verify_three_routes,
-    "hooks": hooklen.verify_hook_factorizations,
+    "formulas-60": ("formulas", 0, lambda m, d: klcoeff.verify_four_routes(m, d),
+                    {"checked": 60}),
+    "z-formulas-24": ("z-formulas", 0, lambda m, d: zcoeff.verify_three_routes(m, d),
+                      {"checked": 24}),
+    "hooks-60": ("hooks", 0, lambda m, d: hooklen.verify_hook_factorizations(m, d),
+                 {"checked": 60}),
+    "hooks-36": ("hooks", 1, lambda m, d: hooklen.verify_equivariant_sum(m, d),
+                 {"checked": 36}),
+    "oracle-pairs": ("oracle", 0, lambda m, d: oracle.verify_oracle_agreement(m + d),
+                     {"pairs": 55}),
+    "oracle-matroids": ("oracle", 1,
+                        lambda m, d: oracle.restriction_contraction_audit(min(10, m + d)),
+                        {"matroids": 55}),
+    "identities-108": ("identities", 0, lambda m, d: klcoeff.verify_proof_identities(m, d),
+                       {"checked": 108}),
+    "identities-diagonal": ("identities", 1,
+                            lambda m, d: seqfactor.verify_diagonal_identities(m, d),
+                            {"m_max": 3, "d_max": 8}),
+    "narayana-dyck": ("narayana", 0, lambda m, d: zcoeff.narayana_check(d),
+                      {"d_max": 8, "enumerated_up_to": 8}),
+    "reform-192": ("reform", 0, lambda m, d: seqfactor.kl_reformulation_check(m, d),
+                   {"checked": 192}),
 }
 
 
@@ -21,14 +44,20 @@ def _without_millis(certs) -> list[dict]:
     return [{k: v for k, v in c.to_json().items() if k != "millis"} for c in certs]
 
 
-@pytest.mark.parametrize("suite, checked", [("formulas", 60), ("z-formulas", 24),
-                                            ("hooks", 60)])
-def test_library_and_cli_report_the_same_grid(suite, checked):
-    lib = GRID_CHECKS[suite](3, 8)
-    via_cli = cli.run_verify(suite, 3, 8, 1)[0]
+def test_grid_checks_cover_every_verify_certificate():
+    assert sorted((suite, k) for suite, k, _, _ in GRID_CHECKS.values()) == sorted(
+        (suite, k) for suite in cli.VERIFY_SUITES
+        for k in range(len(cli.run_verify(suite, 1, 1, 1))))
+
+
+@pytest.mark.parametrize("case", GRID_CHECKS)
+def test_library_and_cli_report_the_same_grid(case):
+    suite, position, verify, witness = GRID_CHECKS[case]
+    lib = verify(3, 8)
+    via_cli = cli.run_verify(suite, 3, 8, 1)[position]
     assert lib.passed and via_cli.passed
     assert (lib.subject, lib.witness) == (via_cli.subject, via_cli.witness)
-    assert lib.witness == {"checked": checked}
+    assert lib.witness == witness
 
 
 @pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
@@ -102,3 +131,70 @@ def test_wrong_hook_closed_form_gives_the_first_cell_witness(jobs, monkeypatch):
     assert cert.witness == {"m": 1, "d": 5, "i": 1, "h": 1, "shape": [4, 2],
                             "identity": "first-row piecewise values",
                             "piecewise": [5, 4, 2, 2], "hooks": [5, 4, 2, 1]}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_recursion_gives_the_first_equivariant_cell_witness(jobs, monkeypatch):
+    monkeypatch.setattr(hooklen, "c_recursive",
+                        _wrong_from_d(hooklen.c_recursive, 5, lambda v: v + 1))
+    cert = hooklen.verify_equivariant_sum(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"m": 1, "d": 5, "i": 1, "dimension_sum": 9, "recursive": 10}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_q_sum_gives_the_first_proof_identity_witness(jobs, monkeypatch):
+    monkeypatch.setattr(klcoeff, "q_sum", _wrong_from_d(klcoeff.q_sum, 5, lambda v: v + 1))
+    cert = klcoeff.verify_proof_identities(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"identity": "p_m - q_m = 1", "m": 1, "d": 5, "i": 0,
+                            "p": "1", "q": "1"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_hook_step_gives_the_first_recurrence_witness(jobs, monkeypatch):
+    # f_3 off by one from d = 6: the base case and the step f_2 - f_1 still
+    # hold, and the step f_3 - f_2 = binom(7, 4) / 5 = 7 reads 8.
+    real = klcoeff.f_normalized_hook
+    monkeypatch.setattr(klcoeff, "f_normalized_hook",
+                        lambda m, d, i: real(m, d, i) + (m == 3 and d >= 6))
+    cert = klcoeff.verify_proof_identities(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"identity": "recurrence difference", "form": "hook",
+                            "m": 2, "d": 6, "i": 1, "difference": "8", "want": "7"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_diagonal_value_gives_the_first_diagonal_witness(jobs, monkeypatch):
+    monkeypatch.setattr(seqfactor, "seq_value",
+                        _wrong_from_d(seqfactor.seq_value, 5, lambda v: v + 1))
+    cert = seqfactor.verify_diagonal_identities(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"m": 1, "d": 5, "f_diagonal": "2", "G_at_1": "1", "binomial": 1}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_f_sequence_gives_the_first_reformulation_witness(jobs, monkeypatch):
+    monkeypatch.setattr(seqfactor, "seq_value",
+                        _wrong_from_d(seqfactor.seq_value, 4, lambda v: v + 1))
+    cert = seqfactor.kl_reformulation_check(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"side": "kl", "m": 1, "d": 4, "i": 0, "lhs": "6", "rhs": "12"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_z_oracle_gives_the_first_oracle_pair_witness(jobs, monkeypatch):
+    monkeypatch.setattr(oracle, "z_defining",
+                        _wrong_from_d(oracle.z_defining, 4, lambda p: p + Fraction(1)))
+    cert = oracle.verify_oracle_agreement(11, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"m": 1, "d": 4, "reason": "Z mismatch"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_narayana_ratio_gives_the_first_narayana_witness(jobs, monkeypatch):
+    real = zcoeff.narayana_ratio
+    monkeypatch.setattr(zcoeff, "narayana_ratio", lambda d, i: real(d, i) + (d >= 4))
+    cert = zcoeff.narayana_check(8, jobs=jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"d": 4, "i": 0, "z": "1", "narayana_ratio": 2}

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from klm.klcoeff import kl_poly
 from klm.oracle import (ExplicitLattice, RankedLattice, char_poly, kl_defining,
                         restriction_contraction_audit, verify_oracle_agreement,
@@ -89,23 +91,25 @@ def test_audit_certificate():
     assert cert.passed, cert.witness
 
 
-def test_audit_fails_on_a_wrong_rank_function(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_fails_on_a_wrong_rank_function(jobs, monkeypatch):
     # Rank capped at d+1 instead of d: in U_{1,1} the singletons become flats.
     monkeypatch.setattr(ExplicitLattice, "rank_fn",
                         lambda self, s: min(s.bit_count(), self.d + 1))
-    cert = restriction_contraction_audit(6)
+    cert = restriction_contraction_audit(6, jobs)
     assert not cert.passed
     assert cert.witness == {"m": 1, "d": 1, "reason": "flat set mismatch",
                             "extra": [[0], [1]], "missing": []}
 
 
-def test_audit_fails_on_wrong_contraction_counts(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_fails_on_wrong_contraction_counts(jobs, monkeypatch):
     # One rank-1 flat too many in the rank-grouped counts of U_{0,2}: the
     # flats counted above the empty flat of U_{0,2} no longer match them.
     real = RankedLattice.flat_count
     monkeypatch.setattr(RankedLattice, "flat_count", lambda self, k: (
         real(self, k) + (self.m == 0 and self.d == 2 and k == 1)))
-    cert = restriction_contraction_audit(4)
+    cert = restriction_contraction_audit(4, jobs)
     assert not cert.passed
     assert cert.witness == {"m": 0, "d": 2, "flat": [], "reason": "contraction lattice mismatch",
                             "counts": [1, 2, 1], "expected": [1, 3, 1]}
