@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 METHODS = ("sturm", "hurwitz", "nseq", "multiplier", "identity")
 
 
-@dataclass
 class Certificate:
     """Outcome of one verification or certification run.
 
@@ -16,19 +14,32 @@ class Certificate:
     operands of the first counterexample found.
     """
 
-    subject: str
-    method: str
-    verdict: str
-    witness: dict | None = None
-    millis: int = 0
+    __slots__ = ("subject", "method", "verdict", "witness", "millis")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown certificate method {self.method!r}")
-        if self.verdict not in ("pass", "fail"):
-            raise ValueError(f"verdict must be 'pass' or 'fail', got {self.verdict!r}")
-        if self.verdict == "fail" and self.witness is None:
+    def __init__(self, subject: str, method: str, verdict: str,
+                 witness: dict | None = None, millis: int = 0):
+        if method not in METHODS:
+            raise ValueError(f"unknown certificate method {method!r}")
+        if verdict not in ("pass", "fail"):
+            raise ValueError(f"verdict must be 'pass' or 'fail', got {verdict!r}")
+        if verdict == "fail" and witness is None:
             raise ValueError("a failing certificate must carry a witness")
+        self.subject = subject
+        self.method = method
+        self.verdict = verdict
+        self.witness = witness
+        self.millis = millis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    __hash__ = None  # mutable and equal by value
+
+    def __repr__(self) -> str:
+        return ("Certificate(" + ", ".join(f"{name}={getattr(self, name)!r}"
+                                           for name in self.__slots__) + ")")
 
     @property
     def passed(self) -> bool:

@@ -6,13 +6,15 @@ recorded in an append-only JSON-lines cache keyed by a content hash of the
 command; re-running an identical command replays the stored payload byte
 for byte.
 
-The module has two parts.  The front (cache, argument parsing, ``replay``)
-uses the standard library alone; the command code below it imports the
-engine.  Started as ``python -m klm.cli``, the module answers a cache hit
-from the front and exits before the engine loads, so a hit costs an
-interpreter, argparse and one scan of the cache file.  ``import klm.cli``
-(and with it the ``klm`` console script) always loads the whole module, and
-reaches the same ``replay`` from ``main``.
+Up to its last line the module imports the standard library alone; each
+command imports the engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
+module answers a cache hit before any engine module loads, so a hit costs an
+interpreter, argparse and one scan of the cache file, and a miss loads only
+its own command's modules (``compute kl`` never loads ``hooklen``,
+``oracle``, ``seqfactor`` or ``realroot``).  ``import klm.cli``, and with it
+the ``klm`` console script, still loads every engine module: the last line
+of the module imports them all (ROADMAP item F moves the front into its own
+module and retires that line).
 """
 
 from __future__ import annotations
@@ -49,7 +51,17 @@ def _emit_json(obj) -> str:
 
 
 def cache_path(args) -> str:
-    return args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE)
+    """The run cache file of args' command: --cache, $KLM_CACHE or the default.
+
+    A directory, or a path whose parent directory is missing, is a usage
+    error, raised before the command runs or prints anything.
+    """
+    path = args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE)
+    if os.path.isdir(path):
+        raise UsageError(f"cache path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cache path {path!r} is in a directory that does not exist")
+    return path
 
 
 def run_key(command: str, params: dict) -> str:
@@ -225,34 +237,13 @@ def _exit_code(run, args) -> int | None:
         return 3
 
 
-# A cache hit needs nothing below this point, and importing the engine costs
-# more than the interpreter's own start-up, so `python -m klm.cli` replays a
-# hit here and exits before the imports that follow.  A miss falls through;
-# the end of the module runs its command with these same arguments, without
-# scanning the cache a second time.
-if __name__ == "__main__":
-    _ARGS = build_parser().parse_args()
-    _REPLAYED = _exit_code(replay, _ARGS)
-    if _REPLAYED is not None:
-        sys.exit(_REPLAYED)
-
-import csv  # noqa: E402
-from fractions import Fraction  # noqa: E402
-
-from . import hooklen, klcoeff, oracle, seqfactor, zcoeff  # noqa: E402
-from .certificate import Certificate, map_cells  # noqa: E402
-from .klcoeff import kl_poly  # noqa: E402
-from .polyring import Poly, render, render_in_d  # noqa: E402
-from .realroot import (all_zeros_real_negative, hurwitz_positivity_symbolic,  # noqa: E402
-                       n_sequence_test)
-from .seqfactor import SeqSpec, gy_poly, qr_poly, seq_value  # noqa: E402
-from .zcoeff import z_from_kl  # noqa: E402
-
-
 # -- JSON rendering --------------------------------------------------------------
 
 
 def _coeff_str(c) -> str:
+    from fractions import Fraction
+
+    from .polyring import Poly, render_in_d
     if isinstance(c, Poly):
         return render_in_d(c)
     c = Fraction(c)
@@ -265,27 +256,39 @@ def poly_payload(kind: str, m: int, d: int | None, p: Poly) -> dict:
 
 def parse_poly_payload(payload: dict) -> Poly:
     """Round-trip parser for numeric polynomial payloads."""
+    from fractions import Fraction
+
+    from .polyring import Poly
     return Poly(tuple(Fraction(c) for c in payload["coeffs"]))
 
 
 # -- certify cells ---------------------------------------------------------------
+# Each cell imports what it calls; run_certify has loaded those modules before
+# the --jobs pool forks, so in a worker the imports are dictionary lookups.
 
 
 def _cell_kl_root(m, d):
+    from .klcoeff import kl_poly
+    from .realroot import all_zeros_real_negative
     return all_zeros_real_negative(kl_poly(m, d), f"kl-roots m={m} d={d}").to_json()
 
 
 def _cell_z_root(m, d):
+    from .realroot import all_zeros_real_negative
+    from .zcoeff import z_from_kl
     return all_zeros_real_negative(z_from_kl(m, d), f"z-roots m={m} d={d}").to_json()
 
 
 def _cell_dseq(family, m, d):
+    from .realroot import n_sequence_test
+    from .seqfactor import SeqSpec, seq_value
     spec = SeqSpec(family, m)
     gamma = [seq_value(spec, d, i) for i in range(d + 1)]
     return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}").to_json()
 
 
 def _cell_hurwitz(family, m):
+    from .realroot import hurwitz_positivity_symbolic
     return hurwitz_positivity_symbolic(family, m).to_json()
 
 
@@ -299,11 +302,15 @@ def compute_poly(kind: str, m: int, d: int | None, route: str,
     if kind in ("G", "Y") and d is None and not symbolic_d:
         raise UsageError(f"compute {kind} requires --d or --symbolic-d")
     if kind == "kl":
+        from .klcoeff import kl_poly
         return kl_poly(m, d, route), d
     if kind == "z":
+        from .zcoeff import z_from_kl
         return z_from_kl(m, d), d
     if kind == "char":
-        return oracle.char_poly(oracle.RankedLattice(m, d)), d
+        from .oracle import RankedLattice, char_poly
+        return char_poly(RankedLattice(m, d)), d
+    from .seqfactor import SeqSpec, gy_poly, qr_poly
     if kind in ("G", "Y"):
         spec = SeqSpec("f" if kind == "G" else "b", m)
         return gy_poly(spec, None if symbolic_d else d), None if symbolic_d else d
@@ -316,6 +323,7 @@ def cmd_compute(args) -> int:
         p, d = compute_poly(args.kind, args.m, args.d, args.route, args.symbolic_d)
         if args.json:
             return _emit_json(poly_payload(args.kind, args.m, d, p)) + "\n", 0
+        from .polyring import render
         return render(p) + "\n", 0
 
     return record_run(args, produce)
@@ -326,21 +334,28 @@ def cmd_compute(args) -> int:
 
 def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificate]:
     if suite == "formulas":
+        from . import klcoeff
         return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
     if suite == "z-formulas":
+        from . import zcoeff
         return [zcoeff.verify_three_routes(m_max, d_max, jobs)]
     if suite == "hooks":
+        from . import hooklen
         return [hooklen.verify_hook_factorizations(m_max, d_max, jobs),
                 hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
     if suite == "oracle":
+        from . import oracle
         return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
                 oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
     if suite == "identities":
+        from . import klcoeff, seqfactor
         return [klcoeff.verify_proof_identities(m_max, d_max, jobs),
                 seqfactor.verify_diagonal_identities(m_max, d_max, jobs)]
     if suite == "narayana":
+        from . import zcoeff
         return [zcoeff.narayana_check(d_max, jobs=jobs)]
     if suite == "reform":
+        from . import seqfactor
         return [seqfactor.kl_reformulation_check(m_max, d_max, jobs)]
     raise UsageError(f"unknown verify suite {suite!r}")
 
@@ -361,6 +376,9 @@ def _format_certs(certs: list[Certificate], as_json: bool) -> tuple[str, int]:
 
 def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
     """Regression CSV: one row per (m,d,i) with a column per formula route."""
+    import csv
+
+    from . import klcoeff, zcoeff
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         if suite == "formulas":
@@ -373,7 +391,7 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
         else:
             out.writerow(["m", "d", "i", "from_kl", "alternating", "positive"])
             for m, d in zcoeff.grid_cells(m_max, d_max):
-                z = z_from_kl(m, d)
+                z = zcoeff.z_from_kl(m, d)
                 for i in range(d + 1):
                     alt = "1" if i == d else str(zcoeff.z_alternating(m, d, i))
                     out.writerow([m, d, i, str(z.coeff(i)), alt,
@@ -397,16 +415,26 @@ def cmd_verify(args) -> int:
 
 
 def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[dict]:
+    """The certificate records of target's grid, in grid order.
+
+    Each target imports its engine modules before map_cells starts the --jobs
+    pool, so the forked workers inherit them instead of importing them again.
+    """
+    from .certificate import map_cells
     if target == "kl-roots":
+        from . import klcoeff, realroot  # noqa: F401
         return map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
     if target == "z-roots":
+        from . import realroot, zcoeff  # noqa: F401
         return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
         if min(ds) < 1:
             raise UsageError(f"{target} requires d >= 1, got {min(ds)}")
+        from . import realroot, seqfactor  # noqa: F401
         family = target[-1]
         return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
     if target in ("hurwitz-G", "hurwitz-Y"):
+        from . import realroot, seqfactor  # noqa: F401
         family = target[-1]
         return map_cells(_cell_hurwitz, [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
@@ -453,4 +481,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(_exit_code(run_fresh, _ARGS))
+    sys.exit(main())
+
+# `import klm.cli`, and with it the `klm` console script, loads every engine
+# layer: the tests and perfbench/tracer.py wrap functions in all of them.
+# `python -m klm.cli` has exited above and loads only what its command runs.
+from . import hooklen, klcoeff, oracle, realroot, seqfactor, zcoeff  # noqa: E402,F401

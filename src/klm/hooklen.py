@@ -8,7 +8,7 @@ standard-Young-tableaux enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -18,17 +18,17 @@ from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
 SYT_ENUMERATION_CAP = 8
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise ValueError(f"partition parts must be positive, got {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must weakly decrease, got {self.parts}")
+    def __new__(cls, parts: tuple[int, ...]):
+        if any(p <= 0 for p in parts):
+            raise ValueError(f"partition parts must be positive, got {parts}")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError(f"partition parts must weakly decrease, got {parts}")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ scale, the structural facts the rank-grouped fast path relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -19,8 +19,7 @@ from .certificate import Certificate, grid_certificate
 from .polyring import Poly
 
 
-@dataclass(frozen=True)
-class RankedLattice:
+class RankedLattice(namedtuple("RankedLattice", "m d")):
     """Rank-grouped lattice of flats of a uniform matroid U_{m,d}.
 
     Proper flats of rank k are the binom(m+d, k) subsets of size k < d;
@@ -28,12 +27,12 @@ class RankedLattice:
     the Boolean lattice of the free matroid.
     """
 
-    m: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.d < 0:
-            raise ValueError(f"invalid uniform matroid U_{{{self.m},{self.d}}}")
+    def __new__(cls, m: int, d: int):
+        if m < 0 or d < 0:
+            raise ValueError(f"invalid uniform matroid U_{{{m},{d}}}")
+        return super().__new__(cls, m, d)
 
     @property
     def rank(self) -> int:

@@ -10,7 +10,7 @@ d-sequence argument, alongside Q_d(t) and R_d(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,18 +24,17 @@ from .zcoeff import grid_cells, z_coefficient
 FAMILIES = ("f", "b")
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class SeqSpec(namedtuple("SeqSpec", "family m")):
     """Which sequence family (f or b) at which m."""
 
-    family: str
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be 'f' or 'b', got {self.family!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+    def __new__(cls, family: str, m: int):
+        if family not in FAMILIES:
+            raise ValueError(f"family must be 'f' or 'b', got {family!r}")
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return super().__new__(cls, family, m)
 
 
 def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:

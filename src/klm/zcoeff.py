@@ -38,16 +38,15 @@ def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
 def z_from_kl(m: int, d: int, route: str = "positive") -> Poly:
     """Z_{U_{m,d}}(t) = t^d + sum_k binom(d+m, k+m) t^{d-k} P_{U_{m,k}}(t)."""
     _check_range(m, d, 0)
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
+    # Summed in ints (every KL coefficient is an integer), one Fraction each at the end.
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
     for k in range(1, d + 1):
         pref = binomial(d + m, k + m)
-        p = kl_poly(m, k, route)
-        for j, c in enumerate(p.coeffs):
-            coeffs[d - k + j] += pref * c
-    for i, c in enumerate(coeffs):
-        _positive_integer(m, d, i, c, "from_kl")
-    return Poly(coeffs)
+        for j, c in enumerate(kl_poly(m, k, route).coeffs):
+            coeffs[d - k + j] += pref * as_integer(c)
+    return Poly([Fraction(_positive_integer(m, d, i, c, "from_kl"))
+                 for i, c in enumerate(coeffs)])
 
 
 def z_alternating(m: int, d: int, i: int) -> Fraction:

@@ -281,6 +281,43 @@ def test_cache_hit_loads_no_engine_module(tmp_path, cli_env):
     assert not set(ENGINE_MODULES) & _imported_modules(hit.stderr)
 
 
+def _traced_run(argv, tmp_path, cli_env) -> subprocess.CompletedProcess:
+    """`python -X importtime -m klm.cli argv` with a fresh cache in tmp_path."""
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
+    return subprocess.run([sys.executable, "-X", "importtime", "-m", "klm.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["compute", "kl", "--m", "2", "--d", "5"], {"klm.klcoeff"},
+     {"klm.hooklen", "klm.oracle", "klm.seqfactor", "klm.realroot", "dataclasses", "csv"}),
+    (["certify", "z-roots", "--m", "2..3", "--d", "1..4"], {"klm.realroot"},
+     {"klm.hooklen", "klm.oracle", "dataclasses"}),
+    (["verify", "formulas", "--m-max", "2", "--d-max", "4"], {"klm.klcoeff"},
+     {"klm.oracle", "klm.hooklen"}),
+], ids=["compute-kl", "certify-z-roots", "verify-formulas"])
+def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cli_env):
+    proc = _traced_run(argv, tmp_path, cli_env)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    loaded = _imported_modules(proc.stderr)
+    assert loads <= loaded
+    assert not skips & loaded
+
+
+@pytest.mark.parametrize("cache, message", [
+    ("missing/cache.jsonl", "is in a directory that does not exist"),
+    (".", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
+    path = str(tmp_path / cache)
+    proc = _traced_run(["compute", "kl", "--m", "2", "--d", "5", "--cache", path],
+                       tmp_path, cli_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"usage error: cache path {path!r} {message}" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    assert not (tmp_path / "missing").exists()
+
+
 def test_import_klm_is_lazy(cli_env):
     script = ("import sys, klm\n"
               "print(sorted(n for n in sys.modules if n.startswith('klm.')))\n"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from klm import cli, hooklen, klcoeff, oracle, seqfactor, zcoeff
-from klm.certificate import grid_certificate, map_cells
+from klm.certificate import Certificate, grid_certificate, map_cells
 
 # Every certificate `klm verify` prints: (suite, position in its output, the
 # library call the CLI makes at (m_max, d_max), the pass witness at (3, 8)).
@@ -42,6 +42,31 @@ def _fails_from(n: int, start: int) -> dict | None:
 
 def _without_millis(certs) -> list[dict]:
     return [{k: v for k, v in c.to_json().items() if k != "millis"} for c in certs]
+
+
+def test_certificate_validates_and_compares_field_by_field():
+    with pytest.raises(ValueError, match="unknown certificate method 'guess'"):
+        Certificate("s", "guess", "pass")
+    with pytest.raises(ValueError, match="verdict must be 'pass' or 'fail', got 'maybe'"):
+        Certificate("s", "sturm", "maybe")
+    with pytest.raises(ValueError, match="a failing certificate must carry a witness"):
+        Certificate(subject="s", method="sturm", verdict="fail")
+    cert = Certificate("s", "sturm", "fail", {"d": 3}, 7)
+    assert cert == Certificate(subject="s", method="sturm", verdict="fail",
+                               witness={"d": 3}, millis=7)
+    for field, other in (("subject", "t"), ("method", "nseq"), ("witness", {"d": 4}),
+                         ("millis", 8)):
+        assert cert != Certificate(**{**cert.to_json(), field: other})
+    assert cert != Certificate("s", "sturm", "pass", {"d": 3}, 7)
+    assert cert != cert.to_json()
+    assert not cert.passed and Certificate("s", "identity", "pass").passed
+    assert Certificate("s", "identity", "pass").to_json() == {
+        "subject": "s", "method": "identity", "verdict": "pass", "witness": None,
+        "millis": 0}
+    assert repr(cert) == ("Certificate(subject='s', method='sturm', verdict='fail', "
+                          "witness={'d': 3}, millis=7)")
+    with pytest.raises(TypeError):
+        hash(cert)
 
 
 def test_grid_checks_cover_every_verify_certificate():

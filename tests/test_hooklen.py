@@ -17,6 +17,22 @@ def test_partition_validation():
     assert Partition((3, 2)).n == 5
 
 
+def test_partition_is_a_frozen_value():
+    with pytest.raises(ValueError, match=r"partition parts must be positive, got \(2, 0\)"):
+        Partition((2, 0))
+    with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
+        Partition(parts=(2, 3))
+    shape = Partition((3, 2, 2))
+    assert len(shape) == 3 and len(Partition(())) == 0
+    assert shape == Partition((3, 2, 2)) and shape != Partition((3, 2))
+    assert hash(shape) == hash(Partition((3, 2, 2)))
+    assert repr(shape) == "Partition(parts=(3, 2, 2))"
+    with pytest.raises(AttributeError):
+        shape.parts = (4,)
+    with pytest.raises(AttributeError):
+        shape.extra = 1
+
+
 def test_hook_lengths_examples():
     assert hook_lengths(Partition((2, 1))) == [[3, 1], [1]]
     assert hook_lengths(Partition((5,))) == [[5, 4, 3, 2, 1]]

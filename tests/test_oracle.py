@@ -26,6 +26,21 @@ def test_char_poly_examples():
             assert char_poly(RankedLattice(m, d)).eval(Fraction(1)) == 0
 
 
+def test_ranked_lattice_is_a_frozen_value():
+    for m, d in ((-1, 2), (1, -2)):
+        with pytest.raises(ValueError, match=rf"invalid uniform matroid U_{{{m},{d}}}"):
+            RankedLattice(m, d)
+    lat = RankedLattice(m=2, d=3)
+    assert lat == RankedLattice(2, 3) and lat != RankedLattice(3, 2)
+    assert {lat, RankedLattice(2, 3)} == {lat}
+    assert (lat.rank, lat.ground, lat.flat_count(1), lat.flat_count(3)) == (3, 5, 5, 1)
+    assert repr(lat) == "RankedLattice(m=2, d=3)"
+    with pytest.raises(AttributeError):
+        lat.d = 4
+    with pytest.raises(AttributeError):
+        lat.extra = 1
+
+
 def test_kl_defining_examples():
     p, consistent = kl_defining(1, 2)
     assert p == P(1) and consistent

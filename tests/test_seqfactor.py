@@ -17,6 +17,27 @@ def P(*coeffs) -> Poly:
     return Poly(tuple(Fraction(c) for c in coeffs))
 
 
+def test_seq_spec_is_a_frozen_value():
+    with pytest.raises(ValueError, match="family must be 'f' or 'b', got 'g'"):
+        SeqSpec("g", 2)
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        SeqSpec(family="f", m=0)
+    spec = SeqSpec("f", 3)
+    assert spec == SeqSpec(family="f", m=3) and spec != SeqSpec("b", 3)
+    assert repr(spec) == "SeqSpec(family='f', m=3)"
+    with pytest.raises(AttributeError):
+        spec.m = 4
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+
+
+def test_a_fresh_seq_spec_hits_the_symbolic_memo():
+    symbolic_in_i(SeqSpec("f", 3))
+    hits = symbolic_in_i.cache_info().hits
+    assert symbolic_in_i(SeqSpec("f", 3)) == symbolic_in_i(SeqSpec("f", 3))
+    assert symbolic_in_i.cache_info().hits == hits + 2
+
+
 def test_seq_value_examples():
     f2 = SeqSpec("f", 2)
     # f_2(d,i) = 1 + (d+2)i/2 - i^2/2, here at d = 2.
