@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     "Certificate": "certificate",
-    "IntegrityError": "polyring",
+    "IntegrityError": "arith",
     "Poly": "polyring",
     "kl_coefficient": "klcoeff",
     "kl_poly": "klcoeff",

@@ -13,6 +13,10 @@ from math import comb, factorial
 from typing import Sequence
 
 
+class IntegrityError(RuntimeError):
+    """An internal cross-check that should never fail has failed."""
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient n choose k.
 
@@ -83,11 +87,15 @@ def inv_factorial(n: int) -> Fraction:
 
 
 def as_integer(x) -> int:
-    """Coerce an integer-valued rational to int, raising if it is not one."""
+    """Coerce a computed integer-valued rational to int.
+
+    A computed value that is not an integer is an internal fault, not bad
+    input, so it raises IntegrityError.
+    """
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         if x.denominator != 1:
-            raise ValueError(f"expected an integer value, got {x}")
+            raise IntegrityError(f"expected an integer value, got {x}")
         return x.numerator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")

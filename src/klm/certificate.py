@@ -2,74 +2,45 @@
 
 from __future__ import annotations
 
-import time
+from collections import namedtuple
 
 METHODS = ("sturm", "hurwitz", "nseq", "multiplier", "identity")
 
 
-class Certificate:
+class Certificate(namedtuple("Certificate", "subject method verdict witness")):
     """Outcome of one verification or certification run.
 
     A failing certificate always carries a reproducible witness: the exact
     operands of the first counterexample found.
     """
 
-    __slots__ = ("subject", "method", "verdict", "witness", "millis")
+    __slots__ = ()
 
-    def __init__(self, subject: str, method: str, verdict: str,
-                 witness: dict | None = None, millis: int = 0):
+    def __new__(cls, subject: str, method: str, verdict: str,
+                witness: dict | None = None):
         if method not in METHODS:
             raise ValueError(f"unknown certificate method {method!r}")
         if verdict not in ("pass", "fail"):
             raise ValueError(f"verdict must be 'pass' or 'fail', got {verdict!r}")
         if verdict == "fail" and witness is None:
             raise ValueError("a failing certificate must carry a witness")
-        self.subject = subject
-        self.method = method
-        self.verdict = verdict
-        self.witness = witness
-        self.millis = millis
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_json() == other.to_json()
-
-    __hash__ = None  # mutable and equal by value
-
-    def __repr__(self) -> str:
-        return ("Certificate(" + ", ".join(f"{name}={getattr(self, name)!r}"
-                                           for name in self.__slots__) + ")")
+        return super().__new__(cls, subject, method, verdict, witness)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "subject": self.subject,
-            "method": self.method,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
+        return self._asdict()
 
 
-class Stopwatch:
-    """Wall-clock helper so certificates can report their timing."""
-
-    def __init__(self):
-        self.start = time.monotonic()
-
-    def millis(self) -> int:
-        return int((time.monotonic() - self.start) * 1000)
-
-    def done(self, subject: str, method: str, failure: dict | None,
-             witness: dict | None = None) -> Certificate:
-        """Build a pass/fail certificate; failure is the counterexample or None."""
-        if failure is not None:
-            return Certificate(subject, method, "fail", failure, self.millis())
-        return Certificate(subject, method, "pass", witness, self.millis())
+def judge(subject: str, method: str, failure: dict | None,
+          witness: dict | None = None) -> Certificate:
+    """The certificate that fails with failure, the counterexample, or else
+    passes with witness."""
+    if failure is not None:
+        return Certificate(subject, method, "fail", failure)
+    return Certificate(subject, method, "pass", witness)
 
 
 # -- grids -----------------------------------------------------------------------
@@ -98,9 +69,8 @@ def grid_certificate(subject: str, worker, cells: list[tuple], jobs: int = 1,
     cells run in order and the run stops at that cell; at jobs > 1 every
     cell runs.
     """
-    watch = Stopwatch()
     results = ((worker(*cell) for cell in cells) if jobs <= 1
                else map_cells(worker, cells, jobs))
     failure = next((f for f in results if f is not None), None)
-    return watch.done(subject, "identity", failure,
-                      {"checked": len(cells)} if witness is None else witness)
+    return judge(subject, "identity", failure,
+                 {"checked": len(cells)} if witness is None else witness)

@@ -27,7 +27,7 @@ import os
 import sys
 import time
 
-ENGINE_VERSION = "klm-0.1.0"
+ENGINE_VERSION = "klm-0.2.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
 
 COMPUTE_KINDS = ("kl", "z", "char", "G", "Y", "Q", "R")
@@ -246,8 +246,7 @@ def _coeff_str(c) -> str:
     from .polyring import Poly, render_in_d
     if isinstance(c, Poly):
         return render_in_d(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return str(Fraction(c))
 
 
 def poly_payload(kind: str, m: int, d: int | None, p: Poly) -> dict:

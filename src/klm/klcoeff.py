@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import as_integer, binomial, inv_factorial, multinomial
+from .arith import IntegrityError, as_integer, binomial, inv_factorial, multinomial
 from .certificate import Certificate, grid_certificate
-from .polyring import IntegrityError, Poly
+from .polyring import Poly
 
 ROUTES = ("recursive", "hook", "alternating", "positive")
 
@@ -105,8 +105,7 @@ _DISPATCH = {
 def kl_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
     """c(m,d,i) by the requested route, checked to be a nonnegative integer.
 
-    A value that is not an integer raises ValueError; a negative one raises
-    IntegrityError.
+    A value that is not a nonnegative integer raises IntegrityError.
     """
     if route not in _DISPATCH:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")

@@ -20,11 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
 
-from .arith import stirling2
-
-
-class IntegrityError(RuntimeError):
-    """An internal cross-check that should never fail has failed."""
+from .arith import IntegrityError, stirling2
 
 
 def _is_scalar(x) -> bool:
@@ -160,16 +156,6 @@ class Poly:
         out = Fraction(0) if _is_scalar(x) else 0
         for c in reversed(self.coeffs):
             out = out * x + c
-        return out
-
-    def __call__(self, x):
-        return self.eval(x)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute the variable by another polynomial."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + c
         return out
 
     # -- Euclidean structure (Fraction coefficients only) --------------------
@@ -470,13 +456,6 @@ def det_cofactor(rows: list[list]):
 # -- canonical text rendering ------------------------------------------------
 
 
-def _render_frac(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def render_in_d(p: Poly) -> str:
     """Compact rendering in descending powers of d, e.g. 'd^2/2 + d/2'."""
     if not p:
@@ -488,7 +467,7 @@ def render_in_d(p: Poly) -> str:
             continue
         num, den = abs(c.numerator), c.denominator
         if k == 0:
-            body = _render_frac(abs(c))
+            body = str(abs(c))
         else:
             var = "d" if k == 1 else f"d^{k}"
             body = var if num == 1 else f"{num}*{var}"
@@ -513,7 +492,7 @@ def render(p: Poly, var: str = "t") -> str:
         if symbolic and c.degree == 0:
             c, symbolic = Fraction(c.coeff(0)), False
         if k == 0:
-            body = f"({render_in_d(c)})" if symbolic else _render_frac(c)
+            body = f"({render_in_d(c)})" if symbolic else str(Fraction(c))
             neg = False
         else:
             power = var if k == 1 else f"{var}^{k}"
@@ -522,7 +501,7 @@ def render(p: Poly, var: str = "t") -> str:
                 neg = False
             else:
                 neg = c < 0
-                body = f"{_render_frac(abs(c))}*{power}"
+                body = f"{abs(Fraction(c))}*{power}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

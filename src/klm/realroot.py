@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import binomial
-from .certificate import Certificate, Stopwatch
+from .certificate import Certificate, judge
 from .polyring import Poly, X, leading_minors, minor_degree_bound
 
 NEG_INF = "-inf"
@@ -184,7 +184,6 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     last element gcd(p, p'), the distinct zeros; multiplicities cannot
     move a zero off the negative axis.
     """
-    watch = Stopwatch()
     subject = subject or "polynomial"
     if not p:
         raise ValueError("zero polynomial has no zero locus to certify")
@@ -194,10 +193,10 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     distinct = _distinct(p, chain)
     negative = _count(chain, NEG_INF, 0)
     if negative == distinct:
-        return watch.done(subject, "sturm", None, {
+        return judge(subject, "sturm", None, {
             "distinct_zeros": distinct,
             "multiplicities": multiplicity_profile(p, chain[-1])})
-    return watch.done(subject, "sturm", {
+    return judge(subject, "sturm", {
         "distinct_zeros": distinct, "negative_real_zeros": negative,
         "coeffs": [str(c) for c in p.coeffs]})
 
@@ -255,7 +254,6 @@ def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificat
 
     Cross-validated against the Sturm distinct-real-root count.
     """
-    watch = Stopwatch()
     subject = subject or "polynomial"
     n = a.degree
     if n < 1:
@@ -268,9 +266,8 @@ def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificat
         raise RuntimeError(
             f"Hurwitz and Sturm disagree on {subject}: {hurwitz_ok} vs {sturm_ok}")
     if hurwitz_ok:
-        return watch.done(subject, "hurwitz", None,
-                          {"deltas": [str(v) for v in deltas]})
-    return watch.done(subject, "hurwitz", {
+        return judge(subject, "hurwitz", None, {"deltas": [str(v) for v in deltas]})
+    return judge(subject, "hurwitz", {
         "deltas": [str(v) for v in deltas],
         "sturm_distinct_real": sturm_real})
 
@@ -283,7 +280,6 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     many small cases d < 2(m-1) are settled by direct Sturm tests.
     """
     from .seqfactor import SeqSpec, gy_poly
-    watch = Stopwatch()
     if m < 2:
         raise ValueError("the Hurwitz argument starts at m = 2")
     if family not in ("G", "Y", "f", "b"):
@@ -299,7 +295,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     for k, shifted in enumerate(deltas, 1):
         for idx, c in enumerate(shifted.coeffs):
             if not c > 0:
-                return watch.done(subject, "hurwitz", {
+                return judge(subject, "hurwitz", {
                     "k": k, "coefficient_index": idx, "value": str(c),
                     "delta_in_dprime": [str(x) for x in shifted.coeffs]})
         expansions.append([str(c) for c in shifted.coeffs])
@@ -313,9 +309,9 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         ok = _all_real(g)
         small_cases.append({"d": d, "degree": g.degree, "real_rooted": ok})
         if not ok:
-            return watch.done(subject, "hurwitz", {
+            return judge(subject, "hurwitz", {
                 "small_case_d": d, "coeffs": [str(c) for c in g.coeffs]})
-    return watch.done(subject, "hurwitz", None, {
+    return judge(subject, "hurwitz", None, {
         "delta_coeffs_in_dprime": expansions, "small_cases": small_cases})
 
 
@@ -329,17 +325,16 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
     one sign.  A zero root fails and is reported distinctly, since the
     same-sign criterion does not address it.
     """
-    watch = Stopwatch()
     subject = subject or "sequence"
     if len(gamma) != d + 1:
         raise ValueError(f"expected {d + 1} sequence entries, got {len(gamma)}")
     p = Poly(tuple(Fraction(g) * binomial(d, i) for i, g in enumerate(gamma)))
     if not p:
-        return watch.done(subject, "nseq", {"reason": "transform is identically zero"})
+        return judge(subject, "nseq", {"reason": "transform is identically zero"})
     if p.degree == 0:
-        return watch.done(subject, "nseq", None, {"degree": 0})
+        return judge(subject, "nseq", None, {"degree": 0})
     if p.eval(Fraction(0)) == 0:
-        return watch.done(subject, "nseq", {
+        return judge(subject, "nseq", {
             "reason": "zero root", "coeffs": [str(c) for c in p.coeffs]})
     # p(0) != 0, so one chain counts both half-lines.
     chain = sturm_chain(p)
@@ -347,10 +342,10 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
     neg = _count(chain, NEG_INF, 0)
     pos = _count(chain, 0, POS_INF)
     if neg == distinct or pos == distinct:
-        return watch.done(subject, "nseq", None, {
+        return judge(subject, "nseq", None, {
             "degree": p.degree, "distinct_zeros": distinct,
             "sign": "negative" if neg == distinct else "positive"})
-    return watch.done(subject, "nseq", {
+    return judge(subject, "nseq", {
         "degree": p.degree, "negative": neg, "positive": pos,
         "distinct": distinct, "coeffs": [str(c) for c in p.coeffs]})
 
@@ -372,7 +367,6 @@ def multiplier_spot_check(m: int, d: int, trials: int, seed: int = 0) -> Certifi
 
     Random real-rooted inputs only; instances, not a proof.
     """
-    watch = Stopwatch()
     subject = f"multiplier binom({d + 2 * m}, i+{m}) trials={trials}"
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -384,8 +378,8 @@ def multiplier_spot_check(m: int, d: int, trials: int, seed: int = 0) -> Certifi
         if image.degree < 1:
             continue
         if not _all_real(image):
-            return watch.done(subject, "multiplier", {
+            return judge(subject, "multiplier", {
                 "trial": trial,
                 "input": [str(c) for c in p.coeffs],
                 "image": [str(c) for c in image.coeffs]})
-    return watch.done(subject, "multiplier", None, {"trials": trials})
+    return judge(subject, "multiplier", None, {"trials": trials})

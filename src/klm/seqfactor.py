@@ -14,11 +14,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import binomial, falling_factorial
+from .arith import IntegrityError, binomial, falling_factorial
 from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_coefficient, max_index
-from .polyring import (IntegrityError, ONE, Poly, X, as_poly,
-                       expand_binomial_affine, to_falling_basis)
+from .polyring import ONE, Poly, X, as_poly, expand_binomial_affine, to_falling_basis
 from .zcoeff import grid_cells, z_coefficient
 
 FAMILIES = ("f", "b")

@@ -13,10 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .arith import as_integer, binomial
+from .arith import IntegrityError, as_integer, binomial
 from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_poly
-from .polyring import IntegrityError, Poly
+from .polyring import Poly
 
 
 def _check_range(m: int, d: int, i: int) -> None:
@@ -27,7 +27,7 @@ def _check_range(m: int, d: int, i: int) -> None:
 
 
 def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
-    """value as an int: ValueError if it is not an integer, IntegrityError if not positive."""
+    """value as an int, or IntegrityError if it is not a positive integer."""
     value = as_integer(value)
     if value <= 0:
         raise IntegrityError(f"nonpositive Z coefficient z({m},{d},{i}) = {value} via {route}")

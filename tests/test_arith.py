@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from klm.arith import (as_integer, binomial, falling_factorial, inv_factorial,
-                       multinomial, stirling2)
+from klm.arith import (IntegrityError, as_integer, binomial, falling_factorial,
+                       inv_factorial, multinomial, stirling2)
 
 
 def test_binomial_examples():
@@ -75,5 +75,5 @@ def test_inv_factorial_convention():
 
 def test_as_integer():
     assert as_integer(Fraction(10, 2)) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError, match="expected an integer value, got 1/2"):
         as_integer(Fraction(1, 2))

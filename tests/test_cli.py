@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from klm import cli, klcoeff, seqfactor
+from klm import cli, klcoeff, seqfactor, zcoeff
 from klm.cli import main, parse_poly_payload, parse_range
 from klm.polyring import IntegrityError, Poly
 
@@ -175,20 +175,34 @@ def test_counts_below_one_are_usage_errors(argv, option, tmp_path, capsys):
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("module, argv", [
-    (klcoeff, ["compute", "kl", "--m", "2", "--d", "3"]),
-    (seqfactor, ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"]),
-], ids=["compute", "verify-jobs-2"])
-def test_internal_fault_exits_3(module, argv, tmp_path, monkeypatch, capsys):
-    def broken(m, d, i, route="positive"):
-        raise IntegrityError(f"negative KL coefficient c({m},{d},{i})")
+def _negative_kl(m, d, i, route="positive"):
+    raise IntegrityError(f"negative KL coefficient c({m},{d},{i})")
 
-    # An engine cross-check failing is neither a counterexample (1) nor a
-    # usage error (2); with --jobs 2 it is raised in a worker process.
-    monkeypatch.setattr(module, "kl_coefficient", broken)
+
+@pytest.mark.parametrize("patch, argv, error", [
+    (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
+     ["compute", "kl", "--m", "2", "--d", "3"], "negative KL coefficient"),
+    (lambda mp: mp.setattr(seqfactor, "kl_coefficient", _negative_kl),
+     ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
+     "negative KL coefficient"),
+    (lambda mp: mp.setattr(zcoeff, "kl_poly", lambda m, k, route: Poly((Fraction(1, 2),))),
+     ["compute", "z", "--m", "2", "--d", "3"], "expected an integer value, got 1/2"),
+    (lambda mp: mp.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(1, 2)),
+     ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
+     "expected an integer value, got 1/2"),
+], ids=["compute", "verify-jobs-2", "compute-fraction", "verify-fraction-jobs-2"])
+def test_internal_fault_exits_3(patch, argv, error, tmp_path, monkeypatch, capsys):
+    # An engine cross-check failing, or a computed value that is not an
+    # integer, is neither a counterexample (1) nor a usage error (2); with
+    # --jobs 2 it is raised in a worker process.
+    patch(monkeypatch)
+    zcoeff.z_from_kl.cache_clear()
     cache = tmp_path / "c.jsonl"
-    assert main(argv + ["--cache", str(cache)]) == 3
-    assert "internal error: IntegrityError: negative KL coefficient" in capsys.readouterr().err
+    try:
+        assert main(argv + ["--cache", str(cache)]) == 3
+    finally:
+        zcoeff.z_from_kl.cache_clear()
+    assert f"internal error: IntegrityError: {error}" in capsys.readouterr().err
     assert not cache.exists()
 
 
@@ -218,6 +232,23 @@ def test_cache_replay_is_byte_identical(tmp_path, run_cli):
     assert cache.read_text().count("\n") == lines_after_first
     rec = json.loads(cache.read_text().splitlines()[0])
     assert set(rec) == {"key", "command", "params", "payload", "exit", "millis", "jobs"}
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "hurwitz-G", "--m", "2..3", "--json"],
+    ["verify", "oracle", "--m-max", "3", "--d-max", "5", "--json"],
+], ids=["certify", "verify"])
+def test_two_cold_runs_print_the_same_bytes(args, tmp_path, run_cli):
+    outs = []
+    for run in ("first", "second"):
+        cache = tmp_path / f"{run}.jsonl"
+        code, out, err = run_cli(args, tmp_path, env_cache=cache)
+        assert code == 0, err
+        assert cache.read_text().count("\n") == 1  # a fresh run, not a replay
+        outs.append(out)
+    assert outs[0] == outs[1]
+    for line in outs[0].splitlines():
+        assert set(json.loads(line)) == {"subject", "method", "verdict", "witness"}
 
 
 def test_cache_flag_overrides_env(tmp_path, run_cli):

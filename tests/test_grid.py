@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from klm import cli, hooklen, klcoeff, oracle, seqfactor, zcoeff
-from klm.certificate import Certificate, grid_certificate, map_cells
+from klm.certificate import Certificate, grid_certificate, judge, map_cells
 
 # Every certificate `klm verify` prints: (suite, position in its output, the
 # library call the CLI makes at (m_max, d_max), the pass witness at (3, 8)).
@@ -40,10 +40,6 @@ def _fails_from(n: int, start: int) -> dict | None:
     return {"n": n} if n >= start else None
 
 
-def _without_millis(certs) -> list[dict]:
-    return [{k: v for k, v in c.to_json().items() if k != "millis"} for c in certs]
-
-
 def test_certificate_validates_and_compares_field_by_field():
     with pytest.raises(ValueError, match="unknown certificate method 'guess'"):
         Certificate("s", "guess", "pass")
@@ -51,22 +47,27 @@ def test_certificate_validates_and_compares_field_by_field():
         Certificate("s", "sturm", "maybe")
     with pytest.raises(ValueError, match="a failing certificate must carry a witness"):
         Certificate(subject="s", method="sturm", verdict="fail")
-    cert = Certificate("s", "sturm", "fail", {"d": 3}, 7)
+    assert Certificate._fields == ("subject", "method", "verdict", "witness")
+    cert = Certificate("s", "sturm", "fail", {"d": 3})
     assert cert == Certificate(subject="s", method="sturm", verdict="fail",
-                               witness={"d": 3}, millis=7)
-    for field, other in (("subject", "t"), ("method", "nseq"), ("witness", {"d": 4}),
-                         ("millis", 8)):
+                               witness={"d": 3})
+    for field, other in (("subject", "t"), ("method", "nseq"), ("witness", {"d": 4})):
         assert cert != Certificate(**{**cert.to_json(), field: other})
-    assert cert != Certificate("s", "sturm", "pass", {"d": 3}, 7)
+    assert cert != Certificate("s", "sturm", "pass", {"d": 3})
     assert cert != cert.to_json()
     assert not cert.passed and Certificate("s", "identity", "pass").passed
     assert Certificate("s", "identity", "pass").to_json() == {
-        "subject": "s", "method": "identity", "verdict": "pass", "witness": None,
-        "millis": 0}
+        "subject": "s", "method": "identity", "verdict": "pass", "witness": None}
     assert repr(cert) == ("Certificate(subject='s', method='sturm', verdict='fail', "
-                          "witness={'d': 3}, millis=7)")
+                          "witness={'d': 3})")
+    with pytest.raises(AttributeError):
+        cert.verdict = "pass"
+    with pytest.raises(AttributeError):
+        cert.millis = 7
     with pytest.raises(TypeError):
         hash(cert)
+    assert judge("s", "sturm", {"d": 3}, {"d": 1}) == cert
+    assert judge("s", "sturm", None, {"d": 1}) == Certificate("s", "sturm", "pass", {"d": 1})
 
 
 def test_grid_checks_cover_every_verify_certificate():
@@ -87,8 +88,7 @@ def test_library_and_cli_report_the_same_grid(case):
 
 @pytest.mark.parametrize("suite", cli.VERIFY_SUITES)
 def test_two_jobs_match_one_job(suite):
-    assert (_without_millis(cli.run_verify(suite, 3, 8, 2))
-            == _without_millis(cli.run_verify(suite, 3, 8, 1)))
+    assert cli.run_verify(suite, 3, 8, 2) == cli.run_verify(suite, 3, 8, 1)
 
 
 def test_grid_stops_at_the_first_failure_with_one_job():

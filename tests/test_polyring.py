@@ -124,7 +124,7 @@ def assert_leading_minors_match_cofactor(rows, start=0):
     bounds = {j: minor_degree_bound(rows, j) for j in range(n + 1)}
     got = leading_minors(rows, bounds, start)
     shift = X + start
-    assert got == [cofactor_minor(rows, j).compose(shift) for j in range(n + 1)]
+    assert got == [cofactor_minor(rows, j).eval(shift) for j in range(n + 1)]
 
 
 def test_leading_minors_match_cofactor_random():

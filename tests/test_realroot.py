@@ -109,7 +109,7 @@ def test_hurwitz_deltas_match_single_deltas_and_paper():
             # Evaluating from d = 2(m-1) on writes each Delta_2k in d'.
             shift = X + 2 * (m - 1)
             assert hurwitz_deltas(g, dg, k_max, 2 * (m - 1)) == [
-                v.compose(shift) for v in deltas]
+                v.eval(shift) for v in deltas]
             rows = hurwitz_rows(g, dg, k_max)
             for k, v in enumerate(deltas, 1):
                 assert v.degree <= minor_degree_bound(rows, 2 * k)

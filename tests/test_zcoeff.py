@@ -54,7 +54,7 @@ def test_z_coefficient_rejects_a_nonpositive_or_fractional_value(monkeypatch):
     with pytest.raises(IntegrityError, match=r"nonpositive Z coefficient z\(2,3,1\) = 0 via positive"):
         z_coefficient(2, 3, 1)
     monkeypatch.setattr(zcoeff, "z_positive", lambda m, d, i: Fraction(21, 2))
-    with pytest.raises(ValueError, match="expected an integer value, got 21/2"):
+    with pytest.raises(IntegrityError, match="expected an integer value, got 21/2"):
         z_coefficient(2, 3, 1)
 
 
