@@ -27,11 +27,12 @@ import os
 import sys
 import time
 
-ENGINE_VERSION = "klm-0.2.0"
+ENGINE_VERSION = "klm-0.3.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
 
 COMPUTE_KINDS = ("kl", "z", "char", "G", "Y", "Q", "R")
-# klcoeff.ROUTES, spelled out because the front imports no engine module.
+# The keys of klcoeff.ROUTES, spelled out because the front imports no engine
+# module.
 KL_ROUTES = ("recursive", "hook", "alternating", "positive")
 VERIFY_SUITES = ("formulas", "z-formulas", "hooks", "oracle", "identities",
                  "narayana", "reform")
@@ -269,13 +270,13 @@ def parse_poly_payload(payload: dict) -> Poly:
 def _cell_kl_root(m, d):
     from .klcoeff import kl_poly
     from .realroot import all_zeros_real_negative
-    return all_zeros_real_negative(kl_poly(m, d), f"kl-roots m={m} d={d}").to_json()
+    return all_zeros_real_negative(kl_poly(m, d), f"kl-roots m={m} d={d}")
 
 
 def _cell_z_root(m, d):
     from .realroot import all_zeros_real_negative
     from .zcoeff import z_from_kl
-    return all_zeros_real_negative(z_from_kl(m, d), f"z-roots m={m} d={d}").to_json()
+    return all_zeros_real_negative(z_from_kl(m, d), f"z-roots m={m} d={d}")
 
 
 def _cell_dseq(family, m, d):
@@ -283,12 +284,12 @@ def _cell_dseq(family, m, d):
     from .seqfactor import SeqSpec, seq_value
     spec = SeqSpec(family, m)
     gamma = [seq_value(spec, d, i) for i in range(d + 1)]
-    return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}").to_json()
+    return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
 
 
 def _cell_hurwitz(family, m):
     from .realroot import hurwitz_positivity_symbolic
-    return hurwitz_positivity_symbolic(family, m).to_json()
+    return hurwitz_positivity_symbolic(family, m)
 
 
 # -- compute ---------------------------------------------------------------------
@@ -374,27 +375,22 @@ def _format_certs(certs: list[Certificate], as_json: bool) -> tuple[str, int]:
 
 
 def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
-    """Regression CSV: one row per (m,d,i) with a column per formula route."""
+    """Regression CSV: one row per (m,d,i), one column per entry of the
+    suite's route table, empty where a route states no formula."""
     import csv
 
     from . import klcoeff, zcoeff
+    if suite == "formulas":
+        routes, cells = klcoeff.ROUTES, klcoeff.grid_cells(m_max, d_max)
+    else:
+        routes = zcoeff.ROUTES
+        cells = [(m, d, i) for m, d in zcoeff.grid_cells(m_max, d_max) for i in range(d + 1)]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        if suite == "formulas":
-            out.writerow(["m", "d", "i", "recursive", "hook", "alternating", "positive"])
-            for m, d, i in klcoeff.grid_cells(m_max, d_max):
-                hook = str(klcoeff.c_hook_form(m, d, i)) if i >= 1 else ""
-                out.writerow([m, d, i, klcoeff.c_recursive(m, d, i), hook,
-                              str(klcoeff.c_alternating(m, d, i)),
-                              str(klcoeff.c_positive(m, d, i))])
-        else:
-            out.writerow(["m", "d", "i", "from_kl", "alternating", "positive"])
-            for m, d in zcoeff.grid_cells(m_max, d_max):
-                z = zcoeff.z_from_kl(m, d)
-                for i in range(d + 1):
-                    alt = "1" if i == d else str(zcoeff.z_alternating(m, d, i))
-                    out.writerow([m, d, i, str(z.coeff(i)), alt,
-                                  str(zcoeff.z_positive(m, d, i))])
+        out.writerow(["m", "d", "i", *routes])
+        for m, d, i in cells:
+            values = (formula(m, d, i) for formula in routes.values())
+            out.writerow([m, d, i, *("" if v is None else str(v) for v in values)])
 
 
 def cmd_verify(args) -> int:
@@ -413,8 +409,8 @@ def cmd_verify(args) -> int:
 # -- certify ---------------------------------------------------------------------
 
 
-def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[dict]:
-    """The certificate records of target's grid, in grid order.
+def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Certificate]:
+    """The certificates of target's grid, in grid order.
 
     Each target imports its engine modules before map_cells starts the --jobs
     pool, so the forked workers inherit them instead of importing them again.
@@ -443,20 +439,8 @@ def cmd_certify(args) -> int:
     ms = parse_range(args.m)
     ds = parse_range(args.d) if args.d else [1]
 
-    def produce():
-        records = run_certify(args.target, ms, ds, args.jobs)
-        lines = []
-        code = 0
-        for rec in records:
-            if args.json:
-                lines.append(_emit_json(rec))
-            else:
-                lines.append(f"{rec['subject']}: {rec['verdict']}")
-            if rec["verdict"] != "pass":
-                code = 1
-        return "\n".join(lines) + "\n", code
-
-    return record_run(args, produce)
+    return record_run(args, lambda: _format_certs(
+        run_certify(args.target, ms, ds, args.jobs), args.json))
 
 
 # -- entry point -------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Writing P_{U_{m,d}}(t) = sum_i c(m,d,i) t^i with deg < d/2, the four routes
 are the defining recursion on the coefficients, the hook-length closed form,
 an alternating closed form, and a manifestly positive closed form.  All
-routes compute in exact rationals and must agree on the nose:
-``compare_routes_at`` compares them at one (m, d, i), and
-``verify_four_routes`` runs that comparison over a grid.
+routes compute in exact rationals and must agree on the nose.  ``ROUTES``
+is the one list of them: ``kl_coefficient`` indexes it, ``compare_routes_at``
+compares its entries at one (m, d, i), ``verify_four_routes`` runs that over
+a grid, and its keys are the CLI's route choices and CSV columns.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from math import factorial
 from .arith import IntegrityError, as_integer, binomial, inv_factorial, multinomial
 from .certificate import Certificate, grid_certificate
 from .polyring import Poly
-
-ROUTES = ("recursive", "hook", "alternating", "positive")
-
 
 def max_index(d: int) -> int:
     """Largest coefficient index of P_{U_{m,d}}: floor((d-1)/2)."""
@@ -94,22 +92,27 @@ def c_positive(m: int, d: int, i: int) -> Fraction:
     return Fraction(binomial(d + m, i) * total, d - i)
 
 
-_DISPATCH = {
+# Route name -> c(m,d,i) as a Fraction, or None where the route states no
+# formula (hook at i = 0).  Each entry looks its formula up at call time, so
+# a patched module function is the one that runs.
+ROUTES = {
     "recursive": lambda m, d, i: Fraction(c_recursive(m, d, i)),
-    "hook": lambda m, d, i: c_hook_form(m, d, i) if i >= 1 else c_positive(m, d, i),
-    "alternating": c_alternating,
-    "positive": c_positive,
+    "hook": lambda m, d, i: c_hook_form(m, d, i) if i >= 1 else None,
+    "alternating": lambda m, d, i: c_alternating(m, d, i),
+    "positive": lambda m, d, i: c_positive(m, d, i),
 }
 
 
 def kl_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
     """c(m,d,i) by the requested route, checked to be a nonnegative integer.
 
-    A value that is not a nonnegative integer raises IntegrityError.
+    Where the route states no formula, the positive form stands in.  A value
+    that is not a nonnegative integer raises IntegrityError.
     """
-    if route not in _DISPATCH:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    value = as_integer(_DISPATCH[route](m, d, i))
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {tuple(ROUTES)}")
+    value = ROUTES[route](m, d, i)
+    value = as_integer(ROUTES["positive"](m, d, i) if value is None else value)
     if value < 0:
         raise IntegrityError(f"negative KL coefficient c({m},{d},{i}) = {value} via {route}")
     return value
@@ -217,21 +220,17 @@ def verify_four_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
 
 
 def compare_routes_at(m: int, d: int, i: int) -> dict | None:
-    """One grid cell of the four-route check; None means agreement."""
-    values = {
-        "recursive": Fraction(c_recursive(m, d, i)),
-        "alternating": c_alternating(m, d, i),
-        "positive": c_positive(m, d, i),
-    }
+    """One grid cell of the four-route check, with the hook form at both of
+    its bounds; None means agreement."""
+    values = {route: formula(m, d, i) for route, formula in ROUTES.items()}
     if i >= 1:
-        values["hook"] = c_hook_form(m, d, i)
         values["hook_extended"] = c_hook_form(m, d, i, extended_bound=True)
     ref = values["recursive"]
     if ref.denominator != 1 or ref < 0:
         return {"m": m, "d": d, "i": i, "reason": "not a nonnegative integer",
                 "value": str(ref)}
     for route, val in values.items():
-        if val != ref:
+        if val is not None and val != ref:
             return {"m": m, "d": d, "i": i, "route": route,
                     "value": str(val), "recursive": str(ref)}
     return None

@@ -53,7 +53,6 @@ def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def symbolic_in_i(spec: SeqSpec) -> Poly:
     """The defining sum expanded as a polynomial in i with Poly-in-d coefficients."""
     m = spec.m

@@ -2,9 +2,10 @@
 
 Z_{U_{m,d}}(t) = sum_i z(m,d,i) t^i is assembled from the KL polynomials,
 or computed coefficientwise by an alternating closed form and by a positive
-closed form; ``compare_routes_at`` compares the three at one (m, d), and
-``verify_three_routes`` runs that comparison over a grid.  The m = 1 column
-specializes to Narayana polynomials.
+closed form.  ``ROUTES`` is the one list of them: ``z_coefficient`` and
+``z_poly`` index it, ``compare_routes_at`` compares its entries on one
+Z_{U_{m,d}}, ``verify_three_routes`` runs that over a grid, and its keys are
+the CLI's CSV columns.  The m = 1 column specializes to Narayana polynomials.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
     return value
 
 
+# Memoised: the from_kl route reads Z one coefficient at a time.
 @lru_cache(maxsize=None)
-def z_from_kl(m: int, d: int, route: str = "positive") -> Poly:
+def z_from_kl(m: int, d: int) -> Poly:
     """Z_{U_{m,d}}(t) = t^d + sum_k binom(d+m, k+m) t^{d-k} P_{U_{m,k}}(t)."""
     _check_range(m, d, 0)
     # Summed in ints (every KL coefficient is an integer), one Fraction each at the end.
@@ -43,7 +45,7 @@ def z_from_kl(m: int, d: int, route: str = "positive") -> Poly:
     coeffs[d] = 1
     for k in range(1, d + 1):
         pref = binomial(d + m, k + m)
-        for j, c in enumerate(kl_poly(m, k, route).coeffs):
+        for j, c in enumerate(kl_poly(m, k).coeffs):
             coeffs[d - k + j] += pref * as_integer(c)
     return Poly([Fraction(_positive_integer(m, d, i, c, "from_kl"))
                  for i, c in enumerate(coeffs)])
@@ -78,22 +80,26 @@ def z_positive(m: int, d: int, i: int) -> Fraction:
                     binomial(d + m, m) * den)
 
 
+# Route name -> z(m,d,i) as a Fraction; the alternating form is stated for
+# i < d, and z(m,d,d) = 1 by convention.  Each entry looks its formula up at
+# call time, so a patched module function is the one that runs.
+ROUTES = {
+    "from_kl": lambda m, d, i: z_from_kl(m, d).coeff(i),
+    "alternating": lambda m, d, i: Fraction(1) if i == d else z_alternating(m, d, i),
+    "positive": lambda m, d, i: z_positive(m, d, i),
+}
+
+
 def z_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
     """z(m,d,i) by the requested route, checked to be a positive integer."""
-    if route == "from_kl":
-        return as_integer(z_from_kl(m, d).coeff(i))
-    if route == "alternating":
-        value = Fraction(1) if i == d else z_alternating(m, d, i)
-    elif route == "positive":
-        value = z_positive(m, d, i)
-    else:
-        raise ValueError(f"unknown Z route {route!r}")
-    return _positive_integer(m, d, i, value, route)
+    if route not in ROUTES:
+        raise ValueError(f"unknown Z route {route!r}; expected one of {tuple(ROUTES)}")
+    _check_range(m, d, i)
+    return _positive_integer(m, d, i, ROUTES[route](m, d, i), route)
 
 
 def z_poly(m: int, d: int, route: str = "positive") -> Poly:
-    if route == "from_kl":
-        return z_from_kl(m, d)
+    """Z_{U_{m,d}}(t) assembled from the requested coefficient route."""
     return Poly(tuple(Fraction(z_coefficient(m, d, i, route)) for i in range(d + 1)))
 
 
@@ -126,11 +132,10 @@ def compare_routes_at(m: int, d: int) -> dict | None:
         if ref.denominator != 1 or ref <= 0:
             return {"m": m, "d": d, "i": i, "reason": "not a positive integer",
                     "value": str(ref)}
-        alt = Fraction(1) if i == d else z_alternating(m, d, i)
-        pos = z_positive(m, d, i)
-        if alt != ref or pos != ref:
-            return {"m": m, "d": d, "i": i, "from_kl": str(ref),
-                    "alternating": str(alt), "positive": str(pos)}
+        values = {route: formula(m, d, i) for route, formula in ROUTES.items()}
+        if any(val != ref for val in values.values()):
+            return {"m": m, "d": d, "i": i,
+                    **{route: str(val) for route, val in values.items()}}
     return None
 
 

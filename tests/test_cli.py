@@ -106,6 +106,17 @@ def test_verify_csv_export(tmp_path, run_cli):
     assert "1,3,1,2,2,2,2" in lines
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_text_certify_line_carries_its_witness(jobs, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(klcoeff, "kl_poly", lambda m, d: Poly((Fraction(1), Fraction(-1))))
+    argv = ["certify", "kl-roots", "--m", "2", "--d", "3..4", "--jobs", jobs,
+            "--cache", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 1
+    witness = '{"coeffs":["1","-1"],"distinct_zeros":1,"negative_real_zeros":0}'
+    assert capsys.readouterr().out == (f"kl-roots m=2 d=3: fail witness={witness}\n"
+                                       f"kl-roots m=2 d=4: fail witness={witness}\n")
+
+
 def test_certify_targets_and_ranges(tmp_path, run_cli):
     code, out, err = run_cli(["certify", "kl-roots", "--m", "2..3", "--d", "1..6"], tmp_path)
     assert code == 0 and out.count(": pass") == 12, err
@@ -149,7 +160,7 @@ def test_route_choices_are_the_engine_routes():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     route = next(a for a in commands.choices["compute"]._actions if a.dest == "route")
-    assert tuple(route.choices) == cli.KL_ROUTES == klcoeff.ROUTES
+    assert tuple(route.choices) == cli.KL_ROUTES == tuple(klcoeff.ROUTES)
 
 
 def test_verify_empty_grid_is_a_usage_error(tmp_path, run_cli):
@@ -185,9 +196,9 @@ def _negative_kl(m, d, i, route="positive"):
     (lambda mp: mp.setattr(seqfactor, "kl_coefficient", _negative_kl),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "negative KL coefficient"),
-    (lambda mp: mp.setattr(zcoeff, "kl_poly", lambda m, k, route: Poly((Fraction(1, 2),))),
+    (lambda mp: mp.setattr(zcoeff, "kl_poly", lambda m, k: Poly((Fraction(1, 2),))),
      ["compute", "z", "--m", "2", "--d", "3"], "expected an integer value, got 1/2"),
-    (lambda mp: mp.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(1, 2)),
+    (lambda mp: mp.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: Fraction(1, 2)),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "expected an integer value, got 1/2"),
 ], ids=["compute", "verify-jobs-2", "compute-fraction", "verify-fraction-jobs-2"])
@@ -419,6 +430,7 @@ def test_verify_csv_on_a_cache_hit_still_writes_the_csv(tmp_path, run_cli):
     assert cache.read_text() == records
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "m,d,i,from_kl,alternating,positive" and len(lines) == 1 + 2 * (2 + 3 + 4)
+    assert "2,3,1,10,10,10" in lines and "2,3,3,1,1,1" in lines
 
 
 def test_payload_holding_another_key_is_not_a_hit(tmp_path, run_cli):

@@ -85,10 +85,10 @@ def test_route_dispatch():
 
 
 def test_kl_coefficient_rejects_a_negative_or_fractional_route_value(monkeypatch):
-    monkeypatch.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(-3))
+    monkeypatch.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: Fraction(-3))
     with pytest.raises(IntegrityError, match=r"negative KL coefficient c\(2,5,1\) = -3 via positive"):
         kl_coefficient(2, 5, 1)
-    monkeypatch.setitem(klcoeff._DISPATCH, "positive", lambda m, d, i: Fraction(7, 2))
+    monkeypatch.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: Fraction(7, 2))
     with pytest.raises(IntegrityError, match="expected an integer value, got 7/2"):
         kl_coefficient(2, 5, 1)
 

@@ -31,11 +31,11 @@ def test_seq_spec_is_a_frozen_value():
         spec.extra = 1
 
 
-def test_a_fresh_seq_spec_hits_the_symbolic_memo():
-    symbolic_in_i(SeqSpec("f", 3))
-    hits = symbolic_in_i.cache_info().hits
-    assert symbolic_in_i(SeqSpec("f", 3)) == symbolic_in_i(SeqSpec("f", 3))
-    assert symbolic_in_i.cache_info().hits == hits + 2
+def test_a_fresh_seq_spec_hits_the_falling_memo():
+    expand_falling(SeqSpec("f", 3))
+    hits = expand_falling.cache_info().hits
+    assert expand_falling(SeqSpec("f", 3)) == expand_falling(SeqSpec("f", 3))
+    assert expand_falling.cache_info().hits == hits + 2
 
 
 def test_seq_value_examples():

@@ -39,7 +39,7 @@ def test_z_positive_examples():
 
 def test_z_from_kl_rejects_a_nonpositive_coefficient(monkeypatch):
     # With P = -1 for every k, Z_{U_{1,2}} = -1 - 3t + t^2.
-    monkeypatch.setattr(zcoeff, "kl_poly", lambda m, k, route: P(-1))
+    monkeypatch.setattr(zcoeff, "kl_poly", lambda m, k: P(-1))
     z_from_kl.cache_clear()
     try:
         with pytest.raises(IntegrityError,
@@ -56,6 +56,18 @@ def test_z_coefficient_rejects_a_nonpositive_or_fractional_value(monkeypatch):
     monkeypatch.setattr(zcoeff, "z_positive", lambda m, d, i: Fraction(21, 2))
     with pytest.raises(IntegrityError, match="expected an integer value, got 21/2"):
         z_coefficient(2, 3, 1)
+
+
+@pytest.mark.parametrize("route", ["from_kl", "alternating", "positive"])
+@pytest.mark.parametrize("i", [-1, 4, 5])
+def test_z_coefficient_rejects_an_index_outside_0_to_d(route, i):
+    with pytest.raises(ValueError, match=rf"Z coefficient index i={i} out of range \[0, 3\]"):
+        z_coefficient(2, 3, i, route)
+
+
+def test_z_coefficient_rejects_an_unknown_route():
+    with pytest.raises(ValueError, match="unknown Z route 'guess'"):
+        z_coefficient(2, 3, 1, "guess")
 
 
 def test_three_route_agreement_small_grid():
