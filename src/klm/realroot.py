@@ -8,12 +8,14 @@ multiple of the true Sturm remainder and sign variations stay exact.  The
 chain need not start from a squarefree p: its sign variations count the
 distinct real roots in (a, b] for endpoints that are not roots, and its
 last element is gcd(p, p'), which gives the distinct-root count and seeds
-the multiplicity profile.  Borchardt-Hermite Hurwitz determinants give an
-independent distinct-real-zeros criterion, numerically and symbolically in
-the shifted parameter d' = d - 2(m-1); all of them are leading minors of one
-Hurwitz matrix and come from one integer elimination per evaluation point.
-The n-sequence test and multiplier-sequence spot checks complete the
-toolbox.
+the multiplicity profile.  A palindromic polynomial (every Z-polynomial;
+Proudfoot-Xu-Young 2018) is certified on the chain of its half in t + 1/t
+when that shows only simple negative zeros.  Borchardt-Hermite Hurwitz
+determinants give an independent distinct-real-zeros criterion, numerically
+and symbolically in the shifted parameter d' = d - 2(m-1); all of them are
+leading minors of one Hurwitz matrix and come from one integer elimination
+per evaluation point.  The n-sequence test and multiplier-sequence spot
+checks complete the toolbox.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _integer_coeffs(p: Poly) -> list[int]:
+    """p's coefficients times the positive lcm of their denominators."""
+    fr = [Fraction(c) for c in p.coeffs]
+    den = lcm(*(c.denominator for c in fr))
+    return [c.numerator * (den // c.denominator) for c in fr]
+
+
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of (p, p') over the integers, each element primitive.
 
@@ -70,9 +79,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """
     if not p:
         raise ValueError("Sturm chain of the zero polynomial")
-    fr = [Fraction(c) for c in p.coeffs]
-    den = lcm(*(c.denominator for c in fr))
-    cur = _primitive_ints([c.numerator * (den // c.denominator) for c in fr])
+    cur = _primitive_ints(_integer_coeffs(p))
     chain = [cur]
     if len(cur) > 1:
         chain.append(_primitive_ints([k * c for k, c in enumerate(cur) if k]))
@@ -177,18 +184,68 @@ def multiplicity_profile(p: Poly, gcd_pp: Poly | None = None) -> list[int]:
     return [out[k] - (out[k + 1] if k + 1 < len(out) else 0) for k in range(len(out))]
 
 
+def _palindromic_half(p: Poly) -> Poly | None:
+    """W with p(t) = (1 + t)^e t^h W(t + 1/t), e = deg p mod 2, h = deg W,
+    or None when p (of degree >= 1) is not palindromic.
+
+    Each zero s of W gives the two zeros of t^2 - s t + 1 in p, so p has
+    deg p distinct negative zeros exactly when W(-2) != 0 (for odd degree,
+    -1 stays a simple zero) and W has deg W distinct zeros in (-inf, -2).
+    W is scaled by a positive integer, which moves none of its zeros.
+    """
+    cs = p.coeffs
+    n = len(cs) - 1
+    if n < 1 or cs != cs[::-1]:
+        return None
+    q = _integer_coeffs(p)
+    if n % 2:
+        # Divide by 1 + t; an odd palindromic polynomial vanishes at -1.
+        for i in range(1, n):
+            q[i] -= q[i - 1]
+        q.pop()
+    h = (len(q) - 1) // 2
+    # W(s) = q_h + sum_j q_{h+j} T_j(s) with T_j(t + 1/t) = t^j + t^-j:
+    # T_1 = s, T_{j+1} = s T_j - T_{j-1}, T_0 = 2.
+    w = [q[h]] + [0] * h
+    prev, cur = [2], [0, 1]
+    for j in range(1, h + 1):
+        for k, c in enumerate(cur):
+            w[k] += q[h + j] * c
+        nxt = [0] + cur
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+    return Poly(w)
+
+
 def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     """Certify that every complex zero of p is real and negative.
 
-    One Sturm chain counts the distinct negative zeros and, through its
-    last element gcd(p, p'), the distinct zeros; multiplicities cannot
-    move a zero off the negative axis.
+    A palindromic p of degree n >= 1 is settled on its half W of degree
+    about n/2 when that shows n distinct negative zeros; every other case
+    (a multiple zero, a zero off the negative axis, a non-palindromic p)
+    goes to the direct chain of ``_direct_certificate``.
     """
     subject = subject or "polynomial"
     if not p:
         raise ValueError("zero polynomial has no zero locus to certify")
     if p.eval(Fraction(0)) == 0:
         raise ValueError("p(0) = 0: a zero root fails 'only negative zeros' by definition")
+    w = _palindromic_half(p)
+    if (w is not None and _sign_at(w, -2) != 0
+            and _count(sturm_chain(w), NEG_INF, -2) == w.degree):
+        return judge(subject, "sturm", None, {
+            "distinct_zeros": p.degree, "multiplicities": [p.degree]})
+    return _direct_certificate(p, subject)
+
+
+def _direct_certificate(p: Poly, subject: str) -> Certificate:
+    """all_zeros_real_negative on p's own chain, p nonzero with p(0) != 0.
+
+    One Sturm chain counts the distinct negative zeros and, through its
+    last element gcd(p, p'), the distinct zeros; multiplicities cannot
+    move a zero off the negative axis.
+    """
     chain = sturm_chain(p)
     distinct = _distinct(p, chain)
     negative = _count(chain, NEG_INF, 0)

@@ -35,6 +35,13 @@ def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
     return value
 
 
+# Memoised: every Z_{U_{m,d}} with d >= k reads P_{U_{m,k}}.
+@lru_cache(maxsize=None)
+def _kl_row(m: int, k: int) -> tuple[int, ...]:
+    """The coefficients of P_{U_{m,k}}, each checked to be an integer."""
+    return tuple(as_integer(c) for c in kl_poly(m, k).coeffs)
+
+
 # Memoised: the from_kl route reads Z one coefficient at a time.
 @lru_cache(maxsize=None)
 def z_from_kl(m: int, d: int) -> Poly:
@@ -45,8 +52,8 @@ def z_from_kl(m: int, d: int) -> Poly:
     coeffs[d] = 1
     for k in range(1, d + 1):
         pref = binomial(d + m, k + m)
-        for j, c in enumerate(kl_poly(m, k).coeffs):
-            coeffs[d - k + j] += pref * as_integer(c)
+        for j, c in enumerate(_kl_row(m, k)):
+            coeffs[d - k + j] += pref * c
     return Poly([Fraction(_positive_integer(m, d, i, c, "from_kl"))
                  for i, c in enumerate(coeffs)])
 

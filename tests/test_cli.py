@@ -208,11 +208,13 @@ def test_internal_fault_exits_3(patch, argv, error, tmp_path, monkeypatch, capsy
     # --jobs 2 it is raised in a worker process.
     patch(monkeypatch)
     zcoeff.z_from_kl.cache_clear()
+    zcoeff._kl_row.cache_clear()
     cache = tmp_path / "c.jsonl"
     try:
         assert main(argv + ["--cache", str(cache)]) == 3
     finally:
         zcoeff.z_from_kl.cache_clear()
+        zcoeff._kl_row.cache_clear()
     assert f"internal error: IntegrityError: {error}" in capsys.readouterr().err
     assert not cache.exists()
 

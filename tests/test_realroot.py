@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from klm import realroot
 from klm.klcoeff import kl_poly
 from klm.polyring import (ONE, Poly, X, as_poly, det_cofactor, minor_degree_bound,
                           poly_gcd, squarefree_part)
-from klm.realroot import (NEG_INF, POS_INF, all_zeros_real_negative,
+from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_half,
+                          all_zeros_real_negative,
                           count_real_roots, distinct_real_certificate,
                           hurwitz_delta, hurwitz_deltas, hurwitz_matrix,
                           hurwitz_positivity_symbolic,
@@ -322,10 +325,78 @@ def test_sturm_chain_elements_are_positive_multiples():
                                  "coeffs": ["-2", "-1", "1"]}),
     (P(1, 0, 1), False, {"distinct_zeros": 2, "negative_real_zeros": 0,
                          "coeffs": ["1", "0", "1"]}),
+    # Palindromic: a constant, -1 alone, -1 doubled (W(-2) = 0), a simple
+    # odd case, and a pair on the unit circle.
+    (P(3), True, {"distinct_zeros": 0, "multiplicities": []}),
+    (P(2, 2), True, {"distinct_zeros": 1, "multiplicities": [1]}),
+    (P(1, 2, 1), True, {"distinct_zeros": 1, "multiplicities": [0, 1]}),
+    (P(1, 4, 4, 1), True, {"distinct_zeros": 3, "multiplicities": [3]}),
+    (P(1, 1, 1), False, {"distinct_zeros": 2, "negative_real_zeros": 0,
+                         "coeffs": ["1", "1", "1"]}),
 ])
 def test_all_zeros_real_negative_branches(p, passed, witness):
     cert = all_zeros_real_negative(p)
     assert (cert.passed, cert.witness) == (passed, witness)
+
+
+# -- the palindromic half ---------------------------------------------------------
+
+
+def _reciprocal_pair(r: Fraction) -> Poly:
+    """(t - r)(t - 1/r), palindromic; a double zero at r = 1 or r = -1."""
+    return P(1, -(r + 1 / r), 1)
+
+
+def _mirrored(half: list, middle: bool) -> Poly:
+    """The palindromic polynomial whose low coefficients are half; with
+    middle, half's last entry is its one middle coefficient (even degree)."""
+    return Poly(tuple(half + half[-1 - middle::-1]))
+
+
+ratio = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+palindromic_factor = st.one_of(
+    st.builds(_reciprocal_pair, ratio),
+    st.builds(lambda k: P(1, 1) ** k, st.integers(0, 3)),
+    # t^2 + c t + 1: zeros on the unit circle for |c| < 2 (t^2 + t + 1 at
+    # c = 1), a double zero at c = 2, an irrational reciprocal pair beyond.
+    st.builds(lambda c: P(1, c, 1), st.integers(-5, 5)),
+)
+palindromic_product = st.builds(
+    _product, st.lists(palindromic_factor, min_size=1, max_size=5),
+    st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)]))
+palindromic_dense = st.builds(
+    _mirrored,
+    st.lists(st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-9, 9),
+                                                       st.integers(1, 5))),
+             min_size=1, max_size=6).filter(lambda half: half[0] != 0),
+    st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(palindromic_product, palindromic_dense, factored, dense))
+def test_palindromic_half_gives_the_direct_certificate(p):
+    assume(p and p.eval(Fraction(0)) != 0)
+    assert all_zeros_real_negative(p, "p") == _direct_certificate(p, "p")
+    w = _palindromic_half(p)
+    if p.degree < 1 or p.coeffs != p.coeffs[::-1]:
+        assert w is None
+        return
+    # den * p(t) = (1 + t)^e t^h W(t + 1/t), den the lcm of p's denominators.
+    den = lcm(*(Fraction(c).denominator for c in p.coeffs))
+    for t in (Fraction(2), Fraction(-3, 2), Fraction(5, 7)):
+        assert den * p.eval(t) == ((1 + t) ** (p.degree % 2) * t ** w.degree
+                                   * w.eval(t + 1 / t))
+
+
+def test_every_z_is_settled_on_its_half_with_the_direct_certificate(monkeypatch):
+    # Z_{U_{m,d}} is palindromic with simple negative zeros, so the halved
+    # path settles each one and never reaches the direct chain.
+    zs = [z_from_kl(m, d) for m in range(1, 9) for d in range(1, 41)]
+    zs += [z_from_kl(m, d) for m in (2, 3) for d in range(41, 61)]
+    direct = [_direct_certificate(z, "z") for z in zs]
+    monkeypatch.setattr(realroot, "_direct_certificate", None)
+    assert [all_zeros_real_negative(z, "z") for z in zs] == direct
+    assert all(c.passed for c in direct)
 
 
 def test_n_sequence_positive_branch():

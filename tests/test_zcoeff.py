@@ -41,12 +41,14 @@ def test_z_from_kl_rejects_a_nonpositive_coefficient(monkeypatch):
     # With P = -1 for every k, Z_{U_{1,2}} = -1 - 3t + t^2.
     monkeypatch.setattr(zcoeff, "kl_poly", lambda m, k: P(-1))
     z_from_kl.cache_clear()
+    zcoeff._kl_row.cache_clear()
     try:
         with pytest.raises(IntegrityError,
                            match=r"nonpositive Z coefficient z\(1,2,0\) = -1 via from_kl"):
             z_from_kl(1, 2)
     finally:
         z_from_kl.cache_clear()
+        zcoeff._kl_row.cache_clear()
 
 
 def test_z_coefficient_rejects_a_nonpositive_or_fractional_value(monkeypatch):
