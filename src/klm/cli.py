@@ -225,6 +225,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def check_args(args) -> None:
+    """Reject an argument that args' command would ignore, and a missing --d.
+
+    Runs before the cache is read and before any engine module loads.
+    """
+    if args.command == "compute":
+        if args.symbolic_d and args.kind not in ("G", "Y"):
+            raise UsageError(f"--symbolic-d applies to kinds G and Y, not {args.kind}")
+        if args.symbolic_d and args.d is not None:
+            raise UsageError(f"compute {args.kind} takes --d or --symbolic-d, not both")
+        if args.d is None and not args.symbolic_d:
+            raise UsageError(f"compute {args.kind} requires --d"
+                             + (" or --symbolic-d" if args.kind in ("G", "Y") else ""))
+    if args.command == "certify" and args.target.startswith("hurwitz") and args.d is not None:
+        raise UsageError(f"certify {args.target} covers every d and takes no --d")
+
+
 def _exit_code(run, args) -> int | None:
     """run(args), with bad input reported as a usage error (exit 2) and any
     other fault as an internal error (exit 3)."""
@@ -297,10 +314,6 @@ def _cell_hurwitz(family, m):
 
 def compute_poly(kind: str, m: int, d: int | None, route: str,
                  symbolic_d: bool) -> tuple[Poly, int | None]:
-    if kind in ("kl", "z", "char", "Q", "R") and d is None:
-        raise UsageError(f"compute {kind} requires --d")
-    if kind in ("G", "Y") and d is None and not symbolic_d:
-        raise UsageError(f"compute {kind} requires --d or --symbolic-d")
     if kind == "kl":
         from .klcoeff import kl_poly
         return kl_poly(m, d, route), d
@@ -455,6 +468,7 @@ def run_fresh(args) -> int:
 
 def execute(args) -> int:
     """Replay args' command from the cache, or run it fresh."""
+    check_args(args)
     code = replay(args)
     return run_fresh(args) if code is None else code
 

@@ -11,7 +11,9 @@ fraction-free Bareiss elimination over the integers (Bareiss 1968) serves
 them all: with row swaps it gives the determinant of a Fraction matrix;
 without them its diagonal holds every leading principal minor, which is how
 a matrix of Polys-in-d yields all its leading minors from one pass per
-integer evaluation point, interpolated back exactly.
+integer evaluation point, interpolated back exactly.  A caller with a
+cheaper route to those values (the Hurwitz determinants' subresultant PRS)
+passes it in, and the elimination checks it at three points.
 """
 
 from __future__ import annotations
@@ -375,7 +377,16 @@ def minor_degree_bound(rows: list[list], j: int) -> int:
     return min(sum(map(max, degs)), sum(map(max, zip(*degs))))
 
 
-def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0) -> list[Poly]:
+def horner(cs, x: int) -> int:
+    """The integer polynomial with ascending coefficients cs, evaluated at x."""
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0,
+                   shortcut=None) -> list[Poly]:
     """Leading principal minors of a square matrix of Polys-in-d (or scalars).
 
     bounds maps each wanted order j to a bound on the degree of the j x j
@@ -386,6 +397,11 @@ def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0) -> 
     pivot vanishes, the larger wanted minors at that point come from
     det_fraction on their leading block.  Each minor is interpolated from
     its first bound + 1 values and returned as a polynomial in d - start.
+
+    shortcut(x), when given, maps each order in bounds to its minor of the
+    cleared rows at d = x, or returns None where only elimination applies.
+    Its values are checked against the elimination at the first, middle and
+    last point, and a disagreement raises IntegrityError.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -400,24 +416,27 @@ def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0) -> 
         scales.append(den)
         cells.append([index.setdefault(tuple(int(c * den) for c in cs), len(index))
                       for cs in entries])
-    values: dict[int, list[int]] = {j: [] for j in bounds}
-    for t in range(max(bounds.values(), default=-1) + 1):
-        x = start + t
-        at_x = []
-        for cs in index:
-            v = 0
-            for c in reversed(cs):
-                v = v * x + c
-            at_x.append(v)
+
+    def eliminate(x: int, orders: list[int]) -> dict[int, int]:
+        at_x = [horner(cs, x) for cs in index]
         pivots, _ = _bareiss([[at_x[i] for i in row] for row in cells], swap=False)
-        for j, ys in values.items():
-            if t > bounds[j]:
-                continue
-            if j <= len(pivots):
-                ys.append(pivots[j - 1] if j else 1)
-            else:
-                block = [[at_x[i] for i in row[:j]] for row in cells[:j]]
-                ys.append(det_fraction(block).numerator)
+        return {j: (pivots[j - 1] if j else 1) if j <= len(pivots) else
+                det_fraction([[at_x[i] for i in row[:j]] for row in cells[:j]]).numerator
+                for j in orders}
+
+    values: dict[int, list[int]] = {j: [] for j in bounds}
+    top = max(bounds.values(), default=-1)
+    for t in range(top + 1):
+        x = start + t
+        wanted = [j for j in bounds if t <= bounds[j]]
+        got = shortcut(x) if shortcut else None
+        if got is None or t in (0, top // 2, top):
+            ref = eliminate(x, wanted)
+            if got is not None and any(got[j] != v for j, v in ref.items()):
+                raise IntegrityError(f"leading minors at d = {x} disagree with elimination")
+            got = ref
+        for j in wanted:
+            values[j].append(got[j])
     out = []
     for j, ys in values.items():
         den = 1

@@ -12,10 +12,13 @@ the multiplicity profile.  A palindromic polynomial (every Z-polynomial;
 Proudfoot-Xu-Young 2018) is certified on the chain of its half in t + 1/t
 when that shows only simple negative zeros.  Borchardt-Hermite Hurwitz
 determinants give an independent distinct-real-zeros criterion, numerically
-and symbolically in the shifted parameter d' = d - 2(m-1); all of them are
-leading minors of one Hurwitz matrix and come from one integer elimination
-per evaluation point.  The n-sequence test and multiplier-sequence spot
-checks complete the toolbox.
+and symbolically in the shifted parameter d' = d - 2(m-1).  All of them are
+leading minors of one Hurwitz matrix: numeric ones come from one integer
+elimination, which keeps them independent of the Sturm chain they are
+checked against; symbolic ones are interpolated from the values of one
+subresultant PRS per evaluation point (Collins 1967), checked against the
+elimination at three points.  The n-sequence test and multiplier-sequence
+spot checks complete the toolbox.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import gcd, lcm
 
 from .arith import binomial
 from .certificate import Certificate, judge
-from .polyring import Poly, X, leading_minors, minor_degree_bound
+from .polyring import Poly, X, as_poly, horner, leading_minors, minor_degree_bound
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -278,26 +281,67 @@ def hurwitz_matrix(a_desc: list, b_desc: list, k: int) -> list[list]:
     return rows
 
 
+def _subresultant_deltas(a: list[int], b: list[int], k_max: int) -> dict[int, int] | None:
+    """{2k: Delta_2k(A, B)} for k <= k_max from the subresultant PRS of integer
+    A (coefficients a, ascending, degree n) and B (formal degree n - 1).
+
+    Delta_2k = eps_k lc(A) psc_{n-k}(A, B), eps_k = (-1)^(k(k-1)/2), and in
+    the normal case psc_{n-k} is the leading coefficient of R_{k+1}, where
+    R_1 = A, R_2 = B, R_3 = prem(A, B) and R_{i+2} = prem(R_i, R_{i+1}) / lc(R_i)^2
+    exactly (Collins 1967).  None unless lc(A) != 0 and every R_{k+1} has
+    degree n - k: a degree gap needs the elimination.
+    """
+    n = len(a) - 1
+    if not a[-1]:
+        return None
+    out, prev, cur = {}, a, b
+    for k in range(1, k_max + 1):
+        if len(cur) != n - k + 1 or not cur[-1]:
+            return None
+        out[2 * k] = (-1) ** (k * (k - 1) // 2) * a[-1] * cur[-1]
+        if k < k_max:
+            # Every step drops one degree, so _pseudo_rem's |lc|^2 is lc^2.
+            scale = prev[-1] ** 2 if k > 1 else 1
+            prev, cur = cur, [c // scale for c in _pseudo_rem(prev, cur)]
+    return out
+
+
 def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
     """Hurwitz determinants [Delta_2, ..., Delta_2K](A, B) for K = k_max, exact.
 
     The 2k x 2k Hurwitz matrix is the leading block of the 2K x 2K one, so
-    every Delta_2k is a leading principal minor of one matrix, and one
-    integer Bareiss pass per evaluation point yields them all.  Numeric
-    coefficients give Fractions; Poly-in-d coefficients give each Delta_2k
-    as an exact polynomial in d - shift.
+    every Delta_2k is a leading principal minor of one matrix.  Numeric
+    coefficients give Fractions, from one integer Bareiss pass.  Poly-in-d
+    coefficients give each Delta_2k as an exact polynomial in d - shift,
+    interpolated from its values at integer points; when deg B < deg A each
+    point's values come from one subresultant PRS of the integer A(d), B(d),
+    checked against the elimination at three points, with the elimination
+    wherever lc(A)(d) = 0 or the PRS has a degree gap.
     """
     if not a:
         raise ValueError("Hurwitz determinants need a nonzero leading coefficient")
     if k_max < 1:
         raise ValueError(f"Hurwitz index k must be >= 1, got {k_max}")
     n = a.degree
+    symbolic = any(isinstance(c, Poly) for c in a.coeffs + b.coeffs)
+    if symbolic:
+        # Clear A and B to integer polynomials in d; Delta_2k scales by den^k.
+        den_a, den_b = (lcm(*(Fraction(c).denominator for e in p.coeffs
+                              for c in as_poly(e).coeffs)) for p in (a, b))
+        a, b = a * den_a, b * den_b
     rows = hurwitz_matrix(_descending(a, n), _descending(b, n), k_max)
-    minors = leading_minors(rows, {2 * k: minor_degree_bound(rows, 2 * k)
-                                   for k in range(1, k_max + 1)}, shift)
-    if any(isinstance(c, Poly) for c in a.coeffs + b.coeffs):
-        return minors
-    return [v.coeff(0) for v in minors]
+    bounds = {2 * k: minor_degree_bound(rows, 2 * k) for k in range(1, k_max + 1)}
+    if not symbolic:
+        return [v.coeff(0) for v in leading_minors(rows, bounds)]
+    a_int, b_int = ([[int(c) for c in as_poly(e).coeffs] for e in p.coeffs] for p in (a, b))
+    b_int += [[]] * (n - len(b_int))  # B at its formal degree n - 1
+
+    def subresultants(x: int) -> dict[int, int] | None:
+        return _subresultant_deltas([horner(cs, x) for cs in a_int],
+                                    [horner(cs, x) for cs in b_int], k_max)
+
+    minors = leading_minors(rows, bounds, shift, subresultants if b.degree < n else None)
+    return [v * Fraction(1, (den_a * den_b) ** k) for k, v in enumerate(minors, 1)]
 
 
 def hurwitz_delta(a: Poly, b: Poly, k: int):

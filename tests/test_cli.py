@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from klm import cli, klcoeff, seqfactor, zcoeff
+from klm import cli, klcoeff, realroot, seqfactor, zcoeff
 from klm.cli import main, parse_poly_payload, parse_range
 from klm.polyring import IntegrityError, Poly
 
@@ -190,6 +190,11 @@ def _negative_kl(m, d, i, route="positive"):
     raise IntegrityError(f"negative KL coefficient c({m},{d},{i})")
 
 
+def _tampered_subresultants(a, b, k_max, prs=realroot._subresultant_deltas):
+    out = prs(a, b, k_max)
+    return out and {**out, 2: out[2] + 1}
+
+
 @pytest.mark.parametrize("patch, argv, error", [
     (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
      ["compute", "kl", "--m", "2", "--d", "3"], "negative KL coefficient"),
@@ -201,7 +206,10 @@ def _negative_kl(m, d, i, route="positive"):
     (lambda mp: mp.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: Fraction(1, 2)),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "expected an integer value, got 1/2"),
-], ids=["compute", "verify-jobs-2", "compute-fraction", "verify-fraction-jobs-2"])
+    (lambda mp: mp.setattr(realroot, "_subresultant_deltas", _tampered_subresultants),
+     ["certify", "hurwitz-G", "--m", "2"], "leading minors at d = 2 disagree"),
+], ids=["compute", "verify-jobs-2", "compute-fraction", "verify-fraction-jobs-2",
+        "hurwitz-spot-check"])
 def test_internal_fault_exits_3(patch, argv, error, tmp_path, monkeypatch, capsys):
     # An engine cross-check failing, or a computed value that is not an
     # integer, is neither a counterexample (1) nor a usage error (2); with
@@ -360,6 +368,25 @@ def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
     assert f"usage error: cache path {path!r} {message}" in proc.stderr
     assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "hurwitz-G", "--m", "2", "--d", "7"],
+     "certify hurwitz-G covers every d and takes no --d"),
+    (["compute", "kl", "--m", "2", "--d", "5", "--symbolic-d"],
+     "--symbolic-d applies to kinds G and Y, not kl"),
+    (["compute", "G", "--m", "2", "--symbolic-d", "--d", "3"],
+     "compute G takes --d or --symbolic-d, not both"),
+], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d"])
+def test_an_ignored_argument_is_a_usage_error(argv, message, tmp_path, cli_env):
+    # A record a run stored before the check existed is not replayed either.
+    cache = tmp_path / "cache.jsonl"
+    _seed_record(cache, argv, "stale\n", 0)
+    proc = _traced_run(argv, tmp_path, cli_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"usage error: {message}" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    assert len(cache.read_text().splitlines()) == 1
 
 
 def test_import_klm_is_lazy(cli_env):

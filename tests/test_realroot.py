@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from klm import realroot
 from klm.klcoeff import kl_poly
-from klm.polyring import (ONE, Poly, X, as_poly, det_cofactor, minor_degree_bound,
-                          poly_gcd, squarefree_part)
+from klm.polyring import (ONE, IntegrityError, Poly, X, as_poly, det_cofactor,
+                          leading_minors, minor_degree_bound, poly_gcd, squarefree_part)
 from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_half,
                           all_zeros_real_negative,
                           count_real_roots, distinct_real_certificate,
@@ -147,6 +147,97 @@ def test_hurwitz_deltas_numeric_match_cofactor():
                 for k in range(1, a.degree + 1)]
         got = hurwitz_deltas(a, b, a.degree)
         assert got == want and all(isinstance(v, Fraction) for v in got)
+
+
+# -- symbolic Hurwitz determinants from the subresultant PRS ----------------------
+
+
+def elimination_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list[Poly]:
+    """Delta_2k(A, B) from leading_minors alone, without the subresultant PRS."""
+    rows = hurwitz_rows(a, b, k_max)
+    return leading_minors(rows, {2 * k: minor_degree_bound(rows, 2 * k)
+                                 for k in range(1, k_max + 1)}, shift)
+
+
+def prs_fallback_points(monkeypatch) -> list[bool]:
+    """One entry per sweep point, in order: True where the PRS gave no values."""
+    calls = []
+    prs = realroot._subresultant_deltas
+
+    def spy(a, b, k_max):
+        out = prs(a, b, k_max)
+        calls.append(out is None)
+        return out
+    monkeypatch.setattr(realroot, "_subresultant_deltas", spy)
+    return calls
+
+
+rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+poly_in_d = st.lists(rational, max_size=3).map(lambda cs: Poly(tuple(cs)))
+
+
+@st.composite
+def hurwitz_pairs(draw):
+    """(A, B, k_max, shift): A of degree 1..6 in t with coefficients of degree
+    <= 2 in d, and B = A' or a random B of lower degree in t."""
+    a = Poly(tuple(draw(st.lists(poly_in_d, min_size=2, max_size=7))))
+    assume(a.degree >= 1)
+    if draw(st.booleans()):
+        b = a.derivative()
+    else:
+        b = Poly(tuple(draw(st.lists(poly_in_d, max_size=a.degree))))
+    return a, b, draw(st.integers(1, a.degree)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hurwitz_pairs())
+def test_symbolic_hurwitz_deltas_match_the_elimination(case):
+    a, b, k_max, shift = case
+    assert hurwitz_deltas(a, b, k_max, shift) == elimination_deltas(a, b, k_max, shift)
+
+
+def T(*coeffs) -> Poly:
+    """A polynomial in t whose coefficients are polynomials in d."""
+    return Poly(tuple(as_poly(c) for c in coeffs))
+
+
+def with_derivative(a: Poly) -> tuple[Poly, Poly]:
+    return a, a.derivative()
+
+
+@pytest.mark.parametrize("a, b, fallbacks", [
+    # lc(A) = d - 2 vanishes at the sweep point d = 2 only, where lc(B) = 1.
+    (T(1, X + 1, X, X - 2), T(X, 1, 1), [2]),
+    # (t - d + 4)(t + 1)(t + 5) has a double zero at d = 3 only.
+    (*with_derivative(T(4 - X, 1) * T(1, 1) * T(5, 1)), [3]),
+    # (t - d + 3)^2 (t + 1) has a double zero at every d (a triple one at
+    # d = 2), so the PRS ends early and every point falls back.
+    (*with_derivative(T(3 - X, 1) ** 2 * T(1, 1)), list(range(10))),
+], ids=["lc-vanishes", "double-zero-at-one-d", "double-zero-at-every-d"])
+def test_symbolic_hurwitz_deltas_fall_back_to_the_elimination(a, b, fallbacks, monkeypatch):
+    calls = prs_fallback_points(monkeypatch)
+    got = hurwitz_deltas(a, b, a.degree)
+    assert [t for t, fell_back in enumerate(calls) if fell_back] == fallbacks
+    assert got == elimination_deltas(a, b, a.degree)
+    rows = hurwitz_rows(a, b, a.degree)
+    assert got == [as_poly(det_cofactor([r[:2 * k] for r in rows[:2 * k]]))
+                   for k in range(1, a.degree + 1)]
+
+
+@pytest.mark.parametrize("t", [0, 4, 8], ids=["first", "middle", "last"])
+def test_a_wrong_prs_value_trips_the_spot_check(t, monkeypatch):
+    # Delta_4 of G_2 has degree 8 in d', so the sweep runs over d' = 0..8.
+    calls = []
+    prs = realroot._subresultant_deltas
+
+    def tampered(a, b, k_max):
+        out = prs(a, b, k_max)
+        calls.append(None)
+        return {**out, 4: out[4] + 1} if len(calls) == t + 1 else out
+    monkeypatch.setattr(realroot, "_subresultant_deltas", tampered)
+    g = gy_poly(SeqSpec("f", 2))
+    with pytest.raises(IntegrityError, match=f"leading minors at d = {2 + t} disagree"):
+        hurwitz_deltas(g, g.derivative(), 2, 2)
 
 
 def test_distinct_real_certificate_examples():
