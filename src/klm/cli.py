@@ -238,8 +238,11 @@ def check_args(args) -> None:
         if args.d is None and not args.symbolic_d:
             raise UsageError(f"compute {args.kind} requires --d"
                              + (" or --symbolic-d" if args.kind in ("G", "Y") else ""))
-    if args.command == "certify" and args.target.startswith("hurwitz") and args.d is not None:
-        raise UsageError(f"certify {args.target} covers every d and takes no --d")
+    if args.command == "certify":
+        if args.target.startswith("hurwitz") and args.d is not None:
+            raise UsageError(f"certify {args.target} covers every d and takes no --d")
+        if not args.target.startswith("hurwitz") and args.d is None:
+            raise UsageError(f"certify {args.target} requires --d")
 
 
 def _exit_code(run, args) -> int | None:
@@ -450,7 +453,7 @@ def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Ce
 
 def cmd_certify(args) -> int:
     ms = parse_range(args.m)
-    ds = parse_range(args.d) if args.d else [1]
+    ds = parse_range(args.d) if args.d is not None else []
 
     return record_run(args, lambda: _format_certs(
         run_certify(args.target, ms, ds, args.jobs), args.json))

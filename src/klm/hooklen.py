@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 from .certificate import Certificate, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
@@ -41,21 +42,23 @@ class Partition(namedtuple("Partition", "parts")):
 def hook_lengths(shape: Partition) -> list[list[int]]:
     """Hook length of every cell: arm + leg + 1, row-major."""
     parts = shape.parts
-    cols = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
+    cols: list[int] = []  # column lengths, the conjugate partition
+    for r in range(len(parts) - 1, -1, -1):
+        cols += [r + 1] * (parts[r] - len(cols))
     return [[(parts[r] - c - 1) + (cols[c] - r - 1) + 1 for c in range(parts[r])]
             for r in range(len(parts))]
 
 
+@lru_cache(maxsize=None)
 def dim_irrep(shape: Partition) -> int:
-    """Hook-length formula: n! / product of hook lengths."""
-    prod = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            prod *= h
+    """Hook-length formula: n! / product of hook lengths, once per shape
+    (an equivariant shape recurs for every (m, d) with the same m + d)."""
+    hook_product = prod(h for row in hook_lengths(shape) for h in row)
     num = factorial(shape.n)
-    if num % prod:
-        raise ArithmeticError(f"hook product {prod} does not divide {shape.n}! for {shape}")
-    return num // prod
+    if num % hook_product:
+        raise ArithmeticError(f"hook product {hook_product} does not divide {shape.n}! "
+                              f"for {shape}")
+    return num // hook_product
 
 
 def count_syt(shape: Partition) -> int:
@@ -146,27 +149,20 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
         return {**where, "identity": "first-row piecewise values",
                 "piecewise": piecewise, "hooks": hooks[0]}
 
-    row1 = 1
-    for v in hooks[0]:
-        row1 *= v
+    row1 = prod(hooks[0])
     want1 = Fraction((m + d - i - h) * (m + d - i - h + 1)
                      * factorial(m + d - 2 * i - h), m + d - 2 * i - 2 * h + 1)
     if row1 != want1:
         return {**where, "identity": "first-row product", "product": row1,
                 "closed_form": str(want1)}
 
-    row2 = 1
-    for v in hooks[1]:
-        row2 *= v
+    row2 = prod(hooks[1])
     want2 = (i + h) * (i + h - 1) * factorial(h - 1)
     if row2 != want2:
         return {**where, "identity": "second-row product", "product": row2,
                 "closed_form": want2}
 
-    tail = 1
-    for row in hooks[2:]:
-        for v in row:
-            tail *= v
+    tail = prod(v for row in hooks[2:] for v in row)
     want_tail = factorial(i) * factorial(i - 1)
     if tail != want_tail:
         return {**where, "identity": "tail product", "product": tail,

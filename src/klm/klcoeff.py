@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import IntegrityError, as_integer, binomial, inv_factorial, multinomial
+from .arith import IntegrityError, as_integer, binomial, multinomial
 from .certificate import Certificate, grid_certificate
 from .polyring import Poly
 
@@ -128,25 +128,28 @@ def kl_poly(m: int, d: int, route: str = "positive") -> Poly:
 # -- proof-internal identities ------------------------------------------------
 
 
+# Each term of p_sum and q_sum is one Fraction of integer factorial products.
+# A term with a negative factorial argument is skipped: the paper's sums take
+# 1/(negative)! = 0.
 def p_sum(m: int, d: int, i: int) -> Fraction:
     """The alternating h-sum p_m from the recursion-consistency proof."""
     total = Fraction(0)
     for h in range(1, m + 1):
         a = d - h - i + m - 1
-        if a < 0:
+        if a < 0 or d - 2 * i - h < 0:
             continue
-        total += ((-1) ** (i + h + 1) * h * factorial(a)
-                  * inv_factorial(h + i) * inv_factorial(m - h) * inv_factorial(d - 2 * i - h))
+        total += Fraction((-1) ** (i + h + 1) * h * factorial(a),
+                          factorial(h + i) * factorial(m - h) * factorial(d - 2 * i - h))
     return total
 
 
 def q_sum(m: int, d: int, i: int) -> Fraction:
     """The alternating j-sum q_m paired with p_m; p_m - q_m = 1."""
     total = Fraction(0)
-    for j in range(i + 1):
-        total += ((-1) ** (j + 1) * (i - j) * factorial(m + d - i)
-                  * Fraction(1, (i + m) * (j + m))
-                  * inv_factorial(j) * inv_factorial(d - i - j) * inv_factorial(m - 1))
+    for j in range(min(i, d - i) + 1):
+        total += Fraction((-1) ** (j + 1) * (i - j) * factorial(m + d - i),
+                          (i + m) * (j + m) * factorial(j) * factorial(d - i - j)
+                          * factorial(m - 1))
     return total
 
 
@@ -188,16 +191,16 @@ def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
         return None
     base = Fraction(binomial(d - i, i + 1), d - i)
     for form, fn in (("alternating", f_normalized_alternating), ("hook", f_normalized_hook)):
-        if fn(1, d, i) != base:
+        f = {m: fn(m, d, i) for m in range(1, m_max + 1)}
+        if f[1] != base:
             return {"identity": "f_1 base case", "form": form, "d": d, "i": i,
-                    "got": str(fn(1, d, i)), "want": str(base)}
+                    "got": str(f[1]), "want": str(base)}
         for m in range(1, m_max):
             step = Fraction(binomial(d - i + m, m + i + 1) * binomial(i - 1 + m, m), d - i)
-            if fn(m + 1, d, i) - fn(m, d, i) != step:
+            if f[m + 1] - f[m] != step:
                 return {"identity": "recurrence difference", "form": form,
                         "m": m, "d": d, "i": i,
-                        "difference": str(fn(m + 1, d, i) - fn(m, d, i)),
-                        "want": str(step)}
+                        "difference": str(f[m + 1] - f[m]), "want": str(step)}
     return None
 
 

@@ -10,7 +10,6 @@ scale, the structural facts the rank-grouped fast path relies on.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -74,7 +73,7 @@ def char_poly(lattice: RankedLattice) -> Poly:
     """chi(t) = sum_F mu(bottom, F) t^{rank - rank F}, grouped by rank."""
     m, d = lattice.m, lattice.d
     proper, top = _mobius_by_rank(m, d)
-    coeffs = [Fraction(0)] * (d + 1)
+    coeffs = [0] * (d + 1)
     for k in range(d):
         coeffs[d - k] += binomial(m + d, k) * proper[k]
     coeffs[0] += top
@@ -97,7 +96,7 @@ def kl_defining(m: int, d: int) -> tuple[Poly, bool]:
         # Localization at a rank-k flat is the free matroid on k elements;
         # contraction is U_{m, d-k}.  binom(m+d, k) flats share each rank.
         chi = char_poly(RankedLattice(0, k))
-        p_contr = kl_defining(m, d - k)[0] if d - k >= 1 else Poly((Fraction(1),))
+        p_contr = kl_defining(m, d - k)[0] if d - k >= 1 else Poly((1,))
         r = r + binomial(m + d, k) * (chi * p_contr)
     r = r + char_poly(RankedLattice(m, d))
 
@@ -114,8 +113,8 @@ def z_defining(m: int, d: int) -> Poly:
     """Z_{U_{m,d}}(t) = sum_F t^{rk M_F} P_{M^F}(t), grouped by flat rank."""
     if m < 1 or d < 1:
         raise ValueError(f"z_defining requires m, d >= 1, got m={m}, d={d}")
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
     for k in range(d):
         p_contr = kl_defining(m, d - k)[0]
         mult = binomial(m + d, k)
@@ -146,19 +145,19 @@ class ExplicitLattice:
     """Lattice of flats built from the raw rank function by subset closure.
 
     A subset of the ground set {0, ..., n-1} is an int bitmask with bit x set
-    when x belongs to it.  ``masks`` lists the flats by size, then
-    lexicographically; ``flats`` builds the same list as frozensets.
+    when x belongs to it.  ``ranks`` holds rank_fn of every subset, read once;
+    ``masks`` lists the flats by size, then lexicographically, ``flats`` as frozensets.
     """
 
     def __init__(self, n: int, d: int):
         if n > 20:
             raise ValueError("explicit closure is a tiny-scale audit path")
-        self.n = n
-        self.d = d
+        self.n, self.d = n, d
+        self.ranks = [self.rank_fn(s) for s in range(1 << n)]
         self.masks: list[int] = []
         for size in range(n + 1):
-            for combo in combinations(range(n), size):
-                s = sum(1 << x for x in combo)
+            for combo in combinations([1 << x for x in range(n)], size):
+                s = sum(combo)
                 if self._closure(s) == s:
                     self.masks.append(s)
 
@@ -166,12 +165,8 @@ class ExplicitLattice:
         return min(s.bit_count(), self.d)
 
     def _closure(self, s: int) -> int:
-        rk = self.rank_fn(s)
-        out = 0
-        for x in range(self.n):
-            if self.rank_fn(s | (1 << x)) == rk:
-                out |= 1 << x
-        return out
+        ranks = self.ranks
+        return sum(1 << x for x in range(self.n) if ranks[s | 1 << x] == ranks[s])
 
     @property
     def flats(self) -> list[frozenset[int]]:
@@ -190,10 +185,29 @@ class ExplicitLattice:
         for f in self.masks:  # by size, so every flat below f comes first
             below = [g for g in _submasks(f) if g != f and g in flat_set]
             mu[f] = 1 if not below else -sum(mu[g] for g in below)
-        coeffs = [Fraction(0)] * (self.d + 1)
+        coeffs = [0] * (self.d + 1)
         for f in self.masks:
             coeffs[self.d - self.rank_fn(f)] += mu[f]
         return Poly(coeffs)
+
+    def interval_counts(self):
+        """Yield (f, flats inside f, [flats above f of rank k, k+1, ..., d]) for
+        each flat f of rank k below the top, by subset and superset sums over
+        the flat indicator, one pass per element.  ``above[s]`` packs the flats
+        above s of rank r into bits [r w, (r+1) w), w = n + 1 bits holding up to 2^n."""
+        ranks, size, w = self.ranks, 1 << self.n, self.n + 1
+        inside, above = [0] * size, [0] * size
+        for f in self.masks:
+            inside[f], above[f] = 1, 1 << (w * ranks[f])
+        for bit in (1 << x for x in range(self.n)):
+            for s in range(size):
+                if s & bit:
+                    inside[s] += inside[s ^ bit]
+                    above[s ^ bit] += above[s]
+        for f in self.masks:
+            if f != size - 1:
+                yield f, inside[f], [above[f] >> (w * r) & (1 << w) - 1
+                                     for r in range(ranks[f], self.d + 1)]
 
 
 def restriction_contraction_audit(n_max: int, jobs: int = 1) -> Certificate:
@@ -210,9 +224,9 @@ def audit_matroid(m: int, d: int) -> dict | None:
 
     Proper flats are exactly the subsets of size < d; every proper flat's
     lower interval is Boolean; and the upper interval of a rank-k flat
-    matches the rank-grouped flat counts of U_{m, d-k}.  Works on bitmasks:
-    the flats inside a flat f are found among the submasks of f, and the
-    flats above f among the supermasks of f.  None means the audit passes.
+    matches the rank-grouped flat counts of U_{m, d-k}.  Works on bitmasks,
+    with the interval sizes from ``ExplicitLattice.interval_counts``.  None
+    means the audit passes.
     """
     lat = ExplicitLattice(m + d, d)
     universe = (1 << (m + d)) - 1
@@ -224,23 +238,16 @@ def audit_matroid(m: int, d: int) -> dict | None:
                 "extra": sorted(map(_elements, flats - expected)),
                 "missing": sorted(map(_elements, expected - flats))}
     wants: dict[int, list[int]] = {}
-    for f in lat.masks:
-        k = lat.rank_fn(f)
-        if f == universe:
-            continue
+    for f, inside, counts in lat.interval_counts():
+        k = lat.ranks[f]
         # Restriction to f: flats of the matroid restricted to f are the
         # flats contained in f; Boolean means all 2^k subsets appear.
-        inside = sum(1 for g in _submasks(f) if g in flats)
         if inside != 2 ** k:
             return {"m": m, "d": d, "flat": _elements(f),
                     "reason": "restriction lattice not Boolean",
                     "flats_inside": inside}
         # Contraction by f: upper interval, ranks shifted down by k,
         # compared against the rank-grouped counts of U_{m, d-k}.
-        counts = [0] * (d - k + 1)
-        for g in _submasks(universe ^ f):
-            if (f | g) in flats:
-                counts[lat.rank_fn(f | g) - k] += 1
         if k not in wants:
             wants[k] = [RankedLattice(m, d - k).flat_count(j) for j in range(d - k + 1)]
         if counts != wants[k]:

@@ -115,7 +115,8 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # Int zeros keep an integer product integer; a Fraction promotes its sums.
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue

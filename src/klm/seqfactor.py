@@ -16,9 +16,8 @@ from functools import lru_cache
 
 from .arith import IntegrityError, binomial, falling_factorial
 from .certificate import Certificate, grid_certificate
-from .klcoeff import kl_coefficient, max_index
 from .polyring import ONE, Poly, X, as_poly, expand_binomial_affine, to_falling_basis
-from .zcoeff import grid_cells, z_coefficient
+# klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
 
@@ -159,6 +158,8 @@ def fibonacci_poly(d: int) -> Poly:
 
 def kl_reformulation_check(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """Check the f/b reformulations of the KL, then the Z, coefficients of each (m, d)."""
+    from .klcoeff import max_index
+    from .zcoeff import grid_cells
     cells = [(side, m, d, i) for m, d in grid_cells(m_max, d_max)
              for side, top in (("kl", max_index(d)), ("z", d)) for i in range(top + 1)]
     return grid_certificate(f"reformulation m<={m_max} d<={d_max}",
@@ -171,6 +172,8 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
     side "kl": c(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d-i-1,i) f_m(d,i);
     side "z":  z(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d,i)     b_m(d,i).
     """
+    from .klcoeff import kl_coefficient
+    from .zcoeff import z_coefficient
     if side == "kl":
         lhs, choose, family = kl_coefficient(m, d, i), binomial(d - i - 1, i), "f"
     else:
@@ -189,6 +192,7 @@ def diagonal_value(m: int, d: int) -> Fraction:
 
 def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
+    from .zcoeff import grid_cells
     return grid_certificate(f"diagonal-identities m<={m_max} d<={d_max}", check_diagonal_at,
                             grid_cells(m_max, d_max), jobs, {"m_max": m_max, "d_max": d_max})
 

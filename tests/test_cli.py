@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from klm import cli, klcoeff, realroot, seqfactor, zcoeff
+from klm import cli, klcoeff, realroot, zcoeff
 from klm.cli import main, parse_poly_payload, parse_range
 from klm.polyring import IntegrityError, Poly
 
@@ -198,7 +198,7 @@ def _tampered_subresultants(a, b, k_max, prs=realroot._subresultant_deltas):
 @pytest.mark.parametrize("patch, argv, error", [
     (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
      ["compute", "kl", "--m", "2", "--d", "3"], "negative KL coefficient"),
-    (lambda mp: mp.setattr(seqfactor, "kl_coefficient", _negative_kl),
+    (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "negative KL coefficient"),
     (lambda mp: mp.setattr(zcoeff, "kl_poly", lambda m, k: Poly((Fraction(1, 2),))),
@@ -347,7 +347,9 @@ def _traced_run(argv, tmp_path, cli_env) -> subprocess.CompletedProcess:
      {"klm.hooklen", "klm.oracle", "dataclasses"}),
     (["verify", "formulas", "--m-max", "2", "--d-max", "4"], {"klm.klcoeff"},
      {"klm.oracle", "klm.hooklen"}),
-], ids=["compute-kl", "certify-z-roots", "verify-formulas"])
+    (["certify", "hurwitz-G", "--m", "2"], {"klm.seqfactor", "klm.realroot"},
+     {"klm.klcoeff", "klm.zcoeff", "klm.hooklen", "klm.oracle"}),
+], ids=["compute-kl", "certify-z-roots", "verify-formulas", "certify-hurwitz-G"])
 def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cli_env):
     proc = _traced_run(argv, tmp_path, cli_env)
     assert proc.returncode == 0 and proc.stdout, proc.stderr
@@ -379,6 +381,17 @@ def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
      "compute G takes --d or --symbolic-d, not both"),
 ], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d"])
 def test_an_ignored_argument_is_a_usage_error(argv, message, tmp_path, cli_env):
+    _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
+
+
+@pytest.mark.parametrize("target", ["kl-roots", "z-roots", "dseq-f", "dseq-b"])
+def test_a_grid_target_without_d_is_a_usage_error(target, tmp_path, cli_env):
+    # Without --d these once certified d = 1 alone, a cell nobody asked for.
+    _assert_rejected_before_the_cache(["certify", target, "--m", "2..3"],
+                                      f"certify {target} requires --d", tmp_path, cli_env)
+
+
+def _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env):
     # A record a run stored before the check existed is not replayed either.
     cache = tmp_path / "cache.jsonl"
     _seed_record(cache, argv, "stale\n", 0)

@@ -1,11 +1,12 @@
 """Four independent routes to the KL coefficients and the proof identities."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from klm import klcoeff
-from klm.arith import binomial
+from klm.arith import binomial, inv_factorial
 from klm.klcoeff import (c_alternating, c_hook_form, c_positive, c_recursive,
                          kl_coefficient, kl_poly, max_index, p_sum, q_sum,
                          verify_four_routes, verify_proof_identities)
@@ -110,3 +111,31 @@ def test_proof_identity_examples():
 def test_proof_identities_grid():
     cert = verify_proof_identities(3, 9)
     assert cert.passed, cert.witness
+
+
+def p_sum_inv_factorial(m, d, i):
+    """p_m as the paper writes it: a product of 1/k! factors, 1/(negative)! = 0."""
+    return sum((h * (-1) ** (i + h + 1) * factorial(d - h - i + m - 1)
+                * inv_factorial(h + i) * inv_factorial(m - h) * inv_factorial(d - 2 * i - h)
+                for h in range(1, m + 1) if d - h - i + m - 1 >= 0), Fraction(0))
+
+
+def q_sum_inv_factorial(m, d, i):
+    """q_m as the paper writes it, in the same 1/k! convention."""
+    return sum(((-1) ** (j + 1) * (i - j) * factorial(m + d - i)
+                * Fraction(1, (i + m) * (j + m))
+                * inv_factorial(j) * inv_factorial(d - i - j) * inv_factorial(m - 1)
+                for j in range(i + 1)), Fraction(0))
+
+
+def test_p_and_q_sums_match_their_inv_factorial_form():
+    # The proof grid of the benchmark's identities suite: m <= 10, d <= 16.
+    for d in range(1, 17):
+        for i in range(max_index(d) + 1):
+            for m in range(1, 11):
+                assert p_sum(m, d, i) == p_sum_inv_factorial(m, d, i), (m, d, i)
+                assert q_sum(m, d, i) == q_sum_inv_factorial(m, d, i), (m, d, i)
+    # Past the grid, where d - i - j and d - 2i - h go negative.
+    for m, d, i in ((1, 3, 2), (3, 4, 3), (2, 5, 4), (4, 6, 6)):
+        assert p_sum(m, d, i) == p_sum_inv_factorial(m, d, i)
+        assert q_sum(m, d, i) == q_sum_inv_factorial(m, d, i)

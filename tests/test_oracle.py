@@ -133,3 +133,47 @@ def test_audit_fails_on_wrong_contraction_counts(jobs, monkeypatch):
 def test_agreement_certificate():
     cert = verify_oracle_agreement(16)
     assert cert.passed, cert.witness
+
+
+def submask_interval_counts(lat: ExplicitLattice) -> dict:
+    """Reference: for each flat f below the top, the flats inside f and the
+    flats above f by rank, found by enumerating the submasks of f and of its
+    complement."""
+    def submasks(s):
+        g = s
+        while True:
+            yield g
+            if not g:
+                return
+            g = (g - 1) & s
+
+    flats, universe = set(lat.masks), (1 << lat.n) - 1
+    out = {}
+    for f in lat.masks:
+        if f == universe:
+            continue
+        k = lat.rank_fn(f)
+        counts = [0] * (lat.d - k + 1)
+        for g in submasks(universe ^ f):
+            if f | g in flats:
+                counts[lat.rank_fn(f | g) - k] += 1
+        out[f] = (sum(1 for g in submasks(f) if g in flats), counts)
+    return out
+
+
+def test_subset_sums_match_submask_enumeration():
+    for n in range(1, 9):
+        for d in range(1, n + 1):  # every U_{m,d} with m + d <= 8
+            lat = ExplicitLattice(n, d)
+            got = {f: (inside, counts) for f, inside, counts in lat.interval_counts()}
+            assert got == submask_interval_counts(lat), (n - d, d)
+            assert list(got) == [f for f in lat.masks if f != (1 << n) - 1]
+
+
+def test_rank_table_reads_the_rank_function_once_per_subset(monkeypatch):
+    calls = []
+    real = ExplicitLattice.rank_fn
+    monkeypatch.setattr(ExplicitLattice, "rank_fn",
+                        lambda self, s: calls.append(s) or real(self, s))
+    lat = ExplicitLattice(5, 3)
+    assert calls == list(range(32)) and lat.ranks == [min(s.bit_count(), 3) for s in calls]

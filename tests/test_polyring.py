@@ -19,6 +19,17 @@ def P(*coeffs) -> Poly:
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(lambda c: P(*c))
 
+# Scalar coefficients as ints or Fractions, and Polys of them one level down.
+scalars = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=5, min_value=-6,
+                                                     max_value=6))
+mixed_polys = st.lists(st.one_of(scalars, st.lists(scalars, max_size=3).map(Poly)),
+                       max_size=5).map(Poly)
+
+
+def all_fraction(c):
+    """c with every scalar, nested ones too, made a Fraction."""
+    return Poly(tuple(map(all_fraction, c.coeffs))) if isinstance(c, Poly) else Fraction(c)
+
 
 def test_ring_op_examples():
     assert P(1, 5).eval(Fraction(-1, 5)) == 0
@@ -190,3 +201,13 @@ def test_render_examples():
     g = Poly((ONE, d * (d + 1) * Fraction(1, 2), d * (1 - d) * Fraction(1, 2)))
     assert render(g) == "1 + (d^2/2 + d/2)*t + (-d^2/2 + d/2)*t^2"
     assert render_in_d(d * (d - 1) * Fraction(1, 2)) == "d^2/2 - d/2"
+
+
+@given(mixed_polys, mixed_polys)
+def test_product_over_mixed_coefficients_equals_the_fraction_product(p, q):
+    want = all_fraction(p) * all_fraction(q)
+    got = p * q
+    assert got == want and hash(got) == hash(want)
+    assert render(got) == render(want)
+    if all(isinstance(c, int) for c in p.coeffs + q.coeffs):
+        assert all(type(c) is int for c in got.coeffs)
