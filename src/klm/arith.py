@@ -75,17 +75,6 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def inv_factorial(n: int) -> Fraction:
-    """1/n! with the convention 1/(negative)! = 0.
-
-    The paper's hypergeometric sums silently drop terms whose factorial
-    arguments go negative; this helper makes that convention explicit.
-    """
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
-
-
 def as_integer(x) -> int:
     """Coerce a computed integer-valued rational to int.
 

@@ -171,13 +171,14 @@ def record_run(args, produce) -> int:
 
 def parse_range(text: str) -> list[int]:
     """'2..6' -> [2,...,6]; '4' -> [4]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-        if not out:
-            raise UsageError(f"empty range {text!r}")
-        return out
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        out = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise UsageError(f"expected an integer or lo..hi, got {text!r}") from None
+    if not out:
+        raise UsageError(f"empty range {text!r}")
+    return out
 
 
 def positive_int(text: str) -> int:
@@ -226,9 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_args(args) -> None:
-    """Reject an argument that args' command would ignore, and a missing --d.
+    """Reject an argument that args' command would ignore, a missing --d, and
+    an index below what the engine accepts.
 
-    Runs before the cache is read and before any engine module loads.
+    Runs before the cache is read and before any engine module loads, so an
+    exception raised while the command runs is an internal fault.
     """
     if args.command == "compute":
         if args.symbolic_d and args.kind not in ("G", "Y"):
@@ -243,14 +246,42 @@ def check_args(args) -> None:
             raise UsageError(f"certify {args.target} covers every d and takes no --d")
         if not args.target.startswith("hurwitz") and args.d is None:
             raise UsageError(f"certify {args.target} requires --d")
+    if args.command != "verify":
+        check_indices(args)
+
+
+def check_indices(args) -> None:
+    """Reject an m or d below what the engine accepts, in the engine's words."""
+    if args.command == "certify":
+        ms = parse_range(args.m)
+        if args.target.startswith("hurwitz"):
+            if ms[0] < 2:
+                raise UsageError("the Hurwitz argument starts at m = 2")
+            return
+        # Ranges ascend, so the first cell holds the least m and d.
+        kind, m, d = args.target, ms[0], parse_range(args.d)[0]
+        if kind.startswith("dseq") and d < 1:
+            raise UsageError(f"{kind} requires d >= 1, got {d}")
+    else:
+        kind, m, d = args.kind, args.m, args.d
+    if kind in ("kl", "z", "kl-roots", "z-roots"):
+        if m < 1 or d < 1:
+            raise UsageError(f"uniform matroid indices must be positive, got m={m}, d={d}")
+    elif kind == "char":
+        if m < 0 or d < 0:
+            raise UsageError(f"invalid uniform matroid U_{{{m},{d}}}")
+    elif m < 1:
+        raise UsageError(f"m must be >= 1, got {m}")
+    elif d is not None and d < 1:
+        raise UsageError(f"{'gy' if kind in ('G', 'Y') else 'qr'}_poly requires d >= 1, got {d}")
 
 
 def _exit_code(run, args) -> int | None:
     """run(args), with bad input reported as a usage error (exit 2) and any
-    other fault as an internal error (exit 3)."""
+    other fault, a ValueError included, as an internal error (exit 3)."""
     try:
         return run(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -272,14 +303,6 @@ def _coeff_str(c) -> str:
 
 def poly_payload(kind: str, m: int, d: int | None, p: Poly) -> dict:
     return {"kind": kind, "m": m, "d": d, "coeffs": [_coeff_str(c) for c in p.coeffs]}
-
-
-def parse_poly_payload(payload: dict) -> Poly:
-    """Round-trip parser for numeric polynomial payloads."""
-    from fractions import Fraction
-
-    from .polyring import Poly
-    return Poly(tuple(Fraction(c) for c in payload["coeffs"]))
 
 
 # -- certify cells ---------------------------------------------------------------
@@ -439,8 +462,6 @@ def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Ce
         from . import realroot, zcoeff  # noqa: F401
         return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
-        if min(ds) < 1:
-            raise UsageError(f"{target} requires d >= 1, got {min(ds)}")
         from . import realroot, seqfactor  # noqa: F401
         family = target[-1]
         return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)

@@ -9,11 +9,9 @@ gives bivariate polynomials in (i, d).
 Also here: falling-factorial basis conversion and exact determinants.  One
 fraction-free Bareiss elimination over the integers (Bareiss 1968) serves
 them all: with row swaps it gives the determinant of a Fraction matrix;
-without them its diagonal holds every leading principal minor, which is how
-a matrix of Polys-in-d yields all its leading minors from one pass per
-integer evaluation point, interpolated back exactly.  A caller with a
-cheaper route to those values (the Hurwitz determinants' subresultant PRS)
-passes it in, and the elimination checks it at three points.
+without them its diagonal holds every leading principal minor of an integer
+matrix.  A determinant of Polys-in-d is evaluated at integer points,
+eliminated there and interpolated back exactly.
 """
 
 from __future__ import annotations
@@ -129,13 +127,6 @@ class Poly:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            if not other:
-                raise ZeroDivisionError("division of Poly by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Poly")
@@ -184,18 +175,16 @@ class Poly:
         return self.divmod(other)[1]
 
 
-ZERO = Poly()
 ONE = Poly((Fraction(1),))
 X = Poly((Fraction(0), Fraction(1)))
 
 
-def constant(c) -> Poly:
-    return Poly((Fraction(c),)) if isinstance(c, int) else Poly((c,))
-
-
 def as_poly(c) -> Poly:
-    """Coerce a scalar to a constant Poly; pass Polys through."""
-    return c if isinstance(c, Poly) else constant(c)
+    """Coerce a scalar to a constant Poly (an int becomes a Fraction); pass
+    Polys through."""
+    if isinstance(c, Poly):
+        return c
+    return Poly((Fraction(c) if isinstance(c, int) else c,))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -231,13 +220,6 @@ def _primitive(p: Poly) -> Poly:
     return Poly(tuple(c * scale for c in p.coeffs))
 
 
-def reverse(p: Poly, n: int) -> Poly:
-    """t^n * p(1/t): coefficient j of the output is coefficient n-j of p."""
-    if p.degree > n:
-        raise ValueError(f"cannot reverse degree-{p.degree} polynomial within bound {n}")
-    return Poly(tuple(p.coeff(n - j) for j in range(n + 1)))
-
-
 def expand_binomial_affine(a: Poly, k: int) -> Poly:
     """Generalized binomial coefficient C(a, k) = prod_{j<k}(a - j) / k!.
 
@@ -267,17 +249,6 @@ def to_falling_basis(p: Poly) -> list:
                 out[k] = out[k] + c * s
     while out and not out[-1]:
         out.pop()
-    return out
-
-
-def from_falling_basis(gs) -> Poly:
-    """Inverse of :func:`to_falling_basis`: sum_k g_k (x)_k as a Poly."""
-    out = Poly()
-    ff = ONE
-    for k, g in enumerate(gs):
-        if k:
-            ff = ff * (X - (k - 1))
-        out = out + ff * g
     return out
 
 
@@ -336,7 +307,7 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(sign * pivots[-1], scale)
 
 
-def _interpolate_steps(ys: list[int], den: int) -> Poly:
+def interpolate_steps(ys: list[int], den: int) -> Poly:
     """The polynomial taking ys[t] / den at t = 0, 1, ..., len(ys) - 1.
 
     Newton forward differences, then sum_k diff_k (t)_k / k! by Horner in
@@ -386,91 +357,33 @@ def horner(cs, x: int) -> int:
     return v
 
 
-def leading_minors(rows: list[list], bounds: dict[int, int], start: int = 0,
-                   shortcut=None) -> list[Poly]:
-    """Leading principal minors of a square matrix of Polys-in-d (or scalars).
+def leading_minors(mat: list[list[int]], orders) -> dict[int, int]:
+    """The leading principal minors of a square integer matrix, by order.
 
-    bounds maps each wanted order j to a bound on the degree of the j x j
-    leading minor.  Each row is cleared to integer polynomials once, and
-    each distinct entry is evaluated once per point, by integer Horner, at
-    d = start, start + 1, ..., start + max bound.  One Bareiss pass without
-    row swaps per point puts every leading minor on the diagonal; where a
-    pivot vanishes, the larger wanted minors at that point come from
-    det_fraction on their leading block.  Each minor is interpolated from
-    its first bound + 1 values and returned as a polynomial in d - start.
-
-    shortcut(x), when given, maps each order in bounds to its minor of the
-    cleared rows at d = x, or returns None where only elimination applies.
-    Its values are checked against the elimination at the first, middle and
-    last point, and a disagreement raises IntegrityError.
+    One Bareiss pass without row swaps puts every leading minor on the
+    diagonal; past a zero pivot the larger orders come from det_fraction on
+    their leading block.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(mat)
+    if any(len(r) != n for r in mat):
         raise ValueError("determinant of a non-square matrix")
-    if any(not 0 <= j <= n for j in bounds):
+    if any(not 0 <= j <= n for j in orders):
         raise ValueError(f"leading minor orders must lie in [0, {n}]")
-    index: dict[tuple[int, ...], int] = {}
-    cells, scales = [], []
-    for row in rows:
-        entries = [as_poly(e).coeffs for e in row]
-        den = lcm(*(Fraction(c).denominator for cs in entries for c in cs))
-        scales.append(den)
-        cells.append([index.setdefault(tuple(int(c * den) for c in cs), len(index))
-                      for cs in entries])
-
-    def eliminate(x: int, orders: list[int]) -> dict[int, int]:
-        at_x = [horner(cs, x) for cs in index]
-        pivots, _ = _bareiss([[at_x[i] for i in row] for row in cells], swap=False)
-        return {j: (pivots[j - 1] if j else 1) if j <= len(pivots) else
-                det_fraction([[at_x[i] for i in row[:j]] for row in cells[:j]]).numerator
-                for j in orders}
-
-    values: dict[int, list[int]] = {j: [] for j in bounds}
-    top = max(bounds.values(), default=-1)
-    for t in range(top + 1):
-        x = start + t
-        wanted = [j for j in bounds if t <= bounds[j]]
-        got = shortcut(x) if shortcut else None
-        if got is None or t in (0, top // 2, top):
-            ref = eliminate(x, wanted)
-            if got is not None and any(got[j] != v for j, v in ref.items()):
-                raise IntegrityError(f"leading minors at d = {x} disagree with elimination")
-            got = ref
-        for j in wanted:
-            values[j].append(got[j])
-    out = []
-    for j, ys in values.items():
-        den = 1
-        for s in scales[:j]:
-            den *= s
-        out.append(_interpolate_steps(ys, den))
-    return out
+    pivots, _ = _bareiss([list(r) for r in mat], swap=False)
+    return {j: (pivots[j - 1] if j else 1) if j <= len(pivots) else
+            det_fraction([r[:j] for r in mat[:j]]).numerator for j in orders}
 
 
 def det_parametric(rows: list[list], degree_bound: int) -> Poly:
-    """Exact determinant of a matrix of Polys-in-d.
+    """Exact determinant of a square matrix of Polys-in-d (or scalars).
 
-    The full-order case of :func:`leading_minors`: evaluated at the integer
-    points 0..degree_bound and interpolated back; degree_bound must
-    dominate the true determinant degree.
+    Evaluated at the integer points 0..degree_bound, eliminated there by
+    det_fraction and interpolated back; degree_bound must dominate the true
+    determinant degree.
     """
-    return leading_minors(rows, {len(rows): degree_bound})[0]
-
-
-def det_cofactor(rows: list[list]):
-    """Cofactor-expansion determinant; the independent oracle for tests."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    out = 0
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        out = out + sign * rows[0][j] * det_cofactor(minor)
-        sign = -sign
-    return out
+    return interpolate([(Fraction(x), det_fraction([[as_poly(e).eval(x) for e in row]
+                                                    for row in rows]))
+                        for x in range(degree_bound + 1)])
 
 
 # -- canonical text rendering ------------------------------------------------

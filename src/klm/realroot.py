@@ -13,12 +13,14 @@ Proudfoot-Xu-Young 2018) is certified on the chain of its half in t + 1/t
 when that shows only simple negative zeros.  Borchardt-Hermite Hurwitz
 determinants give an independent distinct-real-zeros criterion, numerically
 and symbolically in the shifted parameter d' = d - 2(m-1).  All of them are
-leading minors of one Hurwitz matrix: numeric ones come from one integer
+leading minors of one Hurwitz matrix.  Numeric ones come from one integer
 elimination, which keeps them independent of the Sturm chain they are
-checked against; symbolic ones are interpolated from the values of one
-subresultant PRS per evaluation point (Collins 1967), checked against the
-elimination at three points.  The n-sequence test and multiplier-sequence
-spot checks complete the toolbox.
+checked against.  Symbolic ones are interpolated from their values at
+integer points of d: at each point A(d) and B(d) are evaluated once, one
+subresultant PRS (Collins 1967) gives every determinant, and the elimination
+of the integer Hurwitz matrix of the same values checks it at three points
+and stands in where the PRS gives none.  The n-sequence test and
+multiplier-sequence spot checks complete the toolbox.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import binomial
+from .arith import IntegrityError, binomial
 from .certificate import Certificate, judge
-from .polyring import Poly, X, as_poly, horner, leading_minors, minor_degree_bound
+from .polyring import (Poly, X, as_poly, horner, interpolate_steps, leading_minors,
+                       minor_degree_bound)
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -272,12 +275,12 @@ def hurwitz_matrix(a_desc: list, b_desc: list, k: int) -> list[list]:
     """The 2k x 2k interleaved-coefficient matrix of the two lists."""
 
     def entry(coeffs, idx):
-        return coeffs[idx] if 0 <= idx < len(coeffs) else Fraction(0)
+        return coeffs[idx] if 0 <= idx < len(coeffs) else 0
 
     rows = []
     for r in range(k):
-        rows.append([entry(a_desc, j - r) if j >= r else Fraction(0) for j in range(2 * k)])
-        rows.append([entry(b_desc, j - r) if j >= r else Fraction(0) for j in range(2 * k)])
+        rows.append([entry(a_desc, j - r) if j >= r else 0 for j in range(2 * k)])
+        rows.append([entry(b_desc, j - r) if j >= r else 0 for j in range(2 * k)])
     return rows
 
 
@@ -306,17 +309,28 @@ def _subresultant_deltas(a: list[int], b: list[int], k_max: int) -> dict[int, in
     return out
 
 
+def _cleared(p: Poly, n: int) -> tuple[list[list[int]], int]:
+    """p's coefficients of t^0, ..., t^n as ascending integer polynomials in d
+    (a scalar is a constant), times the positive lcm of their denominators,
+    and that lcm."""
+    coeffs = [as_poly(p.coeff(j)).coeffs for j in range(n + 1)]
+    den = lcm(*(Fraction(c).denominator for cs in coeffs for c in cs))
+    return [[int(c * den) for c in cs] for cs in coeffs], den
+
+
 def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
     """Hurwitz determinants [Delta_2, ..., Delta_2K](A, B) for K = k_max, exact.
 
     The 2k x 2k Hurwitz matrix is the leading block of the 2K x 2K one, so
-    every Delta_2k is a leading principal minor of one matrix.  Numeric
-    coefficients give Fractions, from one integer Bareiss pass.  Poly-in-d
-    coefficients give each Delta_2k as an exact polynomial in d - shift,
-    interpolated from its values at integer points; when deg B < deg A each
-    point's values come from one subresultant PRS of the integer A(d), B(d),
-    checked against the elimination at three points, with the elimination
-    wherever lc(A)(d) = 0 or the PRS has a degree gap.
+    every Delta_2k is a leading principal minor of one matrix.  A and B are
+    cleared to integer polynomials in d once, and each Delta_2k is
+    interpolated from its values at d = shift, shift + 1, ... up to its degree
+    bound, as an exact polynomial in d - shift.  At each point A(d) and B(d)
+    are evaluated once.  For Poly-in-d coefficients with deg B < deg A, one
+    subresultant PRS of A(d), B(d) gives every value; the elimination of the
+    integer Hurwitz matrix of A(d), B(d) checks it at the first, middle and
+    last point, and stands in wherever lc(A)(d) = 0 or the PRS has a degree
+    gap.  Numeric coefficients give Fractions from the elimination alone.
     """
     if not a:
         raise ValueError("Hurwitz determinants need a nonzero leading coefficient")
@@ -324,24 +338,31 @@ def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
         raise ValueError(f"Hurwitz index k must be >= 1, got {k_max}")
     n = a.degree
     symbolic = any(isinstance(c, Poly) for c in a.coeffs + b.coeffs)
-    if symbolic:
-        # Clear A and B to integer polynomials in d; Delta_2k scales by den^k.
-        den_a, den_b = (lcm(*(Fraction(c).denominator for e in p.coeffs
-                              for c in as_poly(e).coeffs)) for p in (a, b))
-        a, b = a * den_a, b * den_b
     rows = hurwitz_matrix(_descending(a, n), _descending(b, n), k_max)
     bounds = {2 * k: minor_degree_bound(rows, 2 * k) for k in range(1, k_max + 1)}
-    if not symbolic:
-        return [v.coeff(0) for v in leading_minors(rows, bounds)]
-    a_int, b_int = ([[int(c) for c in as_poly(e).coeffs] for e in p.coeffs] for p in (a, b))
-    b_int += [[]] * (n - len(b_int))  # B at its formal degree n - 1
-
-    def subresultants(x: int) -> dict[int, int] | None:
-        return _subresultant_deltas([horner(cs, x) for cs in a_int],
-                                    [horner(cs, x) for cs in b_int], k_max)
-
-    minors = leading_minors(rows, bounds, shift, subresultants if b.degree < n else None)
-    return [v * Fraction(1, (den_a * den_b) ** k) for k, v in enumerate(minors, 1)]
+    (a_int, den_a), (b_int, den_b) = _cleared(a, n), _cleared(b, n)
+    prs = symbolic and b.degree < n
+    top = max(bounds.values())
+    values: dict[int, list[int]] = {j: [] for j in bounds}
+    for t in range(top + 1):
+        x = shift + t
+        a_x = [horner(cs, x) for cs in a_int]
+        b_x = [horner(cs, x) for cs in b_int]
+        # B at its formal degree n - 1.
+        got = _subresultant_deltas(a_x, b_x[:n], k_max) if prs else None
+        if got is None or t in (0, top // 2, top):
+            wanted = [j for j in bounds if t <= bounds[j]]
+            ref = leading_minors(hurwitz_matrix(a_x[::-1], b_x[::-1], k_max), wanted)
+            if got is not None and any(got[j] != v for j, v in ref.items()):
+                raise IntegrityError(f"leading minors at d = {x} disagree with elimination")
+            got = ref
+        for j, ys in values.items():
+            if t <= bounds[j]:
+                ys.append(got[j])
+    # Delta_2k of the cleared A and B is (den_a den_b)^k times the true one.
+    deltas = [interpolate_steps(ys, (den_a * den_b) ** k)
+              for k, ys in enumerate(values.values(), 1)]
+    return deltas if symbolic else [v.coeff(0) for v in deltas]
 
 
 def hurwitz_delta(a: Poly, b: Poly, k: int):
@@ -383,11 +404,10 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     from .seqfactor import SeqSpec, gy_poly
     if m < 2:
         raise ValueError("the Hurwitz argument starts at m = 2")
-    if family not in ("G", "Y", "f", "b"):
-        raise ValueError(f"family must be G/f or Y/b, got {family!r}")
-    name = "G" if family in ("f", "G") else "Y"
-    spec = SeqSpec("f" if name == "G" else "b", m)
-    subject = f"hurwitz-{name} m={m}"
+    if family not in ("G", "Y"):
+        raise ValueError(f"family must be G or Y, got {family!r}")
+    spec = SeqSpec("f" if family == "G" else "b", m)
+    subject = f"hurwitz-{family} m={m}"
 
     sym = gy_poly(spec)  # polynomial in t, coefficients Poly-in-d
     # Evaluated at d = 2(m-1) + j, so every Delta_2k comes out in d'.

@@ -76,14 +76,6 @@ def expand_falling(spec: SeqSpec) -> tuple[Poly, ...]:
     return tuple(as_poly(g) for g in to_falling_basis(symbolic_in_i(spec)))
 
 
-def seq_value_from_falling(spec: SeqSpec, d: int, i: int) -> Fraction:
-    """Re-evaluate the falling-basis expansion; the round-trip cross-check."""
-    total = Fraction(0)
-    for k, g in enumerate(expand_falling(spec)):
-        total += g.eval(Fraction(d)) * falling_factorial(Fraction(i), k)
-    return total
-
-
 def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly:
     """G_{m,d}(t) (family f) or Y_{m,d}(t) (family b).
 
@@ -171,13 +163,17 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
 
     side "kl": c(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d-i-1,i) f_m(d,i);
     side "z":  z(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d,i)     b_m(d,i).
+
+    z is read from the KL polynomials (the from_kl route): the positive closed
+    form is b_m(d,i)'s own h-sum times binomials, so it would test only a
+    binomial identity.
     """
     from .klcoeff import kl_coefficient
     from .zcoeff import z_coefficient
     if side == "kl":
         lhs, choose, family = kl_coefficient(m, d, i), binomial(d - i - 1, i), "f"
     else:
-        lhs, choose, family = z_coefficient(m, d, i), binomial(d, i), "b"
+        lhs, choose, family = z_coefficient(m, d, i, "from_kl"), binomial(d, i), "b"
     lhs *= binomial(d + 2 * m, m)
     rhs = binomial(d + 2 * m, i + m) * choose * seq_value(SeqSpec(family, m), d, i)
     if lhs != rhs:

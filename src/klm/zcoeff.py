@@ -205,15 +205,20 @@ def dyck_peak_counts(n: int) -> list[int]:
     return walk(n, n, 0, False)[1:] if n > 0 else []
 
 
-def narayana_check(d_max: int, enumeration_cap: int = 12, jobs: int = 1) -> Certificate:
+# The Dyck-path oracle enumerates paths of semilength d + 1, so it stops here.
+DYCK_ENUMERATION_CAP = 12
+
+
+def narayana_check(d_max: int, jobs: int = 1) -> Certificate:
     """Certify Z_{U_{1,d}} against two independent Narayana oracles.
 
     The closed ratio covers every d <= d_max; the Dyck-path count by peaks
-    additionally covers d <= enumeration_cap.
+    additionally covers d <= DYCK_ENUMERATION_CAP.
     """
-    cells = [(d, d <= enumeration_cap) for d in range(1, d_max + 1)]
+    cells = [(d, d <= DYCK_ENUMERATION_CAP) for d in range(1, d_max + 1)]
     return grid_certificate(f"narayana z(1,d) d<={d_max}", check_narayana_at, cells, jobs,
-                            {"d_max": d_max, "enumerated_up_to": min(d_max, enumeration_cap)})
+                            {"d_max": d_max,
+                             "enumerated_up_to": min(d_max, DYCK_ENUMERATION_CAP)})
 
 
 def check_narayana_at(d: int, enumerate_paths: bool) -> dict | None:

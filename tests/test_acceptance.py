@@ -44,9 +44,9 @@ def test_criterion_03_z_three_routes_and_diagonal():
 
 
 def test_criterion_04_narayana():
-    cert = zcoeff.narayana_check(30, enumeration_cap=12)
+    cert = zcoeff.narayana_check(30)
     report(4, "Narayana reproduction: enumeration d<=12, ratio d<=30",
-           cert.passed, cert.witness)
+           cert.passed and cert.witness == {"d_max": 30, "enumerated_up_to": 12}, cert.witness)
 
 
 def test_criterion_05_hook_length_coverage():

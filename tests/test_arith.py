@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from klm.arith import (IntegrityError, as_integer, binomial, falling_factorial,
-                       inv_factorial, multinomial, stirling2)
+                       multinomial, stirling2)
 
 
 def test_binomial_examples():
@@ -65,12 +65,6 @@ def test_stirling2_falling_factorial_identity():
             total = sum(stirling2(n, k) * falling_factorial(x, k)
                         for k in range(n + 1))
             assert total == x ** n
-
-
-def test_inv_factorial_convention():
-    assert inv_factorial(3) == Fraction(1, 6)
-    assert inv_factorial(0) == 1
-    assert inv_factorial(-2) == 0
 
 
 def test_as_integer():

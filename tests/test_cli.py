@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from klm import cli, klcoeff, realroot, zcoeff
-from klm.cli import main, parse_poly_payload, parse_range
+from klm.cli import main, parse_range
 from klm.polyring import IntegrityError, Poly
 
 
@@ -41,7 +41,8 @@ def test_compute_json_schema_and_round_trip(tmp_path, run_cli):
     payload = json.loads(out)
     assert payload == {"kind": "kl", "m": 2, "d": 6, "coeffs": ["1", "48", "98"]}
     assert all(isinstance(c, str) for c in payload["coeffs"])
-    assert parse_poly_payload(payload) == Poly((Fraction(1), Fraction(48), Fraction(98)))
+    coeffs = tuple(Fraction(c) for c in payload["coeffs"])
+    assert Poly(coeffs) == Poly((Fraction(1), Fraction(48), Fraction(98)))
 
 
 def test_compute_other_kinds(tmp_path, run_cli):
@@ -227,6 +228,18 @@ def test_internal_fault_exits_3(patch, argv, error, tmp_path, monkeypatch, capsy
     assert not cache.exists()
 
 
+def test_an_engine_value_error_on_valid_arguments_exits_3(tmp_path, monkeypatch, capsys):
+    # Bad arguments are rejected before the run, so a ValueError raised in
+    # the engine is an internal fault, not a usage error.
+    def broken(m, d, route="positive"):
+        raise ValueError("engine fault")
+    monkeypatch.setattr(klcoeff, "kl_poly", broken)
+    cache = tmp_path / "c.jsonl"
+    assert main(["compute", "kl", "--m", "2", "--d", "3", "--cache", str(cache)]) == 3
+    assert "internal error: ValueError: engine fault" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_smallest_grid_and_one_job_run(tmp_path, capsys):
     argv = ["verify", "oracle", "--m-max", "1", "--d-max", "1", "--jobs", "1",
             "--cache", str(tmp_path / "c.jsonl")]
@@ -389,6 +402,22 @@ def test_a_grid_target_without_d_is_a_usage_error(target, tmp_path, cli_env):
     # Without --d these once certified d = 1 alone, a cell nobody asked for.
     _assert_rejected_before_the_cache(["certify", target, "--m", "2..3"],
                                       f"certify {target} requires --d", tmp_path, cli_env)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "kl", "--m", "0", "--d", "3"],
+     "uniform matroid indices must be positive, got m=0, d=3"),
+    (["compute", "char", "--m", "2", "--d", "-1"], "invalid uniform matroid U_{2,-1}"),
+    (["compute", "Q", "--m", "0", "--d", "3"], "m must be >= 1, got 0"),
+    (["certify", "z-roots", "--m", "2", "--d", "0..3"],
+     "uniform matroid indices must be positive, got m=2, d=0"),
+    (["certify", "dseq-f", "--m", "2", "--d", "0"], "dseq-f requires d >= 1, got 0"),
+    (["certify", "hurwitz-Y", "--m", "1..3"], "the Hurwitz argument starts at m = 2"),
+    (["certify", "kl-roots", "--m", "2", "--d", "1..x"], "expected an integer or lo..hi, got '1..x'"),
+], ids=["compute-kl-m", "compute-char-d", "compute-Q-m", "z-roots-d", "dseq-d", "hurwitz-m",
+        "non-integer-range"])
+def test_an_index_below_the_engines_bound_is_a_usage_error(argv, message, tmp_path, cli_env):
+    _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
 
 
 def _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env):

@@ -208,6 +208,16 @@ def test_wrong_f_sequence_gives_the_first_reformulation_witness(jobs, monkeypatc
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+def test_wrong_z_from_kl_gives_the_first_z_reformulation_witness(jobs, monkeypatch):
+    # The Z side reads the from_kl route, so a wrong Z assembly is caught.
+    monkeypatch.setattr(zcoeff, "z_from_kl",
+                        _wrong_from_d(zcoeff.z_from_kl, 4, lambda p: p + Fraction(1)))
+    cert = seqfactor.kl_reformulation_check(3, 8, jobs)
+    assert cert.verdict == "fail"
+    assert cert.witness == {"side": "z", "m": 1, "d": 4, "i": 0, "lhs": "12", "rhs": "6"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_wrong_z_oracle_gives_the_first_oracle_pair_witness(jobs, monkeypatch):
     monkeypatch.setattr(oracle, "z_defining",
                         _wrong_from_d(oracle.z_defining, 4, lambda p: p + Fraction(1)))

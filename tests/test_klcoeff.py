@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from klm import klcoeff
-from klm.arith import binomial, inv_factorial
+from klm.arith import binomial
 from klm.klcoeff import (c_alternating, c_hook_form, c_positive, c_recursive,
                          kl_coefficient, kl_poly, max_index, p_sum, q_sum,
                          verify_four_routes, verify_proof_identities)
@@ -111,6 +111,17 @@ def test_proof_identity_examples():
 def test_proof_identities_grid():
     cert = verify_proof_identities(3, 9)
     assert cert.passed, cert.witness
+
+
+def inv_factorial(n: int) -> Fraction:
+    """1/n! with the paper's convention 1/(negative)! = 0."""
+    return Fraction(1, factorial(n)) if n >= 0 else Fraction(0)
+
+
+def test_inv_factorial_convention():
+    assert inv_factorial(3) == Fraction(1, 6)
+    assert inv_factorial(0) == 1
+    assert inv_factorial(-2) == 0
 
 
 def p_sum_inv_factorial(m, d, i):

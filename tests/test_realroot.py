@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from klm import realroot
 from klm.klcoeff import kl_poly
-from klm.polyring import (ONE, IntegrityError, Poly, X, as_poly, det_cofactor,
-                          leading_minors, minor_degree_bound, poly_gcd, squarefree_part)
+from klm.polyring import (ONE, IntegrityError, Poly, X, as_poly, det_parametric,
+                          minor_degree_bound, poly_gcd, squarefree_part)
 from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_half,
                           all_zeros_real_negative,
                           count_real_roots, distinct_real_certificate,
@@ -22,6 +22,7 @@ from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_ha
                           sturm_count)
 from klm.seqfactor import SeqSpec, gy_poly
 from klm.zcoeff import z_from_kl
+from oracles import det_cofactor
 
 
 def P(*coeffs) -> Poly:
@@ -153,10 +154,11 @@ def test_hurwitz_deltas_numeric_match_cofactor():
 
 
 def elimination_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list[Poly]:
-    """Delta_2k(A, B) from leading_minors alone, without the subresultant PRS."""
+    """Delta_2k(A, B) from det_parametric alone, without the subresultant PRS."""
     rows = hurwitz_rows(a, b, k_max)
-    return leading_minors(rows, {2 * k: minor_degree_bound(rows, 2 * k)
-                                 for k in range(1, k_max + 1)}, shift)
+    return [det_parametric([r[:2 * k] for r in rows[:2 * k]],
+                           minor_degree_bound(rows, 2 * k)).eval(X + shift)
+            for k in range(1, k_max + 1)]
 
 
 def prs_fallback_points(monkeypatch) -> list[bool]:

@@ -5,12 +5,12 @@ from math import factorial
 
 import pytest
 
-from klm.arith import binomial
+from klm.arith import binomial, falling_factorial
 from klm.polyring import ONE, Poly, X, as_poly, render
 from klm.seqfactor import (SeqSpec, base_real_rooted_polys, diagonal_value,
                            expand_falling, fibonacci_poly, fibonacci_truncation,
                            gy_poly, kl_reformulation_check, qr_poly, seq_value,
-                           seq_value_from_falling, symbolic_in_i)
+                           symbolic_in_i)
 
 
 def P(*coeffs) -> Poly:
@@ -82,8 +82,11 @@ def test_falling_round_trip():
         for m in (1, 2, 3, 5):
             spec = SeqSpec(family, m)
             for d in range(1, 10):
+                gs = [g.eval(Fraction(d)) for g in expand_falling(spec)]
                 for i in range(d + 1):
-                    assert seq_value_from_falling(spec, d, i) == seq_value(spec, d, i)
+                    expansion = sum(g * falling_factorial(Fraction(i), k)
+                                    for k, g in enumerate(gs))
+                    assert expansion == seq_value(spec, d, i)
 
 
 def test_gy_poly_examples():
