@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Sequence
+from math import comb, lcm
+from typing import Iterable
 
 
 class IntegrityError(RuntimeError):
@@ -32,18 +32,16 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient n! / prod(parts!), parts summing to n."""
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got n={n}")
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be nonnegative, got {parts}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts {parts} do not sum to n={n}")
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
+def sum_over_lcm(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """sum(num/den) over (num, den) pairs with positive integer den.
+
+    The numerators are added in integers over the lcm of the denominators,
+    and the one Fraction is built at the end, so the sum pays one gcd
+    instead of one per term.
+    """
+    terms = list(terms)
+    common = lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (common // den) for num, den in terms), common)
 
 
 def falling_factorial(x, k: int):

@@ -226,6 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with ``--m -1..2`` read as
+    ``--m=-1..2`` (and the same for ``--d``).
+
+    argparse takes a value that starts with '-' and is not a plain negative
+    number for an option, and would report that --m expected one argument;
+    joined, the value reaches ``check_indices``, which names the bad index.
+    """
+    joined: list[str] = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--m", "--d") and tok[:1] == "-" and tok[1:2].isdigit():
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return build_parser().parse_args(joined)
+
+
 def check_args(args) -> None:
     """Reject an argument that args' command would ignore, a missing --d, and
     an index below what the engine accepts.
@@ -498,7 +515,7 @@ def execute(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return _exit_code(execute, build_parser().parse_args(argv))
+    return _exit_code(execute, parse_args(argv))
 
 
 if __name__ == "__main__":

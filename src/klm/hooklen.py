@@ -150,11 +150,11 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
                 "piecewise": piecewise, "hooks": hooks[0]}
 
     row1 = prod(hooks[0])
-    want1 = Fraction((m + d - i - h) * (m + d - i - h + 1)
-                     * factorial(m + d - 2 * i - h), m + d - 2 * i - 2 * h + 1)
-    if row1 != want1:
+    num1 = (m + d - i - h) * (m + d - i - h + 1) * factorial(m + d - 2 * i - h)
+    den1 = m + d - 2 * i - 2 * h + 1  # at least m - h + 1 >= 1, as h <= d - 2i
+    if row1 * den1 != num1:
         return {**where, "identity": "first-row product", "product": row1,
-                "closed_form": str(want1)}
+                "closed_form": str(Fraction(num1, den1))}
 
     row2 = prod(hooks[1])
     want2 = (i + h) * (i + h - 1) * factorial(h - 1)

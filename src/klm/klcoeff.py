@@ -7,15 +7,19 @@ routes compute in exact rationals and must agree on the nose.  ``ROUTES``
 is the one list of them: ``kl_coefficient`` indexes it, ``compare_routes_at``
 compares its entries at one (m, d, i), ``verify_four_routes`` runs that over
 a grid, and its keys are the CLI's route choices and CSV columns.
+
+The recursion runs in integers.  Each closed form, and each sum of the proof
+identities, adds its terms as integer numerators over the lcm of their
+denominators and builds one Fraction at the end (``arith.sum_over_lcm``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .arith import IntegrityError, as_integer, binomial, multinomial
+from .arith import IntegrityError, as_integer, binomial, sum_over_lcm
 from .certificate import Certificate, grid_certificate
 from .polyring import Poly
 
@@ -33,14 +37,21 @@ def _check_range(m: int, d: int, i: int) -> None:
 
 @lru_cache(maxsize=None)
 def c_recursive(m: int, d: int, i: int) -> int:
-    """Defining recursion for c(m,d,i), memoized over the (k, j) triangle."""
+    """Defining recursion for c(m,d,i), memoized over the (k, j) triangle.
+
+    The multinomial (m+d)! / ((m+k)! (i+j-k)! (d-i-j)!) of each term is
+    written binom(m+d, d-i-j) binom(m+i+j, m+k), and the first factor is
+    taken once per j.  Every index is in range by construction: j < i <= (d-1)/2
+    and 2j < k <= i+j.
+    """
     _check_range(m, d, i)
-    total = (-1) ** i * binomial(m + d, i)
+    total = (-1) ** i * comb(m + d, i)
     for j in range(i):
+        inner = 0
         for k in range(2 * j + 1, i + j + 1):
-            total += ((-1) ** (i + j + k)
-                      * multinomial(m + d, (m + k, i + j - k, d - i - j))
-                      * c_recursive(m, k, j))
+            term = comb(m + i + j, m + k) * c_recursive(m, k, j)
+            inner += -term if k % 2 else term
+        total += (-1) ** (i + j) * comb(m + d, d - i - j) * inner
     return total
 
 
@@ -55,29 +66,33 @@ def c_hook_form(m: int, d: int, i: int, extended_bound: bool = False) -> Fractio
     if i < 1:
         raise ValueError("hook-form route requires i >= 1; use another route for i = 0")
     top = m if extended_bound else min(m, d - 2 * i)
-    return sum((hook_summand(m, d, i, h) for h in range(1, top + 1)), Fraction(0))
+    return sum_over_lcm(hook_term(m, d, i, h) for h in range(1, top + 1))
 
 
-def hook_summand(m: int, d: int, i: int, h: int) -> Fraction:
-    """The h-th summand of the hook-length form of c(m,d,i), with e = m+d-i-h:
+def hook_term(m: int, d: int, i: int, h: int) -> tuple[int, int]:
+    """The h-th summand of the hook-length form of c(m,d,i) as (numerator,
+    denominator), with e = m+d-i-h:
 
     (e-i-h+1) (m+d)! / (e (e+1) (i+h) (i+h-1) (e-i)! (h-1)! i! (i-1)!).
     """
     e = m + d - i - h
-    return Fraction(
-        (e - i - h + 1) * factorial(m + d),
-        e * (e + 1) * (i + h) * (i + h - 1)
-        * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1))
+    return ((e - i - h + 1) * factorial(m + d),
+            e * (e + 1) * (i + h) * (i + h - 1)
+            * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1))
+
+
+def hook_summand(m: int, d: int, i: int, h: int) -> Fraction:
+    """The h-th summand of the hook-length form of c(m,d,i) as a Fraction."""
+    return Fraction(*hook_term(m, d, i, h))
 
 
 def c_alternating(m: int, d: int, i: int) -> Fraction:
-    """Alternating closed form for c(m,d,i)."""
+    """Alternating closed form for c(m,d,i), summed over lcm_h(d-h-i+m)."""
     _check_range(m, d, i)
-    total = Fraction(0)
-    for h in range(1, m + 1):
-        total += (Fraction((-1) ** (h + 1) * h, d - h - i + m)
-                  * binomial(d - h - i + m, d - 2 * i - h)
-                  * binomial(m + i, m - h))
+    total = sum_over_lcm(
+        ((-1) ** (h + 1) * h * binomial(d - h - i + m, d - 2 * i - h) * binomial(m + i, m - h),
+         d - h - i + m)
+        for h in range(1, m + 1))
     return binomial(d + m, i) * total
 
 
@@ -128,29 +143,24 @@ def kl_poly(m: int, d: int, route: str = "positive") -> Poly:
 # -- proof-internal identities ------------------------------------------------
 
 
-# Each term of p_sum and q_sum is one Fraction of integer factorial products.
-# A term with a negative factorial argument is skipped: the paper's sums take
+# Each term of p_sum and q_sum is an integer over a product of factorials,
+# and each sum adds its numerators over the lcm of those products.  A term
+# with a negative factorial argument is skipped: the paper's sums take
 # 1/(negative)! = 0.
 def p_sum(m: int, d: int, i: int) -> Fraction:
     """The alternating h-sum p_m from the recursion-consistency proof."""
-    total = Fraction(0)
-    for h in range(1, m + 1):
-        a = d - h - i + m - 1
-        if a < 0 or d - 2 * i - h < 0:
-            continue
-        total += Fraction((-1) ** (i + h + 1) * h * factorial(a),
-                          factorial(h + i) * factorial(m - h) * factorial(d - 2 * i - h))
-    return total
+    return sum_over_lcm(
+        ((-1) ** (i + h + 1) * h * factorial(d - h - i + m - 1),
+         factorial(h + i) * factorial(m - h) * factorial(d - 2 * i - h))
+        for h in range(1, m + 1) if d - h - i + m - 1 >= 0 and d - 2 * i - h >= 0)
 
 
 def q_sum(m: int, d: int, i: int) -> Fraction:
     """The alternating j-sum q_m paired with p_m; p_m - q_m = 1."""
-    total = Fraction(0)
-    for j in range(min(i, d - i) + 1):
-        total += Fraction((-1) ** (j + 1) * (i - j) * factorial(m + d - i),
-                          (i + m) * (j + m) * factorial(j) * factorial(d - i - j)
-                          * factorial(m - 1))
-    return total
+    return sum_over_lcm(
+        ((-1) ** (j + 1) * (i - j) * factorial(m + d - i),
+         (i + m) * (j + m) * factorial(j) * factorial(d - i - j) * factorial(m - 1))
+        for j in range(min(i, d - i) + 1))
 
 
 def f_normalized_alternating(m: int, d: int, i: int) -> Fraction:

@@ -6,6 +6,10 @@ Both are polynomials in i of degree 2(m-1); expanding them in the falling
 factorial basis produces g_{m,k}(d) resp. y_{m,k}(d), and from those the
 polynomials G_{m,d}(t), Y_{m,d}(t) whose real-rootedness drives the
 d-sequence argument, alongside Q_d(t) and R_d(t).
+
+At numeric arguments the h-sum of f_m or b_m adds integer numerators over
+one denominator per family and m, and G, Y are evaluated at the integer d,
+where every falling factorial (d)_k is an integer.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import IntegrityError, binomial, falling_factorial
+from .arith import IntegrityError, binomial, falling_factorial, sum_over_lcm
 from .certificate import Certificate, grid_certificate
 from .polyring import ONE, Poly, X, as_poly, expand_binomial_affine, to_falling_basis
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
@@ -36,20 +40,23 @@ class SeqSpec(namedtuple("SeqSpec", "family m")):
 
 
 def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
-    """Direct numeric evaluation of f_m(d,i) or b_m(d,i)."""
+    """Direct numeric evaluation of f_m(d,i) or b_m(d,i).
+
+    The h-th term's denominator is (m-h) binom(m,h) for f and (h+1) m for
+    b, so the sum is over lcm_h((m-h) binom(m,h)) resp. lcm(1..m) m.
+    """
     if not 0 <= i <= d:
         raise ValueError(f"sequence index i={i} out of range [0, {d}]")
     m = spec.m
-    total = Fraction(0)
+    terms = []
     for h in range(m):
         b_ih = 1 if h == 0 else binomial(i - 1 + h, h)
         b_dh = binomial(d - i + h, h)
         if spec.family == "f":
-            total += (Fraction(1, (m - h) * binomial(m, h))
-                      * binomial(i + m, m - h - 1) * b_ih * b_dh)
+            terms.append((binomial(i + m, m - h - 1) * b_ih * b_dh, (m - h) * binomial(m, h)))
         else:
-            total += Fraction(i * (h - m + 1) + m, (h + 1) * m) * b_ih * b_dh
-    return total
+            terms.append(((i * (h - m + 1) + m) * b_ih * b_dh, (h + 1) * m))
+    return sum_over_lcm(terms)
 
 
 def symbolic_in_i(spec: SeqSpec) -> Poly:
@@ -81,15 +88,18 @@ def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly:
 
     With d None the result is symbolic: a polynomial in t whose
     coefficients g_{m,k}(d) (d)_k are polynomials in d.  A numeric d must
-    be at least 1.
+    be at least 1.  There each g_{m,k}(d) (d)_k is summed over the lcm of
+    g_{m,k}'s denominators, with d^j and (d)_k as integers.
     """
     if d is not None and d < 1:
         raise ValueError(f"gy_poly requires d >= 1, got {d}")
     gs = expand_falling(spec)
     if d is None:
         return Poly(tuple(g * falling_factorial(X, k) for k, g in enumerate(gs)))
-    return Poly(tuple(g.eval(Fraction(d)) * falling_factorial(Fraction(d), k)
-                      for k, g in enumerate(gs)))
+    return Poly(tuple(
+        sum_over_lcm((c.numerator * d ** j * falling_factorial(d, k), c.denominator)
+                     for j, c in enumerate(g.coeffs))
+        for k, g in enumerate(gs)))
 
 
 def qr_poly(spec: SeqSpec, d: int) -> Poly:
@@ -97,16 +107,16 @@ def qr_poly(spec: SeqSpec, d: int) -> Poly:
 
     Also verifies the exact factorization
     Q_d(t) = sum_k g_{m,k}(d) (d)_k t^k (1+t)^{d-k}, which is how the
-    d-sequence test reduces to G_{m,d}.
+    d-sequence test reduces to G_{m,d}, with g_{m,k}(d) (d)_k read from
+    ``gy_poly(spec, d)``: (d)_k vanishes for k > d, so G has no such term.
     """
     if d < 1:
         raise ValueError(f"qr_poly requires d >= 1, got {d}")
     q = Poly(tuple(seq_value(spec, d, i) * binomial(d, i) for i in range(d + 1)))
     one_plus_t = ONE + X
     alt = Poly()
-    for k, g in enumerate(expand_falling(spec)):
-        alt = alt + (g.eval(Fraction(d)) * falling_factorial(Fraction(d), k)
-                     * X ** k * one_plus_t ** (d - k) if k <= d else Poly())
+    for k, c in enumerate(gy_poly(spec, d).coeffs):
+        alt = alt + c * X ** k * one_plus_t ** (d - k)
     if alt != q:
         raise IntegrityError(
             f"factorization identity failed for {spec.family}_{spec.m} at d={d}")
@@ -197,7 +207,7 @@ def check_diagonal_at(m: int, d: int) -> dict | None:
     """The two diagonal identities at one (m, d); None means both hold."""
     want = binomial(m + d - 1, m - 1)
     got = diagonal_value(m, d)
-    at_one = gy_poly(SeqSpec("f", m), d).eval(Fraction(1))
+    at_one = sum(gy_poly(SeqSpec("f", m), d).coeffs)
     if got != want or at_one != want:
         return {"m": m, "d": d, "f_diagonal": str(got), "G_at_1": str(at_one), "binomial": want}
     return None

@@ -1,6 +1,7 @@
 """Independent exact oracles that only the tests use."""
 
 from fractions import Fraction
+from math import factorial
 
 
 def det_cofactor(rows: list[list]):
@@ -16,4 +17,18 @@ def det_cofactor(rows: list[list]):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         out = out + sign * rows[0][j] * det_cofactor(minor)
         sign = -sign
+    return out
+
+
+def multinomial(n: int, parts) -> int:
+    """Multinomial coefficient n! / prod(parts!), parts summing to n."""
+    if n < 0:
+        raise ValueError(f"multinomial requires n >= 0, got n={n}")
+    if any(p < 0 for p in parts):
+        raise ValueError(f"multinomial parts must be nonnegative, got {parts}")
+    if sum(parts) != n:
+        raise ValueError(f"multinomial parts {parts} do not sum to n={n}")
+    out = factorial(n)
+    for p in parts:
+        out //= factorial(p)
     return out

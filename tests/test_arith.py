@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from klm.arith import (IntegrityError, as_integer, binomial, falling_factorial,
-                       multinomial, stirling2)
+from klm.arith import (IntegrityError, as_integer, binomial, falling_factorial, stirling2,
+                       sum_over_lcm)
 
 
 def test_binomial_examples():
@@ -25,22 +25,6 @@ def test_binomial_pascal_exhaustive():
     for n in range(1, 65):
         for k in range(n + 1):
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_multinomial_examples():
-    assert multinomial(4, [2, 0, 2]) == 6
-    assert multinomial(7, [7]) == 1
-    assert multinomial(3, [1, 1, 1]) == 6
-    with pytest.raises(ValueError):
-        multinomial(4, [2, 1])
-
-
-def test_multinomial_is_iterated_binomial():
-    for n in range(21):
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                c = n - a - b
-                assert multinomial(n, [a, b, c]) == binomial(n, a) * binomial(n - a, b)
 
 
 def test_falling_factorial_examples():
@@ -71,3 +55,11 @@ def test_as_integer():
     assert as_integer(Fraction(10, 2)) == 5
     with pytest.raises(IntegrityError, match="expected an integer value, got 1/2"):
         as_integer(Fraction(1, 2))
+
+
+def test_sum_over_lcm():
+    assert sum_over_lcm([(1, 2), (1, 3), (-1, 6)]) == Fraction(2, 3)
+    assert sum_over_lcm([(3, 4), (-6, 8)]) == 0
+    assert sum_over_lcm([]) == 0
+    terms = [(n, d) for n in range(-4, 5) for d in range(1, 7)]
+    assert sum_over_lcm(terms) == sum((Fraction(n, d) for n, d in terms), Fraction(0))

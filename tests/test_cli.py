@@ -420,6 +420,33 @@ def test_an_index_below_the_engines_bound_is_a_usage_error(argv, message, tmp_pa
     _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "kl-roots", "--m", "-1..2", "--d", "3"],
+     "uniform matroid indices must be positive, got m=-1, d=3"),
+    (["certify", "z-roots", "--m", "2", "--d", "-1..3"],
+     "uniform matroid indices must be positive, got m=2, d=-1"),
+    (["certify", "dseq-b", "--m", "2", "--d", "-2..4"], "dseq-b requires d >= 1, got -2"),
+    (["certify", "hurwitz-G", "--m", "-3..3"], "the Hurwitz argument starts at m = 2"),
+    (["certify", "kl-roots", "--m", "-1x", "--d", "3"], "expected an integer or lo..hi, got '-1x'"),
+], ids=["kl-roots-m", "z-roots-d", "dseq-d", "hurwitz-m", "non-integer"])
+def test_a_range_that_starts_with_a_dash_gets_the_index_message(argv, message, tmp_path,
+                                                                 cli_env):
+    # argparse alone reads "-1..2" as an option and says --m expected one argument.
+    _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "kl", "--m", "2", "--d", "-1..3"],
+    ["verify", "formulas", "--m", "-1..3"],
+    ["certify", "kl-roots", "--m", "--d", "-1..3"],
+    ["certify", "kl-roots", "--m", "2", "--d", "3", "-1..3"],
+])
+def test_a_dashed_value_argparse_rejects_stays_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env):
     # A record a run stored before the check existed is not replayed either.
     cache = tmp_path / "cache.jsonl"
@@ -471,7 +498,7 @@ def test_import_klm_cli_loads_every_traced_layer(cli_env):
 def _seed_record(cache: Path, argv: list[str], payload: str, code: int,
                  key: str | None = None) -> str:
     """Append a hand-made record for argv's command; return argv's key."""
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     params = cli.run_params(args)
     real_key = cli.run_key(args.command, params)
     cli.cache_append(cache, {"key": key or real_key, "command": args.command,

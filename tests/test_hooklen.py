@@ -1,8 +1,11 @@
 """Hook lengths, irreducible dimensions, and the equivariant dimension sum."""
 
+import math
+
 import pytest
 
-from klm.hooklen import (Partition, SYT_ENUMERATION_CAP, c_equivariant_sum,
+from klm import hooklen
+from klm.hooklen import (Partition, SYT_ENUMERATION_CAP, c_equivariant_sum, check_hook_cell,
                          count_syt, dim_irrep, equivariant_shape,
                          first_row_hooks_piecewise, hook_lengths,
                          verify_equivariant_sum, verify_hook_factorizations)
@@ -81,3 +84,13 @@ def test_hook_factorization_grid():
 def test_equivariant_sum_grid():
     cert = verify_equivariant_sum(3, 10)
     assert cert.passed, cert.witness
+
+
+def test_a_wrong_first_row_closed_form_is_witnessed_as_a_fraction(monkeypatch):
+    # At (m, d, i, h) = (2, 7, 1, 2) the first-row hooks of (6, 3) multiply to
+    # 1260 = 6*7*5!/4.  With 5! read as 121 the closed form is 6*7*121/4.
+    assert check_hook_cell(2, 7, 1, 2) is None
+    monkeypatch.setattr(hooklen, "factorial", lambda n: math.factorial(n) + 1)
+    witness = check_hook_cell(2, 7, 1, 2)
+    assert witness["identity"] == "first-row product"
+    assert (witness["product"], witness["closed_form"]) == (1260, "2541/2")

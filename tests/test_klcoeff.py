@@ -4,13 +4,17 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klm import klcoeff
 from klm.arith import binomial
 from klm.klcoeff import (c_alternating, c_hook_form, c_positive, c_recursive,
-                         kl_coefficient, kl_poly, max_index, p_sum, q_sum,
-                         verify_four_routes, verify_proof_identities)
+                         hook_summand, hook_term, kl_coefficient, kl_poly, max_index,
+                         p_sum, q_sum, verify_four_routes, verify_proof_identities)
 from klm.polyring import IntegrityError, Poly
+
+from oracles import multinomial
 
 
 def test_c_recursive_examples():
@@ -150,3 +154,105 @@ def test_p_and_q_sums_match_their_inv_factorial_form():
     for m, d, i in ((1, 3, 2), (3, 4, 3), (2, 5, 4), (4, 6, 6)):
         assert p_sum(m, d, i) == p_sum_inv_factorial(m, d, i)
         assert q_sum(m, d, i) == q_sum_inv_factorial(m, d, i)
+
+
+def test_multinomial_examples():
+    assert multinomial(4, [2, 0, 2]) == 6
+    assert multinomial(7, [7]) == 1
+    assert multinomial(3, [1, 1, 1]) == 6
+    with pytest.raises(ValueError):
+        multinomial(4, [2, 1])
+
+
+def test_multinomial_is_iterated_binomial():
+    for n in range(21):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                c = n - a - b
+                assert multinomial(n, [a, b, c]) == binomial(n, a) * binomial(n - a, b)
+
+
+def test_recursion_term_is_the_multinomial():
+    # c_recursive writes multinomial(m+d; m+k, i+j-k, d-i-j) as
+    # binom(m+d, d-i-j) binom(m+i+j, m+k) over its whole index range.
+    for m in range(1, 9):
+        for d in range(1, 31):
+            for i in range(max_index(d) + 1):
+                for j in range(i):
+                    for k in range(2 * j + 1, i + j + 1):
+                        assert (binomial(m + d, d - i - j) * binomial(m + i + j, m + k)
+                                == multinomial(m + d, (m + k, i + j - k, d - i - j)))
+
+
+def c_recursive_multinomial(m, d, i):
+    """The defining recursion with one multinomial per term, unmemoised."""
+    total = (-1) ** i * binomial(m + d, i)
+    for j in range(i):
+        for k in range(2 * j + 1, i + j + 1):
+            total += ((-1) ** (i + j + k) * multinomial(m + d, (m + k, i + j - k, d - i - j))
+                      * c_recursive_multinomial(m, k, j))
+    return total
+
+
+def test_c_recursive_matches_its_multinomial_form():
+    for m in range(1, 6):
+        for d in range(1, 17):
+            for i in range(max_index(d) + 1):
+                assert c_recursive(m, d, i) == c_recursive_multinomial(m, d, i), (m, d, i)
+
+
+# The closed forms with one Fraction per term: references for the sums that
+# klcoeff adds as integer numerators over one common denominator.
+def c_alternating_per_term(m, d, i):
+    total = Fraction(0)
+    for h in range(1, m + 1):
+        total += (Fraction((-1) ** (h + 1) * h, d - h - i + m)
+                  * binomial(d - h - i + m, d - 2 * i - h)
+                  * binomial(m + i, m - h))
+    return binomial(d + m, i) * total
+
+
+def hook_summand_per_term(m, d, i, h):
+    e = m + d - i - h
+    return Fraction((e - i - h + 1) * factorial(m + d),
+                    e * (e + 1) * (i + h) * (i + h - 1)
+                    * factorial(e - i) * factorial(h - 1) * factorial(i) * factorial(i - 1))
+
+
+def c_hook_form_per_term(m, d, i, extended_bound=False):
+    top = m if extended_bound else min(m, d - 2 * i)
+    return sum((hook_summand_per_term(m, d, i, h) for h in range(1, top + 1)), Fraction(0))
+
+
+def assert_closed_forms_match_per_term(m, d, i):
+    assert c_alternating(m, d, i) == c_alternating_per_term(m, d, i), (m, d, i)
+    if i >= 1:
+        for extended in (False, True):
+            assert (c_hook_form(m, d, i, extended)
+                    == c_hook_form_per_term(m, d, i, extended)), (m, d, i, extended)
+        for h in range(1, m + 1):
+            assert hook_summand(m, d, i, h) == hook_summand_per_term(m, d, i, h)
+            assert Fraction(*hook_term(m, d, i, h)) == hook_summand_per_term(m, d, i, h)
+
+
+def test_closed_forms_match_their_per_term_sums_on_the_formulas_grid():
+    # The benchmark's formulas suite: m <= 8, d <= 30.
+    for m in range(1, 9):
+        for d in range(1, 31):
+            for i in range(max_index(d) + 1):
+                assert_closed_forms_match_per_term(m, d, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 20), d=st.integers(1, 60), data=st.data())
+def test_closed_forms_match_their_per_term_sums_past_the_grid(m, d, data):
+    i = data.draw(st.integers(0, max_index(d)))
+    assert_closed_forms_match_per_term(m, d, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 20), d=st.integers(1, 60), data=st.data())
+def test_p_and_q_sums_match_their_inv_factorial_form_past_the_grid(m, d, data):
+    i = data.draw(st.integers(0, max_index(d)))
+    assert p_sum(m, d, i) == p_sum_inv_factorial(m, d, i)
+    assert q_sum(m, d, i) == q_sum_inv_factorial(m, d, i)

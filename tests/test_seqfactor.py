@@ -4,8 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klm.arith import binomial, falling_factorial
+from klm import seqfactor
+from klm.arith import IntegrityError, binomial, falling_factorial
 from klm.polyring import ONE, Poly, X, as_poly, render
 from klm.seqfactor import (SeqSpec, base_real_rooted_polys, diagonal_value,
                            expand_falling, fibonacci_poly, fibonacci_truncation,
@@ -137,3 +140,65 @@ def test_base_real_rooted_polys():
 def test_reformulation_certificate():
     cert = kl_reformulation_check(3, 10)
     assert cert.passed, cert.witness
+
+
+def test_qr_poly_checks_its_factorization_against_gy_poly(monkeypatch):
+    monkeypatch.setattr(seqfactor, "gy_poly", lambda spec, d=None: gy_poly(spec, d) + X)
+    with pytest.raises(IntegrityError, match="factorization identity failed for f_3 at d=5"):
+        qr_poly(SeqSpec("f", 3), 5)
+
+
+# seq_value and numeric gy_poly with one Fraction per term and at Fraction(d):
+# references for seqfactor's common-denominator sums at the integer d.
+def seq_value_per_term(spec, d, i):
+    m = spec.m
+    total = Fraction(0)
+    for h in range(m):
+        b_ih = 1 if h == 0 else binomial(i - 1 + h, h)
+        b_dh = binomial(d - i + h, h)
+        if spec.family == "f":
+            total += (Fraction(1, (m - h) * binomial(m, h))
+                      * binomial(i + m, m - h - 1) * b_ih * b_dh)
+        else:
+            total += Fraction(i * (h - m + 1) + m, (h + 1) * m) * b_ih * b_dh
+    return total
+
+
+def gy_poly_per_term(spec, d):
+    return Poly(tuple(g.eval(Fraction(d)) * falling_factorial(Fraction(d), k)
+                      for k, g in enumerate(expand_falling(spec))))
+
+
+def test_seq_value_matches_its_per_term_sum_on_the_crosscheck_grid():
+    # Both families over the reform and identities suites: m <= 10, d <= 24.
+    for family in ("f", "b"):
+        for m in range(1, 11):
+            spec = SeqSpec(family, m)
+            for d in range(1, 25):
+                for i in range(d + 1):
+                    assert seq_value(spec, d, i) == seq_value_per_term(spec, d, i), (spec, d, i)
+
+
+def test_gy_poly_matches_its_fraction_evaluation_on_the_crosscheck_grid():
+    # The identities suite's G_{m,d}(1) grid, m <= 10 and d <= 16, for G and Y.
+    for family in ("f", "b"):
+        for m in range(1, 11):
+            spec = SeqSpec(family, m)
+            for d in range(1, 17):
+                assert gy_poly(spec, d) == gy_poly_per_term(spec, d), (spec, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(("f", "b")), m=st.integers(1, 20), d=st.integers(1, 60),
+       data=st.data())
+def test_seq_value_matches_its_per_term_sum_past_the_grid(family, m, d, data):
+    spec = SeqSpec(family, m)
+    i = data.draw(st.integers(0, d))
+    assert seq_value(spec, d, i) == seq_value_per_term(spec, d, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(("f", "b")), m=st.integers(1, 20), d=st.integers(1, 60))
+def test_gy_poly_matches_its_fraction_evaluation_past_the_grid(family, m, d):
+    spec = SeqSpec(family, m)
+    assert gy_poly(spec, d) == gy_poly_per_term(spec, d)
