@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-METHODS = ("sturm", "hurwitz", "nseq", "multiplier", "identity")
+METHODS = ("sturm", "hurwitz", "nseq", "identity")
 
 
 class Certificate(namedtuple("Certificate", "subject method verdict witness")):

@@ -2,8 +2,8 @@
 
 The KL coefficient c(m,d,i) equals a sum of symmetric-group irreducible
 dimensions over the shapes (d+m-2i-h+1, h+1, 2^{i-1}); the dimensions come
-from the hook-length formula, cross-checked at small n against explicit
-standard-Young-tableaux enumeration.
+from the hook-length formula (the tests cross-check it at small n against
+explicit standard-Young-tableaux enumeration).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from math import factorial, prod
 
 from .certificate import Certificate, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
-
-SYT_ENUMERATION_CAP = 8
 
 
 class Partition(namedtuple("Partition", "parts")):
@@ -45,8 +43,7 @@ def hook_lengths(shape: Partition) -> list[list[int]]:
     cols: list[int] = []  # column lengths, the conjugate partition
     for r in range(len(parts) - 1, -1, -1):
         cols += [r + 1] * (parts[r] - len(cols))
-    return [[(parts[r] - c - 1) + (cols[c] - r - 1) + 1 for c in range(parts[r])]
-            for r in range(len(parts))]
+    return [[p - r - c + cols[c] - 1 for c in range(p)] for r, p in enumerate(parts)]
 
 
 @lru_cache(maxsize=None)
@@ -61,37 +58,12 @@ def dim_irrep(shape: Partition) -> int:
     return num // hook_product
 
 
-def count_syt(shape: Partition) -> int:
-    """Standard Young tableaux of the shape, by explicit backtracking.
-
-    Independent of hook products; capped at n <= 8 as a desk-scale oracle.
-    """
-    if shape.n > SYT_ENUMERATION_CAP:
-        raise ValueError(f"SYT enumeration capped at n <= {SYT_ENUMERATION_CAP}")
-    parts = shape.parts
-    fill = [0] * len(parts)  # cells already placed per row
-
-    def place(value: int) -> int:
-        if value > shape.n:
-            return 1
-        total = 0
-        for r in range(len(parts)):
-            c = fill[r]
-            if c >= parts[r]:
-                continue
-            if r > 0 and fill[r - 1] <= c:
-                continue
-            fill[r] += 1
-            total += place(value + 1)
-            fill[r] -= 1
-        return total
-
-    return place(1)
-
-
 def equivariant_shape(m: int, d: int, i: int, h: int) -> Partition:
-    """The shape (d+m-2i-h+1, h+1, 2^{i-1}) indexing one summand of c(m,d,i)."""
-    return Partition((d + m - 2 * i - h + 1, h + 1) + (2,) * (i - 1))
+    """The shape (d+m-2i-h+1, h+1, 2^{i-1}) indexing one summand of c(m,d,i),
+    for i >= 1 and 1 <= h <= min(m, d-2i)."""
+    # Valid by construction, so Partition's checks are skipped: 2h <= m + d - 2i
+    # puts the first part at least h+1 >= 2, and every part is positive.
+    return tuple.__new__(Partition, ((d + m - 2 * i - h + 1, h + 1) + (2,) * (i - 1),))
 
 
 def c_equivariant_sum(m: int, d: int, i: int) -> int:

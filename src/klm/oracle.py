@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .arith import binomial
 from .certificate import Certificate, grid_certificate
@@ -154,19 +155,18 @@ class ExplicitLattice:
             raise ValueError("explicit closure is a tiny-scale audit path")
         self.n, self.d = n, d
         self.ranks = [self.rank_fn(s) for s in range(1 << n)]
-        self.masks: list[int] = []
-        for size in range(n + 1):
-            for combo in combinations([1 << x for x in range(n)], size):
-                s = sum(combo)
-                if self._closure(s) == s:
-                    self.masks.append(s)
+        bits = [1 << x for x in range(n)]
+        self.masks = [s for size in range(n + 1) for s in map(sum, combinations(bits, size))
+                      if self._is_flat(s, bits)]
 
     def rank_fn(self, s: int) -> int:
         return min(s.bit_count(), self.d)
 
-    def _closure(self, s: int) -> int:
-        ranks = self.ranks
-        return sum(1 << x for x in range(self.n) if ranks[s | 1 << x] == ranks[s])
+    def _is_flat(self, s: int, bits: list[int]) -> bool:
+        """s equals its closure: no element outside s keeps the rank when added.
+        The test stops at the first element that does."""
+        ranks, r = self.ranks, self.ranks[s]
+        return all(ranks[s | b] != r for b in bits if not s & b)
 
     @property
     def flats(self) -> list[frozenset[int]]:
@@ -200,10 +200,19 @@ class ExplicitLattice:
         for f in self.masks:
             inside[f], above[f] = 1, 1 << (w * ranks[f])
         for bit in (1 << x for x in range(self.n)):
-            for s in range(size):
-                if s & bit:
-                    inside[s] += inside[s ^ bit]
-                    above[s ^ bit] += above[s]
+            # Only the masks s holding bit, each paired with s - bit: taken as
+            # the strided slices s = r + bit (mod 2 bit) while bit is small, and
+            # as the runs [lo + bit, lo + 2 bit) once it is large, in few slices.
+            step = 2 * bit
+            if bit * bit < size:
+                for r in range(bit):
+                    inside[r + bit::step] = map(add, inside[r + bit::step], inside[r::step])
+                    above[r::step] = map(add, above[r::step], above[r + bit::step])
+            else:
+                for lo in range(0, size, step):
+                    mid, hi = lo + bit, lo + step
+                    inside[mid:hi] = map(add, inside[mid:hi], inside[lo:mid])
+                    above[lo:mid] = map(add, above[lo:mid], above[mid:hi])
         for f in self.masks:
             if f != size - 1:
                 yield f, inside[f], [above[f] >> (w * r) & (1 << w) - 1

@@ -6,12 +6,12 @@ ordinary univariate case) or themselves Polys in a parameter d (the
 symbolic machinery).  The same class covers both; nesting one level deeper
 gives bivariate polynomials in (i, d).
 
-Also here: falling-factorial basis conversion and exact determinants.  One
-fraction-free Bareiss elimination over the integers (Bareiss 1968) serves
-them all: with row swaps it gives the determinant of a Fraction matrix;
-without them its diagonal holds every leading principal minor of an integer
-matrix.  A determinant of Polys-in-d is evaluated at integer points,
-eliminated there and interpolated back exactly.
+Also here: exact determinants.  One fraction-free Bareiss elimination over
+the integers (Bareiss 1968) serves them all: with row swaps it gives the
+determinant of a Fraction matrix; without them its diagonal holds every
+leading principal minor of an integer matrix.  A determinant of Polys-in-d
+is evaluated at integer points, eliminated there and interpolated back
+exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
 
-from .arith import IntegrityError, stirling2
+from .arith import IntegrityError
 
 
 def _is_scalar(x) -> bool:
@@ -232,24 +232,6 @@ def expand_binomial_affine(a: Poly, k: int) -> Poly:
     for j in range(k):
         out = out * (a - j)
     return out * Fraction(1, factorial(k))
-
-
-def to_falling_basis(p: Poly) -> list:
-    """Coefficients g_k with p(x) = sum_k g_k (x)_k, via Stirling numbers."""
-    n = p.degree
-    if n < 0:
-        return []
-    out = [0] * (n + 1)
-    for deg, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        for k in range(deg + 1):
-            s = stirling2(deg, k)
-            if s:
-                out[k] = out[k] + c * s
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 # -- exact determinants ------------------------------------------------------

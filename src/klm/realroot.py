@@ -19,13 +19,12 @@ checked against.  Symbolic ones are interpolated from their values at
 integer points of d: at each point A(d) and B(d) are evaluated once, one
 subresultant PRS (Collins 1967) gives every determinant, and the elimination
 of the integer Hurwitz matrix of the same values checks it at three points
-and stands in where the PRS gives none.  The n-sequence test and
-multiplier-sequence spot checks complete the toolbox.
+and stands in where the PRS gives none.  The n-sequence test completes the
+toolbox.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -235,7 +234,7 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     subject = subject or "polynomial"
     if not p:
         raise ValueError("zero polynomial has no zero locus to certify")
-    if p.eval(Fraction(0)) == 0:
+    if p.coeff(0) == 0:
         raise ValueError("p(0) = 0: a zero root fails 'only negative zeros' by definition")
     w = _palindromic_half(p)
     if (w is not None and _sign_at(w, -2) != 0
@@ -436,7 +435,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         "delta_coeffs_in_dprime": expansions, "small_cases": small_cases})
 
 
-# -- n-sequence and multiplier-sequence tests -----------------------------------
+# -- n-sequence test -------------------------------------------------------------
 
 
 def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -> Certificate:
@@ -454,7 +453,7 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
         return judge(subject, "nseq", {"reason": "transform is identically zero"})
     if p.degree == 0:
         return judge(subject, "nseq", None, {"degree": 0})
-    if p.eval(Fraction(0)) == 0:
+    if p.coeff(0) == 0:
         return judge(subject, "nseq", {
             "reason": "zero root", "coeffs": [str(c) for c in p.coeffs]})
     # p(0) != 0, so one chain counts both half-lines.
@@ -469,38 +468,3 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
     return judge(subject, "nseq", {
         "degree": p.degree, "negative": neg, "positive": pos,
         "distinct": distinct, "coeffs": [str(c) for c in p.coeffs]})
-
-
-def random_real_rooted(rng: random.Random, max_degree: int = 6) -> Poly:
-    """Product of linear factors with small random rational roots."""
-    deg = rng.randint(1, max_degree)
-    p = Poly((Fraction(1),))
-    for _ in range(deg):
-        root = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        if root == 0:
-            root = Fraction(1)
-        p = p * (X - root)
-    return p
-
-
-def multiplier_spot_check(m: int, d: int, trials: int, seed: int = 0) -> Certificate:
-    """Spot-check that {binom(d+2m, i+m)}_i preserves real-rootedness.
-
-    Random real-rooted inputs only; instances, not a proof.
-    """
-    subject = f"multiplier binom({d + 2 * m}, i+{m}) trials={trials}"
-    if trials < 1:
-        raise ValueError("at least one trial required")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        p = random_real_rooted(rng)
-        image = Poly(tuple(c * binomial(d + 2 * m, i + m)
-                           for i, c in enumerate(p.coeffs)))
-        if image.degree < 1:
-            continue
-        if not _all_real(image):
-            return judge(subject, "multiplier", {
-                "trial": trial,
-                "input": [str(c) for c in p.coeffs],
-                "image": [str(c) for c in image.coeffs]})
-    return judge(subject, "multiplier", None, {"trials": trials})

@@ -7,9 +7,13 @@ factorial basis produces g_{m,k}(d) resp. y_{m,k}(d), and from those the
 polynomials G_{m,d}(t), Y_{m,d}(t) whose real-rootedness drives the
 d-sequence argument, alongside Q_d(t) and R_d(t).
 
-At numeric arguments the h-sum of f_m or b_m adds integer numerators over
-one denominator per family and m, and G, Y are evaluated at the integer d,
-where every falling factorial (d)_k is an integer.
+The expansion is symbolic and integer: the defining h-sum becomes one
+table of integer coefficients of i^n d^a over a common denominator, the
+Stirling numbers S(n, k) move each column to the falling basis in i, and
+each g_{m,k}(d) is built once from its column.  At numeric arguments the
+h-sum of f_m or b_m adds integer numerators over one denominator per family
+and m, and G, Y are evaluated at the integer d, where every falling
+factorial (d)_k is an integer.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, lcm
 
-from .arith import IntegrityError, binomial, falling_factorial, sum_over_lcm
+from .arith import IntegrityError, binomial, falling_factorial, stirling2, sum_over_lcm
 from .certificate import Certificate, grid_certificate
-from .polyring import ONE, Poly, X, as_poly, expand_binomial_affine, to_falling_basis
+from .polyring import Poly, X
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
@@ -59,28 +64,58 @@ def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
     return sum_over_lcm(terms)
 
 
-def symbolic_in_i(spec: SeqSpec) -> Poly:
-    """The defining sum expanded as a polynomial in i with Poly-in-d coefficients."""
-    m = spec.m
-    i_var = X
-    d_var = X  # the inner variable; kept distinct by nesting level
-    total = Poly()
-    for h in range(m):
-        b_ih = expand_binomial_affine(i_var + (h - 1), h)
-        # binom(d-i+h, h): affine in i with constant part d+h.
-        b_dh = expand_binomial_affine(Poly((d_var + h, Fraction(-1))), h)
-        if spec.family == "f":
-            pref = expand_binomial_affine(i_var + m, m - h - 1) * Fraction(1, (m - h) * binomial(m, h))
-        else:
-            pref = Poly((Fraction(1, h + 1), Fraction(h - m + 1, (h + 1) * m)))
-        total = total + pref * b_ih * b_dh
-    return total
+def _times_linear(p: list[int], c: int, a: int = 1) -> list[int]:
+    """The integer polynomial p (ascending) times a x + c."""
+    out = [0] * (len(p) + 1)
+    for n, e in enumerate(p):
+        out[n] += c * e
+        out[n + 1] += a * e
+    return out
 
 
 @lru_cache(maxsize=None)
 def expand_falling(spec: SeqSpec) -> tuple[Poly, ...]:
-    """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b)."""
-    return tuple(as_poly(g) for g in to_falling_basis(symbolic_in_i(spec)))
+    """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b).
+
+    The defining h-sum is expanded in (i, d).  With u = d - i its h-th term is
+    A_h(i) (u+1)(u+2)...(u+h) / E_h, where A_h has integer coefficients:
+      f: A_h = (i+m)_{m-h-1} (i-1+h)_h,   E_h = (m-h) binom(m,h) (m-h-1)! h!^2;
+      b: A_h = (i(h-m+1) + m) (i-1+h)_h,  E_h = (h+1) m h!^2.
+    Each u^r = sum_a binom(r,a) d^a (-i)^(r-a) lands in one integer table of
+    i^n d^a over D = lcm_h E_h; i^n = sum_k S(n,k) (i)_k moves each d^a
+    column to the falling basis, and g_{m,k} is row k of the result over D.
+    """
+    m = spec.m
+    terms = []
+    for h in range(m):
+        a_h = [1]
+        for r in range(h):
+            a_h = _times_linear(a_h, h - 1 - r)
+        if spec.family == "f":
+            for r in range(m - h - 1):
+                a_h = _times_linear(a_h, m - r)
+            den = (m - h) * binomial(m, h) * factorial(m - h - 1) * factorial(h) ** 2
+        else:
+            a_h = _times_linear(a_h, m, h - m + 1)
+            den = (h + 1) * m * factorial(h) ** 2
+        rising = [1]
+        for r in range(1, h + 1):
+            rising = _times_linear(rising, r)
+        terms.append((a_h, rising, den))
+    common = lcm(*(den for _, _, den in terms))
+    table = [[0] * m for _ in range(max(len(a) + len(u) - 1 for a, u, _ in terms))]
+    for a_h, rising, den in terms:
+        scale = common // den
+        for r, c in enumerate(rising):
+            for a in range(r + 1):
+                w = (-1) ** (r - a) * scale * c * comb(r, a)
+                for n, e in enumerate(a_h, r - a):
+                    table[n][a] += w * e
+    gs = [[sum(stirling2(n, k) * table[n][a] for n in range(k, len(table)))
+           for a in range(m)] for k in range(len(table))]
+    while gs and not any(gs[-1]):
+        gs.pop()
+    return tuple(Poly([Fraction(c, common) for c in g]) for g in gs)
 
 
 def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly:
@@ -113,11 +148,11 @@ def qr_poly(spec: SeqSpec, d: int) -> Poly:
     if d < 1:
         raise ValueError(f"qr_poly requires d >= 1, got {d}")
     q = Poly(tuple(seq_value(spec, d, i) * binomial(d, i) for i in range(d + 1)))
-    one_plus_t = ONE + X
-    alt = Poly()
-    for k, c in enumerate(gy_poly(spec, d).coeffs):
-        alt = alt + c * X ** k * one_plus_t ** (d - k)
-    if alt != q:
+    # The t^j coefficient of t^k (1+t)^(d-k) is the integer binom(d-k, j-k).
+    gs = gy_poly(spec, d).coeffs
+    alt = Poly(tuple(sum(c * comb(d - k, j - k) for k, c in enumerate(gs[:j + 1]))
+                     for j in range(d + 1)))
+    if len(gs) > d + 1 or alt != q:
         raise IntegrityError(
             f"factorization identity failed for {spec.family}_{spec.m} at d={d}")
     return q

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
 from .arith import IntegrityError, as_integer, binomial
 from .certificate import Certificate, grid_certificate
@@ -63,28 +63,32 @@ def z_alternating(m: int, d: int, i: int) -> Fraction:
     _check_range(m, d, i)
     if i == d:
         raise ValueError("z_alternating is stated for i <= d-1; z(m,d,d) = 1 by convention")
-    # The h-sum over its common denominator m, then one division.
+    # The h-sum over its common denominator m, then one division.  Every
+    # index is valid here (d - i - h + m - 1 >= 0 as i < d, h <= m), so
+    # math.comb needs no range checks.
     total = 0
     for h in range(1, m + 1):
-        total += ((-1) ** (h + 1) * h
-                  * binomial(i + m, m - h)
-                  * binomial(d - i - h + m - 1, m - 1))
-    return Fraction(binomial(d + 2 * m, i + m) * binomial(d, i) * total,
-                    binomial(d + 2 * m, m) * m)
+        total += (-1) ** (h + 1) * h * comb(i + m, m - h) * comb(d - i - h + m - 1, m - 1)
+    return Fraction(comb(d + 2 * m, i + m) * comb(d, i) * total, comb(d + 2 * m, m) * m)
+
+
+@lru_cache(maxsize=None)
+def _positive_den(m: int) -> int:
+    """lcm(1..m) * m, the common denominator of z_positive's h-sum."""
+    return lcm(*range(1, m + 1)) * m
 
 
 def z_positive(m: int, d: int, i: int) -> Fraction:
     """Positive closed form for z(m,d,i), valid on the full range 0 <= i <= d."""
     _check_range(m, d, i)
-    # The h-sum over its common denominator lcm(1..m)*m, then one division.
-    den = lcm(*range(1, m + 1)) * m
+    # The h-sum over its common denominator lcm(1..m)*m, then one division;
+    # every index is valid on 0 <= i <= d.
+    den = _positive_den(m)
     total = 0
     for h in range(m):
-        b = 1 if h == 0 else binomial(i - 1 + h, h)
-        total += ((i * (h - m + 1) + m) * (den // ((h + 1) * m))
-                  * b * binomial(d - i + h, h))
-    return Fraction(binomial(d + m, i + m) * binomial(d + m, i) * total,
-                    binomial(d + m, m) * den)
+        b = 1 if h == 0 else comb(i - 1 + h, h)
+        total += (i * (h - m + 1) + m) * (den // ((h + 1) * m)) * b * comb(d - i + h, h)
+    return Fraction(comb(d + m, i + m) * comb(d + m, i) * total, comb(d + m, m) * den)
 
 
 # Route name -> z(m,d,i) as a Fraction; the alternating form is stated for

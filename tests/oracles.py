@@ -1,7 +1,11 @@
 """Independent exact oracles that only the tests use."""
 
+import random
 from fractions import Fraction
 from math import factorial
+
+from klm.arith import binomial, stirling2
+from klm.polyring import Poly, X, expand_binomial_affine
 
 
 def det_cofactor(rows: list[list]):
@@ -32,3 +36,83 @@ def multinomial(n: int, parts) -> int:
     for p in parts:
         out //= factorial(p)
     return out
+
+
+def symbolic_in_i(spec) -> Poly:
+    """The defining sum of f_m or b_m expanded as a polynomial in i whose
+    coefficients are Fraction Polys in d (the nested-Fraction reference)."""
+    m = spec.m
+    i_var = X
+    d_var = X  # the inner variable; kept distinct by nesting level
+    total = Poly()
+    for h in range(m):
+        b_ih = expand_binomial_affine(i_var + (h - 1), h)
+        # binom(d-i+h, h): affine in i with constant part d+h.
+        b_dh = expand_binomial_affine(Poly((d_var + h, Fraction(-1))), h)
+        if spec.family == "f":
+            pref = expand_binomial_affine(i_var + m, m - h - 1) * Fraction(1, (m - h) * binomial(m, h))
+        else:
+            pref = Poly((Fraction(1, h + 1), Fraction(h - m + 1, (h + 1) * m)))
+        total = total + pref * b_ih * b_dh
+    return total
+
+
+def to_falling_basis(p: Poly) -> list:
+    """Coefficients g_k with p(x) = sum_k g_k (x)_k, via Stirling numbers."""
+    n = p.degree
+    if n < 0:
+        return []
+    out = [0] * (n + 1)
+    for deg, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        for k in range(deg + 1):
+            s = stirling2(deg, k)
+            if s:
+                out[k] = out[k] + c * s
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+SYT_ENUMERATION_CAP = 8
+
+
+def count_syt(shape) -> int:
+    """Standard Young tableaux of the shape, by explicit backtracking.
+
+    Independent of hook products; capped at n <= 8 as a desk-scale oracle.
+    """
+    if shape.n > SYT_ENUMERATION_CAP:
+        raise ValueError(f"SYT enumeration capped at n <= {SYT_ENUMERATION_CAP}")
+    parts = shape.parts
+    fill = [0] * len(parts)  # cells already placed per row
+
+    def place(value: int) -> int:
+        if value > shape.n:
+            return 1
+        total = 0
+        for r in range(len(parts)):
+            c = fill[r]
+            if c >= parts[r]:
+                continue
+            if r > 0 and fill[r - 1] <= c:
+                continue
+            fill[r] += 1
+            total += place(value + 1)
+            fill[r] -= 1
+        return total
+
+    return place(1)
+
+
+def random_real_rooted(rng: random.Random, max_degree: int = 6) -> Poly:
+    """Product of linear factors with small random rational roots."""
+    deg = rng.randint(1, max_degree)
+    p = Poly((Fraction(1),))
+    for _ in range(deg):
+        root = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if root == 0:
+            root = Fraction(1)
+        p = p * (X - root)
+    return p

@@ -3,13 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from klm import hooklen
-from klm.hooklen import (Partition, SYT_ENUMERATION_CAP, c_equivariant_sum, check_hook_cell,
-                         count_syt, dim_irrep, equivariant_shape,
-                         first_row_hooks_piecewise, hook_lengths,
-                         verify_equivariant_sum, verify_hook_factorizations)
+from klm.hooklen import (Partition, c_equivariant_sum, check_hook_cell, dim_irrep,
+                         equivariant_shape, first_row_hooks_piecewise, grid_cells,
+                         hook_lengths, verify_equivariant_sum, verify_hook_factorizations)
 from klm.klcoeff import c_positive
+from oracles import SYT_ENUMERATION_CAP, count_syt
 
 
 def test_partition_validation():
@@ -94,3 +96,20 @@ def test_a_wrong_first_row_closed_form_is_witnessed_as_a_fraction(monkeypatch):
     witness = check_hook_cell(2, 7, 1, 2)
     assert witness["identity"] == "first-row product"
     assert (witness["product"], witness["closed_form"]) == (1260, "2541/2")
+
+
+def test_every_equivariant_shape_on_the_hooks_grid_is_a_valid_partition():
+    # equivariant_shape skips Partition's checks; the validating constructor
+    # must accept every shape it builds on the crosscheck grid.
+    for m, d, i, h in grid_cells(8, 24):
+        shape = equivariant_shape(m, d, i, h)
+        assert type(shape) is Partition and Partition(shape.parts) == shape, (m, d, i, h)
+
+
+@given(st.lists(st.integers(1, 12), max_size=8))
+def test_hook_lengths_are_arm_plus_leg_plus_one(parts):
+    parts = tuple(sorted(parts, reverse=True))
+    # arm: cells right of (r, c); leg: rows below r that reach column c.
+    want = [[(p - c - 1) + sum(1 for q in parts[r + 1:] if q > c) + 1 for c in range(p)]
+            for r, p in enumerate(parts)]
+    assert hook_lengths(Partition(parts)) == want

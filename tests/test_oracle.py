@@ -86,6 +86,26 @@ def test_bitmask_flats_match_frozenset_closure():
                                             for k in range(d + 1)]
 
 
+def full_closure_masks(lat: ExplicitLattice) -> list[int]:
+    """Reference: the subsets equal to their whole closure {x : rank(s | x) = rank(s)},
+    read from the lattice's own rank table, by size and then lexicographically."""
+    n, ranks = lat.n, lat.ranks
+    closed = [s for s in range(1 << n)
+              if sum(1 << x for x in range(n) if ranks[s | 1 << x] == ranks[s]) == s]
+    return sorted(closed, key=lambda s: (s.bit_count(), [x for x in range(n) if s >> x & 1]))
+
+
+def test_flats_match_the_full_closure_of_a_scrambled_rank_table(monkeypatch):
+    # A rank table that is no matroid's: the flat test still stops only where
+    # the whole closure would differ from s.
+    monkeypatch.setattr(ExplicitLattice, "rank_fn",
+                        lambda self, s: (s * 2654435761 >> 5) % (self.d + 1))
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            lat = ExplicitLattice(n, d)
+            assert lat.masks == full_closure_masks(lat), (n, d)
+
+
 def test_explicit_char_matches_fast_path():
     for n in range(1, 9):
         for d in range(1, n + 1):
@@ -168,6 +188,19 @@ def test_subset_sums_match_submask_enumeration():
             got = {f: (inside, counts) for f, inside, counts in lat.interval_counts()}
             assert got == submask_interval_counts(lat), (n - d, d)
             assert list(got) == [f for f in lat.masks if f != (1 << n) - 1]
+
+
+def test_subset_sums_match_submask_enumeration_on_a_non_matroid_rank(monkeypatch):
+    # Monotone but no matroid's: element 0 is a loop, so every flat holds it,
+    # and element 2 counts twice.  The flats below a flat are then not all its
+    # subsets, so a sum that miscounts a mask would show.
+    monkeypatch.setattr(ExplicitLattice, "rank_fn",
+                        lambda self, s: min((s >> 1).bit_count() + (s >> 2 & 1), self.d))
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            lat = ExplicitLattice(n, d)
+            got = {f: (inside, counts) for f, inside, counts in lat.interval_counts()}
+            assert got == submask_interval_counts(lat), (n, d)
 
 
 def test_rank_table_reads_the_rank_function_once_per_subset(monkeypatch):

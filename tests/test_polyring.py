@@ -11,8 +11,8 @@ from klm.arith import falling_factorial
 from klm.polyring import (ONE, Poly, X, as_poly, det_fraction, det_parametric,
                           expand_binomial_affine, interpolate, leading_minors,
                           minor_degree_bound, poly_gcd, render, render_in_d,
-                          squarefree_part, to_falling_basis)
-from oracles import det_cofactor
+                          squarefree_part)
+from oracles import det_cofactor, to_falling_basis
 
 
 def P(*coeffs) -> Poly:

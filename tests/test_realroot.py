@@ -1,4 +1,4 @@
-"""Sturm counting, Hurwitz determinants, n-sequence tests, multiplier checks."""
+"""Sturm counting, Hurwitz determinants, and n-sequence tests."""
 
 import random
 from fractions import Fraction
@@ -17,12 +17,11 @@ from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_ha
                           count_real_roots, distinct_real_certificate,
                           hurwitz_delta, hurwitz_deltas, hurwitz_matrix,
                           hurwitz_positivity_symbolic,
-                          multiplicity_profile, multiplier_spot_check,
-                          n_sequence_test, random_real_rooted, sturm_chain,
+                          multiplicity_profile, n_sequence_test, sturm_chain,
                           sturm_count)
 from klm.seqfactor import SeqSpec, gy_poly
 from klm.zcoeff import z_from_kl
-from oracles import det_cofactor
+from oracles import det_cofactor, random_real_rooted
 
 
 def P(*coeffs) -> Poly:
@@ -299,16 +298,6 @@ def test_n_sequence_zero_root_reported_distinctly():
     cert = n_sequence_test([Fraction(0), Fraction(1)], 1)
     assert not cert.passed
     assert cert.witness.get("reason") == "zero root"
-
-
-def test_multiplier_spot_check_examples():
-    # m=1, d=2: (1+t)^2 maps to 4 + 12t + 4t^2, still real-rooted.
-    from klm.arith import binomial
-    image = P(*(binomial(4, i + 1) * c for i, c in enumerate((1, 2, 1))))
-    assert image == P(4, 12, 4)
-    assert count_real_roots(image) == 2
-    cert = multiplier_spot_check(2, 4, 100)
-    assert cert.passed, cert.witness
 
 
 # -- the integer chain against the Fraction reference -----------------------------

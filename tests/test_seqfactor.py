@@ -12,8 +12,8 @@ from klm.arith import IntegrityError, binomial, falling_factorial
 from klm.polyring import ONE, Poly, X, as_poly, render
 from klm.seqfactor import (SeqSpec, base_real_rooted_polys, diagonal_value,
                            expand_falling, fibonacci_poly, fibonacci_truncation,
-                           gy_poly, kl_reformulation_check, qr_poly, seq_value,
-                           symbolic_in_i)
+                           gy_poly, kl_reformulation_check, qr_poly, seq_value)
+from oracles import symbolic_in_i, to_falling_basis
 
 
 def P(*coeffs) -> Poly:
@@ -146,6 +146,10 @@ def test_qr_poly_checks_its_factorization_against_gy_poly(monkeypatch):
     monkeypatch.setattr(seqfactor, "gy_poly", lambda spec, d=None: gy_poly(spec, d) + X)
     with pytest.raises(IntegrityError, match="factorization identity failed for f_3 at d=5"):
         qr_poly(SeqSpec("f", 3), 5)
+    # A term past t^d, which no (1+t)^(d-k) row can hold, fails the check too.
+    monkeypatch.setattr(seqfactor, "gy_poly", lambda spec, d=None: gy_poly(spec, d) + X ** (d + 1))
+    with pytest.raises(IntegrityError, match="factorization identity failed for f_3 at d=5"):
+        qr_poly(SeqSpec("f", 3), 5)
 
 
 # seq_value and numeric gy_poly with one Fraction per term and at Fraction(d):
@@ -202,3 +206,30 @@ def test_seq_value_matches_its_per_term_sum_past_the_grid(family, m, d, data):
 def test_gy_poly_matches_its_fraction_evaluation_past_the_grid(family, m, d):
     spec = SeqSpec(family, m)
     assert gy_poly(spec, d) == gy_poly_per_term(spec, d)
+
+
+def test_expand_falling_matches_the_nested_fraction_expansion():
+    # The integer (i, d) table against the defining sum expanded in nested
+    # Fraction Polys and moved to the falling basis one coefficient at a time.
+    for family in ("f", "b"):
+        for m in range(1, 13):
+            spec = SeqSpec(family, m)
+            want = tuple(as_poly(g) for g in to_falling_basis(symbolic_in_i(spec)))
+            assert expand_falling(spec) == want, spec
+
+
+def qr_poly_by_fraction_powers(spec, d):
+    """sum_k g_{m,k}(d) (d)_k t^k (1+t)^(d-k), each power a Fraction Poly power."""
+    alt = Poly()
+    for k, c in enumerate(gy_poly(spec, d).coeffs):
+        alt = alt + c * X ** k * (ONE + X) ** (d - k)
+    return alt
+
+
+def test_qr_poly_matches_its_fraction_power_expansion():
+    # d below, at and past the degree 2(m-1) of G.
+    for family in ("f", "b"):
+        for m in (1, 3, 6):
+            for d in (1, 2, 7, 10, 25, 40):
+                spec = SeqSpec(family, m)
+                assert qr_poly(spec, d) == qr_poly_by_fraction_powers(spec, d), (spec, d)
