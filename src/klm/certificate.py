@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 
 METHODS = ("sturm", "hurwitz", "nseq", "identity")
@@ -47,16 +48,19 @@ def judge(subject: str, method: str, failure: dict | None,
 
 
 def map_cells(worker, cells: list[tuple], jobs: int = 1) -> list:
-    """[worker(*cell) for cell in cells], across jobs processes when jobs > 1.
+    """[worker(*cell) for cell in cells], across worker processes when jobs > 1.
 
-    Results keep grid order.  A worker run in another process must be a
-    module-level function, so that it pickles by name.
+    The pool starts every worker up front, so it gets no more than jobs, the
+    number of cells or the number of CPUs.  Results keep grid order.  A worker
+    run in another process must be a module-level function, so that it
+    pickles by name.
     """
-    if jobs <= 1 or len(cells) < 2:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(cells) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(cells) // (workers * 4))
         return list(pool.map(worker, *zip(*cells), chunksize=chunk))
 
 

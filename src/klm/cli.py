@@ -1,10 +1,12 @@
 """Command-line surface: compute, verify, certify.
 
 Subcommands wrap the library modules; results render as canonical text or
-as JSON with big integers serialized as decimal strings.  Every run is
-recorded in an append-only JSON-lines cache keyed by a content hash of the
-command; re-running an identical command replays the stored payload byte
-for byte.
+as JSON with big integers serialized as decimal strings.  ``execute`` is the
+one run path: it checks the arguments, keys the command by a content hash
+(``--csv`` is not part of the key) and looks the key up in an append-only
+JSON-lines run cache.  A hit prints the stored payload byte for byte; a miss
+produces, prints and records it.  A ``verify --csv`` run then writes its
+table, hit or miss.
 
 Up to its last line the module imports the standard library alone; each
 command imports the engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
@@ -51,18 +53,19 @@ def _emit_json(obj) -> str:
 # -- cache -----------------------------------------------------------------------
 
 
-def cache_path(args) -> str:
-    """The run cache file of args' command: --cache, $KLM_CACHE or the default.
-
-    A directory, or a path whose parent directory is missing, is a usage
-    error, raised before the command runs or prints anything.
-    """
-    path = args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE)
+def writable_path(label: str, path: str) -> str:
+    """path, or a usage error naming label if it is a directory or sits in a
+    directory that does not exist."""
     if os.path.isdir(path):
-        raise UsageError(f"cache path {path!r} is a directory")
+        raise UsageError(f"{label} {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"cache path {path!r} is in a directory that does not exist")
+        raise UsageError(f"{label} {path!r} is in a directory that does not exist")
     return path
+
+
+def cache_path(args) -> str:
+    """The run cache file of args' command: --cache, $KLM_CACHE or the default."""
+    return writable_path("cache path", args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE))
 
 
 def run_key(command: str, params: dict) -> str:
@@ -118,52 +121,19 @@ def cache_append(path, record: dict) -> None:
         os.close(fd)
 
 
-def run_params(args) -> dict | None:
+def run_params(args) -> dict:
     """The parameters that key the run record of args' command.
 
-    None for ``verify --csv``: a hit there still writes the CSV, which needs
-    the engine, so ``cmd_verify`` replays the same command without ``--csv``.
+    ``--jobs``, ``--cache`` and ``--csv`` leave the payload as it is, so none of
+    them is a parameter: ``verify --csv`` shares the record of plain ``verify``.
     """
     if args.command == "compute":
         return {"kind": args.kind, "m": args.m, "d": args.d, "route": args.route,
                 "symbolic_d": args.symbolic_d, "json": args.json}
     if args.command == "verify":
-        if args.csv:
-            return None
         return {"suite": args.suite, "m_max": args.m_max, "d_max": args.d_max,
                 "json": args.json}
     return {"target": args.target, "m": args.m, "d": args.d, "json": args.json}
-
-
-def replay(args) -> int | None:
-    """Print the cached payload of args' command and return its exit code.
-
-    None when the cache holds no record for it.
-    """
-    params = run_params(args)
-    if params is None:
-        return None
-    hit = cache_lookup(cache_path(args), run_key(args.command, params))
-    if hit is None:
-        return None
-    sys.stdout.write(hit["payload"])
-    return hit["exit"]
-
-
-def record_run(args, produce) -> int:
-    """Produce, print and record a fresh run of args' command.
-
-    produce() returns (payload_text, exit_code).
-    """
-    start = time.monotonic()
-    payload, code = produce()
-    sys.stdout.write(payload)
-    params = run_params(args)
-    cache_append(cache_path(args), {
-        "key": run_key(args.command, params), "command": args.command,
-        "params": params, "payload": payload, "exit": code,
-        "millis": int((time.monotonic() - start) * 1000), "jobs": args.jobs})
-    return code
 
 
 # -- arguments -------------------------------------------------------------------
@@ -232,7 +202,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     argparse takes a value that starts with '-' and is not a plain negative
     number for an option, and would report that --m expected one argument;
-    joined, the value reaches ``check_indices``, which names the bad index.
+    joined, the value reaches ``check_args``, which names the bad index.
     """
     joined: list[str] = []
     for tok in sys.argv[1:] if argv is None else argv:
@@ -244,12 +214,19 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def check_args(args) -> None:
-    """Reject an argument that args' command would ignore, a missing --d, and
-    an index below what the engine accepts.
+    """Reject an argument that args' command would ignore, a missing --d, an
+    index below what the engine accepts (in the engine's words), and a --csv
+    the command cannot write.
 
     Runs before the cache is read and before any engine module loads, so an
     exception raised while the command runs is an internal fault.
     """
+    if args.command == "verify":
+        if args.csv:
+            if args.suite not in ("formulas", "z-formulas"):
+                raise UsageError("--csv is supported for the formulas and z-formulas suites")
+            writable_path("csv path", args.csv)
+        return
     if args.command == "compute":
         if args.symbolic_d and args.kind not in ("G", "Y"):
             raise UsageError(f"--symbolic-d applies to kinds G and Y, not {args.kind}")
@@ -258,20 +235,15 @@ def check_args(args) -> None:
         if args.d is None and not args.symbolic_d:
             raise UsageError(f"compute {args.kind} requires --d"
                              + (" or --symbolic-d" if args.kind in ("G", "Y") else ""))
-    if args.command == "certify":
-        if args.target.startswith("hurwitz") and args.d is not None:
+        kind, m, d = args.kind, args.m, args.d
+    else:
+        hurwitz = args.target.startswith("hurwitz")
+        if hurwitz and args.d is not None:
             raise UsageError(f"certify {args.target} covers every d and takes no --d")
-        if not args.target.startswith("hurwitz") and args.d is None:
+        if not hurwitz and args.d is None:
             raise UsageError(f"certify {args.target} requires --d")
-    if args.command != "verify":
-        check_indices(args)
-
-
-def check_indices(args) -> None:
-    """Reject an m or d below what the engine accepts, in the engine's words."""
-    if args.command == "certify":
         ms = parse_range(args.m)
-        if args.target.startswith("hurwitz"):
+        if hurwitz:
             if ms[0] < 2:
                 raise UsageError("the Hurwitz argument starts at m = 2")
             return
@@ -279,8 +251,6 @@ def check_indices(args) -> None:
         kind, m, d = args.target, ms[0], parse_range(args.d)[0]
         if kind.startswith("dseq") and d < 1:
             raise UsageError(f"{kind} requires d >= 1, got {d}")
-    else:
-        kind, m, d = args.kind, args.m, args.d
     if kind in ("kl", "z", "kl-roots", "z-roots"):
         if m < 1 or d < 1:
             raise UsageError(f"uniform matroid indices must be positive, got m={m}, d={d}")
@@ -347,42 +317,32 @@ def _cell_dseq(family, m, d):
     return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
 
 
-def _cell_hurwitz(family, m):
-    from .realroot import hurwitz_positivity_symbolic
-    return hurwitz_positivity_symbolic(family, m)
-
-
 # -- compute ---------------------------------------------------------------------
 
 
-def compute_poly(kind: str, m: int, d: int | None, route: str,
-                 symbolic_d: bool) -> tuple[Poly, int | None]:
+def compute_poly(kind: str, m: int, d: int | None, route: str) -> Poly:
+    """The polynomial of kind at (m, d); d is None for a symbolic d (G and Y)."""
     if kind == "kl":
         from .klcoeff import kl_poly
-        return kl_poly(m, d, route), d
+        return kl_poly(m, d, route)
     if kind == "z":
         from .zcoeff import z_from_kl
-        return z_from_kl(m, d), d
+        return z_from_kl(m, d)
     if kind == "char":
         from .oracle import RankedLattice, char_poly
-        return char_poly(RankedLattice(m, d)), d
+        return char_poly(RankedLattice(m, d))
     from .seqfactor import SeqSpec, gy_poly, qr_poly
     if kind in ("G", "Y"):
-        spec = SeqSpec("f" if kind == "G" else "b", m)
-        return gy_poly(spec, None if symbolic_d else d), None if symbolic_d else d
-    spec = SeqSpec("f" if kind == "Q" else "b", m)
-    return qr_poly(spec, d), d
+        return gy_poly(SeqSpec("f" if kind == "G" else "b", m), d)
+    return qr_poly(SeqSpec("f" if kind == "Q" else "b", m), d)
 
 
-def cmd_compute(args) -> int:
-    def produce():
-        p, d = compute_poly(args.kind, args.m, args.d, args.route, args.symbolic_d)
-        if args.json:
-            return _emit_json(poly_payload(args.kind, args.m, d, p)) + "\n", 0
-        from .polyring import render
-        return render(p) + "\n", 0
-
-    return record_run(args, produce)
+def produce_compute(args) -> tuple[str, int]:
+    p = compute_poly(args.kind, args.m, args.d, args.route)
+    if args.json:
+        return _emit_json(poly_payload(args.kind, args.m, args.d, p)) + "\n", 0
+    from .polyring import render
+    return render(p) + "\n", 0
 
 
 # -- verify ----------------------------------------------------------------------
@@ -449,17 +409,8 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
             out.writerow([m, d, i, *("" if v is None else str(v) for v in values)])
 
 
-def cmd_verify(args) -> int:
-    if args.csv:
-        if args.suite not in ("formulas", "z-formulas"):
-            raise UsageError("--csv is supported for the formulas and z-formulas suites")
-        # Stdout and the run record are those of the same command without
-        # --csv, replayed or fresh; the CSV is written either way.
-        code = execute(argparse.Namespace(**{**vars(args), "csv": None}))
-        write_routes_csv(args.csv, args.suite, args.m_max, args.d_max)
-        return code
-    return record_run(args, lambda: _format_certs(
-        run_verify(args.suite, args.m_max, args.d_max, args.jobs), args.json))
+def produce_verify(args) -> tuple[str, int]:
+    return _format_certs(run_verify(args.suite, args.m_max, args.d_max, args.jobs), args.json)
 
 
 # -- certify ---------------------------------------------------------------------
@@ -485,33 +436,43 @@ def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Ce
     if target in ("hurwitz-G", "hurwitz-Y"):
         from . import realroot, seqfactor  # noqa: F401
         family = target[-1]
-        return map_cells(_cell_hurwitz, [(family, m) for m in ms], jobs)
+        return map_cells(realroot.hurwitz_positivity_symbolic, [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
 
 
-def cmd_certify(args) -> int:
-    ms = parse_range(args.m)
+def produce_certify(args) -> tuple[str, int]:
     ds = parse_range(args.d) if args.d is not None else []
-
-    return record_run(args, lambda: _format_certs(
-        run_certify(args.target, ms, ds, args.jobs), args.json))
+    return _format_certs(run_certify(args.target, parse_range(args.m), ds, args.jobs),
+                         args.json)
 
 
 # -- entry point -------------------------------------------------------------------
 
-COMMANDS = {"compute": cmd_compute, "verify": cmd_verify, "certify": cmd_certify}
-
-
-def run_fresh(args) -> int:
-    """Run args' command on a cache miss: compute, print and record it."""
-    return COMMANDS[args.command](args)
+# Command -> produce(args), which computes the command's (payload, exit code).
+PRODUCE = {"compute": produce_compute, "verify": produce_verify, "certify": produce_certify}
 
 
 def execute(args) -> int:
-    """Replay args' command from the cache, or run it fresh."""
+    """Run args' command: print its cached payload, or produce, print and
+    record it; then write a verify run's --csv table, hit or miss."""
     check_args(args)
-    code = replay(args)
-    return run_fresh(args) if code is None else code
+    path, params = cache_path(args), run_params(args)
+    key = run_key(args.command, params)
+    hit = cache_lookup(path, key)
+    if hit is not None:
+        sys.stdout.write(hit["payload"])
+        code = hit["exit"]
+    else:
+        start = time.monotonic()
+        payload, code = PRODUCE[args.command](args)
+        sys.stdout.write(payload)
+        cache_append(path, {
+            "key": key, "command": args.command, "params": params, "payload": payload,
+            "exit": code, "millis": int((time.monotonic() - start) * 1000),
+            "jobs": args.jobs})
+    if args.command == "verify" and args.csv:
+        write_routes_csv(args.csv, args.suite, args.m_max, args.d_max)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

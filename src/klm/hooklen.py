@@ -33,9 +33,6 @@ class Partition(namedtuple("Partition", "parts")):
     def n(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 def hook_lengths(shape: Partition) -> list[list[int]]:
     """Hook length of every cell: arm + leg + 1, row-major."""

@@ -385,6 +385,20 @@ def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("csv, message", [
+    ("missing/x.csv", "is in a directory that does not exist"),
+    (".", "is a directory"),
+], ids=["missing-parent", "directory"])
+def test_a_bad_csv_path_is_a_usage_error(csv, message, tmp_path, cli_env):
+    path = str(tmp_path / csv)
+    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3", "--csv", path],
+                       tmp_path, cli_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"usage error: csv path {path!r} {message}" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "hurwitz-G", "--m", "2", "--d", "7"],
      "certify hurwitz-G covers every d and takes no --d"),
@@ -392,7 +406,9 @@ def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
      "--symbolic-d applies to kinds G and Y, not kl"),
     (["compute", "G", "--m", "2", "--symbolic-d", "--d", "3"],
      "compute G takes --d or --symbolic-d, not both"),
-], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d"])
+    (["verify", "hooks", "--csv", "x.csv"],
+     "--csv is supported for the formulas and z-formulas suites"),
+], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d", "csv-on-hooks"])
 def test_an_ignored_argument_is_a_usage_error(argv, message, tmp_path, cli_env):
     _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
 
@@ -529,6 +545,25 @@ def test_verify_csv_on_a_cache_hit_still_writes_the_csv(tmp_path, run_cli):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "m,d,i,from_kl,alternating,positive" and len(lines) == 1 + 2 * (2 + 3 + 4)
     assert "2,3,1,10,10,10" in lines and "2,3,3,1,1,1" in lines
+
+
+# Keys of records that klm-0.3.0 caches already hold: a change that moved one
+# would turn every such record into a miss.  --csv is not part of a key.
+@pytest.mark.parametrize("argv, key", [
+    (["compute", "kl", "--m", "2", "--d", "3"],
+     "cc3f9a26decb0f98376eea5d4550752cad5e0485ff10fbadf6a1c0c8df6b388a"),
+    (["compute", "G", "--m", "2", "--symbolic-d", "--json"],
+     "03c17a50aec687ce6a2fc3a71896b661ae473ea5de1d6793601256b30af9e57b"),
+    (["verify", "z-formulas", "--m-max", "2", "--d-max", "3"],
+     "b326fc1304f4bb5297aa1d4987953d26014f0d8b9dcff712ffd11e602c985b5c"),
+    (["verify", "z-formulas", "--m-max", "2", "--d-max", "3", "--csv", "x.csv"],
+     "b326fc1304f4bb5297aa1d4987953d26014f0d8b9dcff712ffd11e602c985b5c"),
+    (["certify", "hurwitz-G", "--m", "2..3", "--json"],
+     "12a348cbcc313dff6550dba54edb4e2d1757ab9300dbbcd096bb8e6e2f24ec4c"),
+], ids=["compute-kl", "compute-G-symbolic", "verify", "verify-csv", "certify-hurwitz"])
+def test_run_keys_stay_those_of_existing_caches(argv, key):
+    args = cli.parse_args(argv)
+    assert cli.run_key(args.command, cli.run_params(args)) == key
 
 
 def test_payload_holding_another_key_is_not_a_hit(tmp_path, run_cli):

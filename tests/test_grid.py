@@ -1,5 +1,7 @@
 """One grid runner: the library verify functions and `klm verify` share it."""
 
+import concurrent.futures
+import os
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,40 @@ def test_grid_reports_the_first_failure_in_grid_order_with_two_jobs():
     assert map_cells(_fails_from, cells, 2) == [_fails_from(*cell) for cell in cells]
     cert = grid_certificate("grid", _fails_from, cells, jobs=2)
     assert (cert.verdict, cert.witness) == ("fail", {"n": 7})
+
+
+@pytest.mark.parametrize("jobs, n_cells, cpus, pool", [
+    (10**6, 3, 8, {"max_workers": 3, "chunksize": 1}),
+    (10**6, 100, 4, {"max_workers": 4, "chunksize": 6}),
+    (3, 100, 8, {"max_workers": 3, "chunksize": 8}),
+    (10**6, 100, None, None),
+    (10**6, 1, 8, None),
+], ids=["cells", "cpus", "jobs", "cpu-count-unknown", "one-cell"])
+def test_map_cells_starts_no_more_workers_than_cells_or_cpus(jobs, n_cells, cpus, pool,
+                                                             monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Records what map_cells asks of the pool and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            made[-1]["chunksize"] = chunksize
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cells = [(n, 7) for n in range(n_cells)]
+    assert map_cells(_fails_from, cells, jobs) == [_fails_from(*cell) for cell in cells]
+    assert made == ([] if pool is None else [pool])
 
 
 def test_empty_grid_passes_with_nothing_checked():

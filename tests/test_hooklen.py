@@ -28,7 +28,9 @@ def test_partition_is_a_frozen_value():
     with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
         Partition(parts=(2, 3))
     shape = Partition((3, 2, 2))
-    assert len(shape) == 3 and len(Partition(())) == 0
+    assert len(shape.parts) == 3 and len(Partition(()).parts) == 0
+    assert shape._replace(parts=(4, 1)) == Partition((4, 1))
+    assert Partition._make([(3, 2, 2)]) == shape and Partition._make([()]).parts == ()
     assert shape == Partition((3, 2, 2)) and shape != Partition((3, 2))
     assert hash(shape) == hash(Partition((3, 2, 2)))
     assert repr(shape) == "Partition(parts=(3, 2, 2))"
