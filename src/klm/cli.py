@@ -3,10 +3,11 @@
 Subcommands wrap the library modules; results render as canonical text or
 as JSON with big integers serialized as decimal strings.  ``execute`` is the
 one run path: it checks the arguments, keys the command by a content hash
-(``--csv`` is not part of the key) and looks the key up in an append-only
-JSON-lines run cache.  A hit prints the stored payload byte for byte; a miss
-produces, prints and records it.  A ``verify --csv`` run then writes its
-table, hit or miss.
+(the SHA-256 of its canonical JSON, from CPython's built-in hash module, so
+no launch loads OpenSSL; ``--csv`` is not part of the key) and looks the key
+up in an append-only JSON-lines run cache.  A hit prints the stored payload
+byte for byte; a miss produces, prints and records it.  A ``verify --csv``
+run then writes its table, hit or miss.
 
 Up to its last line the module imports the standard library alone; each
 command imports the engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
@@ -23,11 +24,21 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import json
 import os
 import sys
 import time
+
+# The run key's SHA-256 comes from CPython's built-in hash module, the one
+# hashlib falls back to without OpenSSL: importing hashlib would load
+# libcrypto (about 3 MB of resident memory) into every launch for one digest.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:  # a build that leaves the built-in SHA-256 out
+        from hashlib import sha256
 
 ENGINE_VERSION = "klm-0.3.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
@@ -69,8 +80,14 @@ def cache_path(args) -> str:
 
 
 def run_key(command: str, params: dict) -> str:
+    """The hex SHA-256 of the canonical JSON of the engine version, command and
+    params: the key of the command's run record.
+
+    The digest is the standard SHA-256 whichever module computes it, so the
+    keys of existing caches stay valid.
+    """
     blob = _emit_json({"engine": ENGINE_VERSION, "command": command, "params": params})
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def cache_lookup(path, key: str) -> dict | None:

@@ -29,6 +29,11 @@ class Partition(namedtuple("Partition", "parts")):
             raise ValueError(f"partition parts must weakly decrease, got {parts}")
         return super().__new__(cls, parts)
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
+        return cls(*fields)
+
     @property
     def n(self) -> int:
         return sum(self.parts)

@@ -34,6 +34,11 @@ class RankedLattice(namedtuple("RankedLattice", "m d")):
             raise ValueError(f"invalid uniform matroid U_{{{m},{d}}}")
         return super().__new__(cls, m, d)
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
+        return cls(*fields)
+
     @property
     def rank(self) -> int:
         return self.d

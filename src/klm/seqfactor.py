@@ -43,6 +43,11 @@ class SeqSpec(namedtuple("SeqSpec", "family m")):
             raise ValueError(f"m must be >= 1, got {m}")
         return super().__new__(cls, family, m)
 
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
+        return cls(*fields)
+
 
 def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
     """Direct numeric evaluation of f_m(d,i) or b_m(d,i).

@@ -1,6 +1,7 @@
 """Command-line surface: rendering, JSON schema, cache replay, exit codes."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from klm import cli, klcoeff, realroot, zcoeff
 from klm.cli import main, parse_range
@@ -327,6 +330,10 @@ def test_corrupt_cache_line_is_skipped(tmp_path, run_cli):
 # -- the replay front: a hit is answered before the engine loads ------------------
 
 ENGINE_MODULES = ("klm.realroot", "klm.polyring", "concurrent.futures")
+# OpenSSL's hash module, which no launch loads when CPython's built-in
+# SHA-256 keys the run (every standard build); empty on a build without it.
+OPENSSL_MODULES = ({"_hashlib"} if importlib.util.find_spec("_sha2")
+                   or importlib.util.find_spec("_sha256") else set())
 
 
 def _imported_modules(importtime_stderr: str) -> set[str]:
@@ -343,7 +350,8 @@ def test_cache_hit_loads_no_engine_module(tmp_path, cli_env):
     assert miss.returncode == hit.returncode == 0, (miss.stderr, hit.stderr)
     assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
     assert set(ENGINE_MODULES) <= _imported_modules(miss.stderr)
-    assert not set(ENGINE_MODULES) & _imported_modules(hit.stderr)
+    assert not OPENSSL_MODULES & _imported_modules(miss.stderr)
+    assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & _imported_modules(hit.stderr)
 
 
 def _traced_run(argv, tmp_path, cli_env) -> subprocess.CompletedProcess:
@@ -368,7 +376,7 @@ def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cl
     assert proc.returncode == 0 and proc.stdout, proc.stderr
     loaded = _imported_modules(proc.stderr)
     assert loads <= loaded
-    assert not skips & loaded
+    assert not (skips | OPENSSL_MODULES) & loaded
 
 
 @pytest.mark.parametrize("cache, message", [
@@ -500,11 +508,13 @@ def test_import_klm_cli_loads_every_traced_layer(cli_env):
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     script = ("import json, sys, klm.cli\n"
+              "assert not set(sys.argv[2:]) & set(sys.modules), 'OpenSSL loaded'\n"
               "layers = json.loads(sys.argv[1])\n"
               "print(json.dumps([f'{layer}.{name}' for layer, names in layers.items()\n"
               "                  for name in names\n"
               "                  if not hasattr(sys.modules.get('klm.' + layer), name)]))\n")
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(tracer.LAYERS)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(tracer.LAYERS),
+                           *OPENSSL_MODULES],
                           capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
@@ -547,11 +557,13 @@ def test_verify_csv_on_a_cache_hit_still_writes_the_csv(tmp_path, run_cli):
     assert "2,3,1,10,10,10" in lines and "2,3,3,1,1,1" in lines
 
 
+KL_2_3_KEY = "cc3f9a26decb0f98376eea5d4550752cad5e0485ff10fbadf6a1c0c8df6b388a"
+
+
 # Keys of records that klm-0.3.0 caches already hold: a change that moved one
 # would turn every such record into a miss.  --csv is not part of a key.
 @pytest.mark.parametrize("argv, key", [
-    (["compute", "kl", "--m", "2", "--d", "3"],
-     "cc3f9a26decb0f98376eea5d4550752cad5e0485ff10fbadf6a1c0c8df6b388a"),
+    (["compute", "kl", "--m", "2", "--d", "3"], KL_2_3_KEY),
     (["compute", "G", "--m", "2", "--symbolic-d", "--json"],
      "03c17a50aec687ce6a2fc3a71896b661ae473ea5de1d6793601256b30af9e57b"),
     (["verify", "z-formulas", "--m-max", "2", "--d-max", "3"],
@@ -564,6 +576,34 @@ def test_verify_csv_on_a_cache_hit_still_writes_the_csv(tmp_path, run_cli):
 def test_run_keys_stay_those_of_existing_caches(argv, key):
     args = cli.parse_args(argv)
     assert cli.run_key(args.command, cli.run_params(args)) == key
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(command=st.text(), params=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_run_key_is_the_sha256_of_the_canonical_blob(command, params):
+    # hashlib is the reference here; the CLI computes the same digest without it.
+    blob = json.dumps({"engine": "klm-0.3.0", "command": command, "params": params},
+                      sort_keys=True, separators=(",", ":"))
+    assert cli.run_key(command, params) == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_a_record_written_by_klm_0_3_0_replays(tmp_path, run_cli):
+    # The line as klm-0.3.0 wrote it, under the pinned key rather than one
+    # run_key computes, with a payload and exit code no fresh run would give.
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(
+        '{"command":"compute","exit":1,"jobs":1,"key":"' + KL_2_3_KEY + '","millis":3,'
+        '"params":{"d":3,"json":false,"kind":"kl","m":2,"route":"positive",'
+        '"symbolic_d":false},"payload":"sentinel from klm-0.3.0\\n"}\n')
+    records = cache.read_text()
+    assert run_cli(["compute", "kl", "--m", "2", "--d", "3"], tmp_path,
+                   env_cache=cache)[:2] == (1, "sentinel from klm-0.3.0\n")
+    assert cache.read_text() == records
 
 
 def test_payload_holding_another_key_is_not_a_hit(tmp_path, run_cli):

@@ -62,6 +62,11 @@ def test_certificate_validates_and_compares_field_by_field():
         "subject": "s", "method": "identity", "verdict": "pass", "witness": None}
     assert repr(cert) == ("Certificate(subject='s', method='sturm', verdict='fail', "
                           "witness={'d': 3})")
+    # _make and _replace build through the same checks as the constructor.
+    with pytest.raises(ValueError, match="a failing certificate must carry a witness"):
+        Certificate("s", "sturm", "pass")._replace(verdict="fail")
+    with pytest.raises(ValueError, match="unknown certificate method 'guess'"):
+        Certificate._make(["s", "guess", "pass", None])
     with pytest.raises(AttributeError):
         cert.verdict = "pass"
     with pytest.raises(AttributeError):

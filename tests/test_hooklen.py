@@ -31,6 +31,11 @@ def test_partition_is_a_frozen_value():
     assert len(shape.parts) == 3 and len(Partition(()).parts) == 0
     assert shape._replace(parts=(4, 1)) == Partition((4, 1))
     assert Partition._make([(3, 2, 2)]) == shape and Partition._make([()]).parts == ()
+    # _make and _replace build through the same checks as the constructor.
+    with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
+        shape._replace(parts=(2, 3))
+    with pytest.raises(ValueError, match=r"partition parts must be positive, got \(0, -1\)"):
+        Partition._make([(0, -1)])
     assert shape == Partition((3, 2, 2)) and shape != Partition((3, 2))
     assert hash(shape) == hash(Partition((3, 2, 2)))
     assert repr(shape) == "Partition(parts=(3, 2, 2))"

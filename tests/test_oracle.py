@@ -35,6 +35,11 @@ def test_ranked_lattice_is_a_frozen_value():
     assert {lat, RankedLattice(2, 3)} == {lat}
     assert (lat.rank, lat.ground, lat.flat_count(1), lat.flat_count(3)) == (3, 5, 5, 1)
     assert repr(lat) == "RankedLattice(m=2, d=3)"
+    # _make and _replace build through the same checks as the constructor.
+    with pytest.raises(ValueError, match=r"invalid uniform matroid U_{2,-1}"):
+        lat._replace(d=-1)
+    with pytest.raises(ValueError, match=r"invalid uniform matroid U_{-1,3}"):
+        RankedLattice._make([-1, 3])
     with pytest.raises(AttributeError):
         lat.d = 4
     with pytest.raises(AttributeError):

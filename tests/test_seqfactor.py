@@ -28,6 +28,11 @@ def test_seq_spec_is_a_frozen_value():
     spec = SeqSpec("f", 3)
     assert spec == SeqSpec(family="f", m=3) and spec != SeqSpec("b", 3)
     assert repr(spec) == "SeqSpec(family='f', m=3)"
+    # _make and _replace build through the same checks as the constructor.
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        spec._replace(m=0)
+    with pytest.raises(ValueError, match="family must be 'f' or 'b', got 'g'"):
+        SeqSpec._make(["g", 3])
     with pytest.raises(AttributeError):
         spec.m = 4
     with pytest.raises(AttributeError):
