@@ -47,8 +47,7 @@ def sum_over_lcm(terms: Iterable[tuple[int, int]]) -> Fraction:
 def falling_factorial(x, k: int):
     """Falling factorial (x)_k = x (x-1) ... (x-k+1); empty product is 1.
 
-    x may be an int, a Fraction, or any ring element supporting - and *
-    (e.g. a Poly in a parameter).
+    x may be an int, a Fraction or a Poly.
     """
     if k < 0:
         raise ValueError(f"falling_factorial requires k >= 0, got k={k}")

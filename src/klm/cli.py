@@ -93,10 +93,10 @@ def run_key(command: str, params: dict) -> str:
 def cache_lookup(path, key: str) -> dict | None:
     """The record stored under key, skipping lines that are not replayable.
 
-    Only a line that contains the key is parsed.  A torn or hand-edited line,
-    or a record without a text payload and an integer exit code, is never a
-    replayable record, so it is passed over rather than failing every later
-    command.
+    Only a line that contains the key is parsed.  A torn, hand-edited or
+    too deeply nested line, or a record without an ASCII text payload and an
+    exit code of 0 or 1, is never one that klm wrote, so it is passed over
+    rather than failing every later command.
     """
     needle = key.encode()
     try:
@@ -109,11 +109,11 @@ def cache_lookup(path, key: str) -> dict | None:
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 continue
             if (isinstance(rec, dict) and rec.get("key") == key
-                    and isinstance(rec.get("payload"), str)
-                    and type(rec.get("exit")) is int):
+                    and isinstance(rec.get("payload"), str) and rec["payload"].isascii()
+                    and type(rec.get("exit")) is int and rec["exit"] in (0, 1)):
                 return rec
     return None
 
@@ -233,7 +233,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 def check_args(args) -> None:
     """Reject an argument that args' command would ignore, a missing --d, an
     index below what the engine accepts (in the engine's words), and a --csv
-    the command cannot write.
+    the command cannot write or that names the run cache (the table would wipe it).
 
     Runs before the cache is read and before any engine module loads, so an
     exception raised while the command runs is an internal fault.
@@ -243,6 +243,11 @@ def check_args(args) -> None:
             if args.suite not in ("formulas", "z-formulas"):
                 raise UsageError("--csv is supported for the formulas and z-formulas suites")
             writable_path("csv path", args.csv)
+            cache = cache_path(args)
+            both = os.path.exists(args.csv) and os.path.exists(cache)
+            if os.path.realpath(args.csv) == os.path.realpath(cache) or (
+                    both and os.path.samefile(args.csv, cache)):
+                raise UsageError(f"csv path {args.csv!r} is the run cache {cache!r}")
         return
     if args.command == "compute":
         if args.symbolic_d and args.kind not in ("G", "Y"):
@@ -293,22 +298,6 @@ def _exit_code(run, args) -> int | None:
         return 3
 
 
-# -- JSON rendering --------------------------------------------------------------
-
-
-def _coeff_str(c) -> str:
-    from fractions import Fraction
-
-    from .polyring import Poly, render_in_d
-    if isinstance(c, Poly):
-        return render_in_d(c)
-    return str(Fraction(c))
-
-
-def poly_payload(kind: str, m: int, d: int | None, p: Poly) -> dict:
-    return {"kind": kind, "m": m, "d": d, "coeffs": [_coeff_str(c) for c in p.coeffs]}
-
-
 # -- certify cells ---------------------------------------------------------------
 # Each cell imports what it calls; run_certify has loaded those modules before
 # the --jobs pool forks, so in a worker the imports are dictionary lookups.
@@ -337,8 +326,8 @@ def _cell_dseq(family, m, d):
 # -- compute ---------------------------------------------------------------------
 
 
-def compute_poly(kind: str, m: int, d: int | None, route: str) -> Poly:
-    """The polynomial of kind at (m, d); d is None for a symbolic d (G and Y)."""
+def compute_poly(kind: str, m: int, d: int | None, route: str) -> Poly | TDTable:
+    """The polynomial of kind at (m, d); d is None for a symbolic d (G and Y, a TDTable)."""
     if kind == "kl":
         from .klcoeff import kl_poly
         return kl_poly(m, d, route)
@@ -355,11 +344,15 @@ def compute_poly(kind: str, m: int, d: int | None, route: str) -> Poly:
 
 
 def produce_compute(args) -> tuple[str, int]:
+    """The polynomial as text, or as JSON with one string per coefficient of
+    t^k (rendered in d for a symbolic d)."""
+    from .polyring import render, render_in_d
     p = compute_poly(args.kind, args.m, args.d, args.route)
-    if args.json:
-        return _emit_json(poly_payload(args.kind, args.m, args.d, p)) + "\n", 0
-    from .polyring import render
-    return render(p) + "\n", 0
+    if not args.json:
+        return render(p) + "\n", 0
+    coeffs = ([str(c) for c in p.coeffs] if args.d is not None
+              else [render_in_d(p.coeff(k)) for k in range(p.degree + 1)])
+    return _emit_json({"kind": args.kind, "m": args.m, "d": args.d, "coeffs": coeffs}) + "\n", 0
 
 
 # -- verify ----------------------------------------------------------------------

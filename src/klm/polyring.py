@@ -1,10 +1,9 @@
 """Dense exact polynomial arithmetic.
 
-A :class:`Poly` stores ascending coefficients which are Fractions (the
-ordinary univariate case) or themselves Polys in a parameter d (the
-"polynomial in t with polynomial-in-d coefficients" case used by the
-symbolic machinery).  The same class covers both; nesting one level deeper
-gives bivariate polynomials in (i, d).
+A :class:`Poly` is a polynomial in one variable with ascending Fraction (or
+int) coefficients.  A :class:`TDTable` is a polynomial in t whose
+coefficients are polynomials in a parameter d, as one integer table over one
+denominator.
 
 Also here: exact determinants.  One fraction-free Bareiss elimination over
 the integers (Bareiss 1968) serves them all: with row swaps it gives the
@@ -27,20 +26,26 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _trimmed(xs) -> tuple:
+    """xs as a tuple without its trailing zeros (falsy entries)."""
+    xs = list(xs)
+    while xs and not xs[-1]:
+        xs.pop()
+    return tuple(xs)
+
+
 class Poly:
     """Dense univariate polynomial, coefficients ascending by degree.
 
-    The zero polynomial has an empty coefficient tuple.  Coefficients may
-    be ints, Fractions, or Polys in another variable.
+    The zero polynomial has an empty coefficient tuple.  Coefficients are
+    ints or Fractions; the ring operations only add and multiply them, so a
+    reference computation may also nest Polys in another variable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed(coeffs)
 
     # -- structure ---------------------------------------------------------
 
@@ -179,12 +184,39 @@ ONE = Poly((Fraction(1),))
 X = Poly((Fraction(0), Fraction(1)))
 
 
-def as_poly(c) -> Poly:
-    """Coerce a scalar to a constant Poly (an int becomes a Fraction); pass
-    Polys through."""
-    if isinstance(c, Poly):
-        return c
-    return Poly((Fraction(c) if isinstance(c, int) else c,))
+class TDTable:
+    """A polynomial in t whose coefficients are polynomials in d: rows[k]
+    holds the ascending integer coefficients in d of den times the t^k
+    coefficient.  den is positive and shares no factor with every entry,
+    and neither a row nor the table ends in a zero.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows, den: int = 1):
+        rows = _trimmed(_trimmed(r) for r in rows)
+        g = gcd(den, *(c for r in rows for c in r))
+        self.rows = tuple(tuple(c // g for c in r) for r in rows)
+        self.den = den // g
+
+    @property
+    def degree(self) -> int:
+        """Degree in t, with the zero polynomial at -1."""
+        return len(self.rows) - 1
+
+    def coeff(self, k: int) -> Poly:
+        """The t^k coefficient as a Poly in d (zero past the degree)."""
+        row = self.rows[k] if 0 <= k <= self.degree else ()
+        return Poly(Fraction(c, self.den) for c in row)
+
+    def derivative(self) -> "TDTable":
+        """Formal derivative in t."""
+        return TDTable(([k * c for c in r] for k, r in enumerate(self.rows) if k), self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TDTable):
+            return NotImplemented
+        return (self.rows, self.den) == (other.rows, other.den)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -223,8 +255,8 @@ def _primitive(p: Poly) -> Poly:
 def expand_binomial_affine(a: Poly, k: int) -> Poly:
     """Generalized binomial coefficient C(a, k) = prod_{j<k}(a - j) / k!.
 
-    a is a polynomial form (typically affine in i with coefficients in d);
-    the result is expanded in the monomial basis.
+    a is a Poly, typically affine; the result is expanded in the monomial
+    basis.
     """
     if k < 0:
         raise ValueError(f"expand_binomial_affine requires k >= 0, got {k}")
@@ -324,10 +356,11 @@ def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return out
 
 
-def minor_degree_bound(rows: list[list], j: int) -> int:
-    """Degree bound of the j x j leading minor of a matrix of Polys-in-d:
-    the smaller of the row-sum and column-sum bounds on its entry degrees."""
-    degs = [[max(as_poly(e).degree, 0) for e in row[:j]] for row in rows[:j]]
+def minor_degree_bound(degrees: list[list[int]], j: int) -> int:
+    """Degree bound of the j x j leading minor of a matrix with the given entry
+    degrees in d (a zero's -1 counts as 0): the lesser of the row-sum and
+    column-sum bounds."""
+    degs = [[max(e, 0) for e in row[:j]] for row in degrees[:j]]
     return min(sum(map(max, degs)), sum(map(max, zip(*degs))))
 
 
@@ -363,62 +396,48 @@ def det_parametric(rows: list[list], degree_bound: int) -> Poly:
     det_fraction and interpolated back; degree_bound must dominate the true
     determinant degree.
     """
-    return interpolate([(Fraction(x), det_fraction([[as_poly(e).eval(x) for e in row]
-                                                    for row in rows]))
+    return interpolate([(Fraction(x), det_fraction([[e.eval(x) if isinstance(e, Poly) else e
+                                                     for e in row] for row in rows]))
                         for x in range(degree_bound + 1)])
 
 
 # -- canonical text rendering ------------------------------------------------
 
 
+def _signed_sum(terms) -> str:
+    """(negative, body) terms joined as 'a + b - c', or '0' for none."""
+    out = ""
+    for neg, body in terms:
+        out += (" - " if neg else " + ") + body if out else ("-" if neg else "") + body
+    return out or "0"
+
+
 def render_in_d(p: Poly) -> str:
     """Compact rendering in descending powers of d, e.g. 'd^2/2 + d/2'."""
-    if not p:
-        return "0"
-    parts = []
+    terms = []
     for k in range(p.degree, -1, -1):
         c = Fraction(p.coeff(k))
-        if not c:
-            continue
-        num, den = abs(c.numerator), c.denominator
-        if k == 0:
-            body = str(abs(c))
-        else:
-            var = "d" if k == 1 else f"d^{k}"
+        if c and k == 0:
+            terms.append((c < 0, str(abs(c))))
+        elif c:
+            var, num, den = ("d" if k == 1 else f"d^{k}"), abs(c.numerator), c.denominator
             body = var if num == 1 else f"{num}*{var}"
-            if den != 1:
-                body += f"/{den}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+            terms.append((c < 0, body + (f"/{den}" if den != 1 else "")))
+    return _signed_sum(terms)
 
 
-def render(p: Poly, var: str = "t") -> str:
-    """Canonical ascending rendering, e.g. '1 + 6*t + 6*t^2 + 1*t^3'."""
-    if not p:
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        symbolic = isinstance(c, Poly)
-        if symbolic and c.degree == 0:
-            c, symbolic = Fraction(c.coeff(0)), False
-        if k == 0:
-            body = f"({render_in_d(c)})" if symbolic else str(Fraction(c))
-            neg = False
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            if symbolic:
-                body = f"({render_in_d(c)})*{power}"
-                neg = False
+def render(p: Poly | TDTable, var: str = "t") -> str:
+    """Canonical ascending rendering, e.g. '1 + 6*t + 6*t^2 + 1*t^3'; a
+    TDTable's coefficients render in d, e.g. '1 + (d^2/2 + d/2)*t'."""
+    terms = []
+    for k in range(p.degree + 1):
+        c = p.coeff(k)
+        if isinstance(c, Poly) and c.degree < 1:  # a constant in d renders as a number
+            c = c.coeff(0)
+        if c:
+            power = "" if k == 0 else "*" + (var if k == 1 else f"{var}^{k}")
+            if isinstance(c, Poly):
+                terms.append((False, f"({render_in_d(c)}){power}"))
             else:
-                neg = c < 0
-                body = f"{abs(Fraction(c))}*{power}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+                terms.append((c < 0, f"{abs(Fraction(c))}{power}"))
+    return _signed_sum(terms)

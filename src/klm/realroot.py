@@ -16,11 +16,11 @@ and symbolically in the shifted parameter d' = d - 2(m-1).  All of them are
 leading minors of one Hurwitz matrix.  Numeric ones come from one integer
 elimination, which keeps them independent of the Sturm chain they are
 checked against.  Symbolic ones are interpolated from their values at
-integer points of d: at each point A(d) and B(d) are evaluated once, one
-subresultant PRS (Collins 1967) gives every determinant, and the elimination
-of the integer Hurwitz matrix of the same values checks it at three points
-and stands in where the PRS gives none.  The n-sequence test completes the
-toolbox.
+integer points of d: at each point A(d) and B(d) are evaluated once from the
+integer rows of their (t, d) tables, one subresultant PRS (Collins 1967)
+gives every determinant, and the elimination of the integer Hurwitz matrix
+of the same values checks it at three points and stands in where the PRS
+gives none.  The n-sequence test completes the toolbox.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .arith import IntegrityError, binomial
 from .certificate import Certificate, judge
-from .polyring import (Poly, X, as_poly, horner, interpolate_steps, leading_minors,
+from .polyring import (Poly, TDTable, X, horner, interpolate_steps, leading_minors,
                        minor_degree_bound)
 
 NEG_INF = "-inf"
@@ -266,21 +266,12 @@ def _direct_certificate(p: Poly, subject: str) -> Certificate:
 # -- Hurwitz determinants ------------------------------------------------------
 
 
-def _descending(p: Poly, n: int) -> list:
-    return [p.coeff(n - j) for j in range(n + 1)]
-
-
 def hurwitz_matrix(a_desc: list, b_desc: list, k: int) -> list[list]:
-    """The 2k x 2k interleaved-coefficient matrix of the two lists."""
-
-    def entry(coeffs, idx):
-        return coeffs[idx] if 0 <= idx < len(coeffs) else 0
-
-    rows = []
-    for r in range(k):
-        rows.append([entry(a_desc, j - r) if j >= r else 0 for j in range(2 * k)])
-        rows.append([entry(b_desc, j - r) if j >= r else 0 for j in range(2 * k)])
-    return rows
+    """The 2k x 2k interleaved-coefficient matrix of the two lists: row 2r
+    is a_desc shifted right by r, row 2r + 1 is b_desc shifted by r, and
+    the rest is 0."""
+    return [[desc[j - r] if 0 <= j - r < len(desc) else 0 for j in range(2 * k)]
+            for r in range(k) for desc in (a_desc, b_desc)]
 
 
 def _subresultant_deltas(a: list[int], b: list[int], k_max: int) -> dict[int, int] | None:
@@ -308,45 +299,46 @@ def _subresultant_deltas(a: list[int], b: list[int], k_max: int) -> dict[int, in
     return out
 
 
-def _cleared(p: Poly, n: int) -> tuple[list[list[int]], int]:
-    """p's coefficients of t^0, ..., t^n as ascending integer polynomials in d
-    (a scalar is a constant), times the positive lcm of their denominators,
-    and that lcm."""
-    coeffs = [as_poly(p.coeff(j)).coeffs for j in range(n + 1)]
-    den = lcm(*(Fraction(c).denominator for cs in coeffs for c in cs))
-    return [[int(c * den) for c in cs] for cs in coeffs], den
+def _table(p: Poly | TDTable) -> TDTable:
+    """p itself, or a numeric Poly as constant rows over its own denominator."""
+    if isinstance(p, TDTable):
+        return p
+    den = lcm(*(Fraction(c).denominator for c in p.coeffs))
+    return TDTable(([int(c * den)] for c in p.coeffs), den)
 
 
-def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
+def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int = 0) -> list:
     """Hurwitz determinants [Delta_2, ..., Delta_2K](A, B) for K = k_max, exact.
 
     The 2k x 2k Hurwitz matrix is the leading block of the 2K x 2K one, so
-    every Delta_2k is a leading principal minor of one matrix.  A and B are
-    cleared to integer polynomials in d once, and each Delta_2k is
-    interpolated from its values at d = shift, shift + 1, ... up to its degree
-    bound, as an exact polynomial in d - shift.  At each point A(d) and B(d)
-    are evaluated once.  For Poly-in-d coefficients with deg B < deg A, one
+    every Delta_2k is a leading principal minor of one matrix.  Each Delta_2k
+    is interpolated, as an exact polynomial in d - shift, from its values at
+    d = shift, shift + 1, ... up to its degree bound, where A(d) and B(d) are
+    evaluated once from the integer rows of their TDTables (a numeric Poly
+    enters as constant rows).  For TDTables with deg B < deg A, one
     subresultant PRS of A(d), B(d) gives every value; the elimination of the
     integer Hurwitz matrix of A(d), B(d) checks it at the first, middle and
     last point, and stands in wherever lc(A)(d) = 0 or the PRS has a degree
-    gap.  Numeric coefficients give Fractions from the elimination alone.
+    gap.  Numeric Polys give Fractions from the elimination alone.
     """
-    if not a:
+    symbolic = isinstance(a, TDTable) or isinstance(b, TDTable)
+    a, b = _table(a), _table(b)
+    if a.degree < 0:
         raise ValueError("Hurwitz determinants need a nonzero leading coefficient")
     if k_max < 1:
         raise ValueError(f"Hurwitz index k must be >= 1, got {k_max}")
     n = a.degree
-    symbolic = any(isinstance(c, Poly) for c in a.coeffs + b.coeffs)
-    rows = hurwitz_matrix(_descending(a, n), _descending(b, n), k_max)
-    bounds = {2 * k: minor_degree_bound(rows, 2 * k) for k in range(1, k_max + 1)}
-    (a_int, den_a), (b_int, den_b) = _cleared(a, n), _cleared(b, n)
     prs = symbolic and b.degree < n
+    a_rows, b_rows = a.rows, (b.rows + ((),) * n)[:n + 1]  # B's rows for t^0..t^n
+    degrees = hurwitz_matrix([len(r) - 1 for r in a_rows[::-1]],
+                             [len(r) - 1 for r in b_rows[::-1]], k_max)
+    bounds = {2 * k: minor_degree_bound(degrees, 2 * k) for k in range(1, k_max + 1)}
     top = max(bounds.values())
     values: dict[int, list[int]] = {j: [] for j in bounds}
     for t in range(top + 1):
         x = shift + t
-        a_x = [horner(cs, x) for cs in a_int]
-        b_x = [horner(cs, x) for cs in b_int]
+        a_x = [horner(cs, x) for cs in a_rows]
+        b_x = [horner(cs, x) for cs in b_rows]
         # B at its formal degree n - 1.
         got = _subresultant_deltas(a_x, b_x[:n], k_max) if prs else None
         if got is None or t in (0, top // 2, top):
@@ -358,15 +350,15 @@ def hurwitz_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list:
         for j, ys in values.items():
             if t <= bounds[j]:
                 ys.append(got[j])
-    # Delta_2k of the cleared A and B is (den_a den_b)^k times the true one.
-    deltas = [interpolate_steps(ys, (den_a * den_b) ** k)
+    # Delta_2k of the integer rows is (den_a den_b)^k times the true one.
+    deltas = [interpolate_steps(ys, (a.den * b.den) ** k)
               for k, ys in enumerate(values.values(), 1)]
     return deltas if symbolic else [v.coeff(0) for v in deltas]
 
 
 def hurwitz_delta(a: Poly, b: Poly, k: int):
     """Hurwitz determinant Delta_2k(A, B), exact: a Fraction for numeric
-    coefficients, a polynomial in d for Poly-in-d ones."""
+    Polys, a polynomial in d for TDTables."""
     return hurwitz_deltas(a, b, k)[-1]
 
 
@@ -408,7 +400,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     spec = SeqSpec("f" if family == "G" else "b", m)
     subject = f"hurwitz-{family} m={m}"
 
-    sym = gy_poly(spec)  # polynomial in t, coefficients Poly-in-d
+    sym = gy_poly(spec)  # a TDTable: polynomial in t, integer rows in d
     # Evaluated at d = 2(m-1) + j, so every Delta_2k comes out in d'.
     deltas = hurwitz_deltas(sym, sym.derivative(), 2 * (m - 1), 2 * (m - 1))
     expansions = []

@@ -8,24 +8,24 @@ polynomials G_{m,d}(t), Y_{m,d}(t) whose real-rootedness drives the
 d-sequence argument, alongside Q_d(t) and R_d(t).
 
 The expansion is symbolic and integer: the defining h-sum becomes one
-table of integer coefficients of i^n d^a over a common denominator, the
-Stirling numbers S(n, k) move each column to the falling basis in i, and
-each g_{m,k}(d) is built once from its column.  At numeric arguments the
-h-sum of f_m or b_m adds integer numerators over one denominator per family
-and m, and G, Y are evaluated at the integer d, where every falling
-factorial (d)_k is an integer.
+table of integer coefficients of i^n d^a over a common denominator, and the
+Stirling numbers S(n, k) move each column to the falling basis in i, giving
+the g_{m,k}(d) as the rows of one TDTable.  The symbolic G and Y are that
+table with row k times (d)_k; at an integer d its rows are evaluated and
+multiplied by the integer (d)_k.  The h-sum of f_m or b_m at numeric
+arguments adds integer numerators over one denominator per family and m.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
 from .arith import IntegrityError, binomial, falling_factorial, stirling2, sum_over_lcm
 from .certificate import Certificate, grid_certificate
-from .polyring import Poly, X
+from .polyring import Poly, TDTable, horner
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
@@ -79,8 +79,9 @@ def _times_linear(p: list[int], c: int, a: int = 1) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def expand_falling(spec: SeqSpec) -> tuple[Poly, ...]:
-    """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b).
+def expand_falling(spec: SeqSpec) -> TDTable:
+    """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b),
+    as the rows k of one integer table in d over one denominator.
 
     The defining h-sum is expanded in (i, d).  With u = d - i its h-th term is
     A_h(i) (u+1)(u+2)...(u+h) / E_h, where A_h has integer coefficients:
@@ -93,19 +94,14 @@ def expand_falling(spec: SeqSpec) -> tuple[Poly, ...]:
     m = spec.m
     terms = []
     for h in range(m):
-        a_h = [1]
-        for r in range(h):
-            a_h = _times_linear(a_h, h - 1 - r)
+        a_h = reduce(_times_linear, range(h), [1])  # (i-1+h)_h
         if spec.family == "f":
-            for r in range(m - h - 1):
-                a_h = _times_linear(a_h, m - r)
+            a_h = reduce(_times_linear, range(h + 2, m + 1), a_h)  # (i+m)_{m-h-1}
             den = (m - h) * binomial(m, h) * factorial(m - h - 1) * factorial(h) ** 2
         else:
             a_h = _times_linear(a_h, m, h - m + 1)
             den = (h + 1) * m * factorial(h) ** 2
-        rising = [1]
-        for r in range(1, h + 1):
-            rising = _times_linear(rising, r)
+        rising = reduce(_times_linear, range(1, h + 1), [1])  # (u+1)...(u+h)
         terms.append((a_h, rising, den))
     common = lcm(*(den for _, _, den in terms))
     table = [[0] * m for _ in range(max(len(a) + len(u) - 1 for a, u, _ in terms))]
@@ -116,30 +112,27 @@ def expand_falling(spec: SeqSpec) -> tuple[Poly, ...]:
                 w = (-1) ** (r - a) * scale * c * comb(r, a)
                 for n, e in enumerate(a_h, r - a):
                     table[n][a] += w * e
-    gs = [[sum(stirling2(n, k) * table[n][a] for n in range(k, len(table)))
-           for a in range(m)] for k in range(len(table))]
-    while gs and not any(gs[-1]):
-        gs.pop()
-    return tuple(Poly([Fraction(c, common) for c in g]) for g in gs)
+    return TDTable(([sum(stirling2(n, k) * table[n][a] for n in range(k, len(table)))
+                     for a in range(m)] for k in range(len(table))), common)
 
 
-def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly:
+def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly | TDTable:
     """G_{m,d}(t) (family f) or Y_{m,d}(t) (family b).
 
-    With d None the result is symbolic: a polynomial in t whose
-    coefficients g_{m,k}(d) (d)_k are polynomials in d.  A numeric d must
-    be at least 1.  There each g_{m,k}(d) (d)_k is summed over the lcm of
-    g_{m,k}'s denominators, with d^j and (d)_k as integers.
+    With d None the result is symbolic: a TDTable whose row k holds
+    g_{m,k}(d) (d)_k in d.  A numeric d must be at least 1; there each
+    row of expand_falling is evaluated at d in integers and multiplied by
+    the integer (d)_k over the table's denominator.
     """
     if d is not None and d < 1:
         raise ValueError(f"gy_poly requires d >= 1, got {d}")
     gs = expand_falling(spec)
-    if d is None:
-        return Poly(tuple(g * falling_factorial(X, k) for k, g in enumerate(gs)))
-    return Poly(tuple(
-        sum_over_lcm((c.numerator * d ** j * falling_factorial(d, k), c.denominator)
-                     for j, c in enumerate(g.coeffs))
-        for k, g in enumerate(gs)))
+    if d is not None:
+        return Poly(Fraction(horner(g, d) * falling_factorial(d, k), gs.den)
+                    for k, g in enumerate(gs.rows))
+    # Row k times (d)_k = d (d - 1) ... (d - k + 1).
+    return TDTable((reduce(_times_linear, range(0, -k, -1), g)
+                    for k, g in enumerate(gs.rows)), gs.den)
 
 
 def qr_poly(spec: SeqSpec, d: int) -> Poly:

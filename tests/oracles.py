@@ -2,10 +2,33 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from klm.arith import binomial, stirling2
-from klm.polyring import Poly, X, expand_binomial_affine
+from klm.polyring import Poly, TDTable, X, expand_binomial_affine
+
+
+def as_poly(c) -> Poly:
+    """A scalar as a constant Fraction Poly; a Poly passes through."""
+    return c if isinstance(c, Poly) else Poly((Fraction(c),))
+
+
+def as_table(p: Poly) -> TDTable:
+    """A Poly in t whose coefficients are Polys in d (or scalars) as a TDTable:
+    each row cleared by the lcm of every denominator."""
+    rows = [as_poly(c).coeffs for c in p.coeffs]
+    den = lcm(*(Fraction(c).denominator for row in rows for c in row))
+    return TDTable(([int(c * den) for c in row] for row in rows), den)
+
+
+def table_coeffs(table: TDTable) -> list[Poly]:
+    """The t^k coefficients of a TDTable, k = 0..degree, as Polys in d."""
+    return [table.coeff(k) for k in range(table.degree + 1)]
+
+
+def degrees(rows: list[list]) -> list[list[int]]:
+    """The degrees in d of a matrix of Polys in d and scalars (a zero at -1)."""
+    return [[as_poly(e).degree for e in row] for row in rows]
 
 
 def det_cofactor(rows: list[list]):

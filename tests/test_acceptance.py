@@ -126,7 +126,8 @@ def test_criterion_08_d_sequences_and_falling_invariants():
         for m in range(1, 16):
             gs = expand_falling(SeqSpec(family, m))
             lead = Fraction((-1) ** (m - 1), factorial(m - 1) * factorial(m))
-            if not (gs[0] == 1 and gs[-1] == lead and len(gs) == 2 * m - 1):
+            if not (gs.coeff(0) == 1 and gs.coeff(gs.degree) == lead
+                    and gs.degree + 1 == 2 * m - 1):
                 basis_ok = False
     report(8, "d-sequence tests 2<=m<=6 d<=20 and falling-basis invariants m<=15",
            failing is None and basis_ok, failing)

@@ -1,16 +1,20 @@
 """Command-line surface: rendering, JSON schema, cache replay, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from klm import cli, klcoeff, realroot, zcoeff
@@ -407,6 +411,27 @@ def test_a_bad_csv_path_is_a_usage_error(csv, message, tmp_path, cli_env):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+@pytest.mark.parametrize("spelling", ["relative", "absolute", "symlink", "hard-link"])
+def test_a_csv_path_that_names_the_run_cache_is_a_usage_error(spelling, tmp_path, monkeypatch,
+                                                             capsys):
+    # Writing the table there would replace every cached record with CSV rows.
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "formulas", "--m-max", "2", "--d-max", "3", "--cache", "c.jsonl"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cache = tmp_path / "c.jsonl"
+    records = cache.read_bytes()
+    csv = {"relative": "./c.jsonl", "absolute": str(cache)}.get(spelling, "table.csv")
+    if spelling == "symlink":
+        (tmp_path / csv).symlink_to(cache)
+    elif spelling == "hard-link":
+        os.link(cache, tmp_path / csv)
+    assert main(argv + ["--csv", csv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"usage error: csv path {csv!r} is the run cache 'c.jsonl'" in err
+    assert cache.read_bytes() == records
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "hurwitz-G", "--m", "2", "--d", "7"],
      "certify hurwitz-G covers every d and takes no --d"),
@@ -656,3 +681,120 @@ def test_concurrent_appends_never_interleave(tmp_path, cli_env):
         assert r["payload"] == tag * (30000 + int(i))
     for key in ("a-0", "b-199", "c-100"):
         assert cli.cache_lookup(cache, key)["key"] == key
+
+
+# -- the exit-code contract under fuzzed arguments and cache contents --------------
+
+# The CLI's own words, with values small enough that any command they spell
+# runs in milliseconds, and stray tokens that belong nowhere.
+FUZZ_VALUES = {
+    "--m": ("1", "2", "3", "0", "-1", "2..3", "3..2", "-1..2", "x", ""),
+    "--d": ("1", "3", "0", "-2", "1..3", "0..2", "1..x"),
+    "--m-max": ("1", "3", "0", "x"),
+    "--d-max": ("1", "3", "-1"),
+    "--route": cli.KL_ROUTES + ("nope",),
+    "--jobs": ("1", "0", "x"),
+    "--csv": ("t.csv", "cache.jsonl", "./cache.jsonl", ".", "missing/t.csv"),
+    "--cache": ("cache.jsonl", "./cache.jsonl", "other.jsonl", "."),
+}
+FUZZ_SWITCHES = ("--json", "--symbolic-d")
+FUZZ_STRAY = ("--bogus", "-x", "", "..", "--", "1", "G", "kl", "--m", "nope")
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A command the CLI accepts, with up to two more options (any value from
+    FUZZ_VALUES) and up to two stray tokens put anywhere."""
+    command = draw(st.sampled_from(["compute", "verify", "certify"]))
+    small = st.sampled_from(["1", "2", "3"])
+    if command == "compute":
+        kind = draw(st.sampled_from(cli.COMPUTE_KINDS))
+        argv = [command, kind, "--m", draw(small)]
+        argv += (["--symbolic-d"] if kind in "GY" and draw(st.booleans())
+                 else ["--d", draw(small)])
+    elif command == "verify":
+        argv = [command, draw(st.sampled_from(cli.VERIFY_SUITES)),
+                "--m-max", draw(small), "--d-max", draw(small)]
+    else:
+        target = draw(st.sampled_from(cli.CERTIFY_TARGETS))
+        argv = [command, target, "--m", draw(st.sampled_from(["2", "3", "2..3"]))]
+        if not target.startswith("hurwitz"):
+            argv += ["--d", draw(st.sampled_from(["1", "3", "1..3"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    for flag in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES) + list(FUZZ_SWITCHES)),
+                              max_size=2)):
+        argv.append(flag)
+        if flag in FUZZ_VALUES:
+            argv.append(draw(st.sampled_from(FUZZ_VALUES[flag])))
+    for token in draw(st.lists(st.sampled_from(FUZZ_STRAY), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _fuzz_key(argv: list[str]) -> str:
+    """argv's run key, or a key no command has when argparse rejects argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = cli.parse_args(argv)
+    except SystemExit:
+        return "f" * 64
+    return cli.run_key(args.command, cli.run_params(args))
+
+
+def fuzz_cache_line(key: str):
+    """One line of a hand-edited or torn run cache, most of them about key."""
+    def record(payload, code):
+        return json.dumps({"key": key, "command": "compute", "params": {},
+                           "payload": payload, "exit": code}).encode()
+    fields = st.one_of(st.text(max_size=8), st.integers(-3, 5), st.none(), st.booleans(),
+                       st.floats(allow_nan=False), st.lists(st.integers(), max_size=2))
+    return st.one_of(
+        st.builds(record, st.text(max_size=20), st.integers(-3, 5)),
+        # A lone surrogate, which JSON escapes but no UTF-8 console prints.
+        st.builds(record, st.just("\ud800\n"), st.integers(0, 1)),
+        st.builds(record, fields, fields),
+        st.builds(lambda line, cut: line[:cut], st.builds(record, st.text(max_size=20),
+                                                          st.integers(0, 1)),
+                  st.integers(0, 80)),
+        st.sampled_from([b"[1, 2]", b"null", b'"' + key.encode() + b'"', b"[" * 50000 + key.encode(),
+                         json.dumps({"key": "0" * 64, "payload": key, "exit": 0}).encode(),
+                         json.dumps({"key": [key], "payload": "x\n", "exit": 0}).encode()]),
+        st.binary(max_size=30).map(lambda junk: junk + key.encode()),
+        st.binary(max_size=30))
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, bytes, str]:
+    """main(argv)'s exit code, stdout bytes (through a strict UTF-8 stream, as
+    a console's) and stderr."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), argv=fuzz_argv(), trailing_newline=st.booleans())
+def test_exit_codes_hold_under_fuzzed_arguments_and_cache_contents(data, argv,
+                                                                   trailing_newline):
+    key = _fuzz_key(argv)
+    lines = data.draw(st.lists(fuzz_cache_line(key), max_size=4))
+    contents = b"\n".join(lines) + (b"\n" if trailing_newline and lines else b"")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setenv("KLM_CACHE", os.path.join(tmp, "cache.jsonl"))
+        Path(tmp, "cache.jsonl").write_bytes(contents)
+        code, out, err = _run_in_process(argv)
+        assert code in (0, 1, 2, 3), (code, err)
+        if code == 2:
+            assert out == b"" and Path(tmp, "cache.jsonl").read_bytes() == contents, err
+        if code == 3:
+            assert err.startswith("internal error:"), err
+            # The same command against an empty cache faults too: the cache
+            # contents alone never cause an internal error.
+            Path(tmp, "cache.jsonl").write_bytes(b"")
+            assert _run_in_process(argv)[0] == 3, err

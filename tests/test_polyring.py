@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klm.arith import falling_factorial
-from klm.polyring import (ONE, Poly, X, as_poly, det_fraction, det_parametric,
+from klm.polyring import (ONE, Poly, TDTable, X, det_fraction, det_parametric,
                           expand_binomial_affine, interpolate, leading_minors,
                           minor_degree_bound, poly_gcd, render, render_in_d,
                           squarefree_part)
-from oracles import det_cofactor, to_falling_basis
+from oracles import as_poly, degrees, det_cofactor, to_falling_basis
 
 
 def P(*coeffs) -> Poly:
@@ -167,13 +167,14 @@ def test_minor_degree_bound_dominates_true_degree():
     for _ in range(80):
         rows = random_poly_matrix(rng, rng.randint(1, 5))
         for j in range(len(rows) + 1):
-            assert cofactor_minor(rows, j).degree <= minor_degree_bound(rows, j)
-    d = X
+            assert cofactor_minor(rows, j).degree <= minor_degree_bound(degrees(rows), j)
     # Row maxima (2, 2) and column maxima (2, 0): the column bound 2 wins;
     # the transpose has the row bound 2.  Both bounds are 3 on the last.
-    assert minor_degree_bound([[d * d, ONE], [d * d, ONE]], 2) == 2
-    assert minor_degree_bound([[d * d, d * d], [ONE, ONE]], 2) == 2
-    assert minor_degree_bound([[d * d, d], [d, ONE]], 2) == 3
+    assert minor_degree_bound([[2, 0], [2, 0]], 2) == 2
+    assert minor_degree_bound([[2, 2], [0, 0]], 2) == 2
+    assert minor_degree_bound([[2, 1], [1, 0]], 2) == 3
+    # A zero entry (degree -1) bounds like a constant.
+    assert minor_degree_bound([[-1, 1], [1, -1]], 2) == 2
 
 
 def test_interpolate():
@@ -196,6 +197,24 @@ def test_render_examples():
     g = Poly((ONE, d * (d + 1) * Fraction(1, 2), d * (1 - d) * Fraction(1, 2)))
     assert render(g) == "1 + (d^2/2 + d/2)*t + (-d^2/2 + d/2)*t^2"
     assert render_in_d(d * (d - 1) * Fraction(1, 2)) == "d^2/2 - d/2"
+    # The same polynomial as an integer table over 2, and its derivative in t.
+    table = TDTable([[2], [0, 1, 1], [0, 1, -1]], 2)
+    assert render(table) == render(g)
+    assert render(table.derivative()) == "(d^2/2 + d/2) + (-d^2 + d)*t"
+    assert render(TDTable([])) == "0"
+
+
+def test_td_table_is_kept_in_lowest_terms():
+    # 2/4 + (4d + 6d^2)/4 t reduces to (1 + (2d + 3d^2) t) / 2; zeros trim.
+    table = TDTable([[2, 0], [0, 4, 6], [], [0]], 4)
+    assert (table.rows, table.den) == (((1,), (0, 2, 3)), 2)
+    assert table == TDTable([[1], [0, 2, 3]], 2) and table.degree == 1
+    assert table.coeff(1) == Poly((0, 1, Fraction(3, 2))) and table.coeff(5) == Poly()
+    # The derivative (2d + 3d^2)/2 keeps its denominator; 2 t^2 gives 4 t over 1.
+    assert table.derivative() == TDTable([[0, 2, 3]], 2)
+    assert TDTable([[], [], [1]], 3).derivative() == TDTable([[], [2]], 3)
+    assert TDTable([[0], [2]], 4).derivative() == TDTable([[1]], 2)
+    assert (TDTable([], 5).rows, TDTable([], 5).den) == ((), 1)
 
 
 @given(mixed_polys, mixed_polys)

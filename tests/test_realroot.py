@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from klm import realroot
 from klm.klcoeff import kl_poly
-from klm.polyring import (ONE, IntegrityError, Poly, X, as_poly, det_parametric,
+from klm.polyring import (ONE, IntegrityError, Poly, TDTable, X, det_parametric,
                           minor_degree_bound, poly_gcd, squarefree_part)
 from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_half,
                           all_zeros_real_negative,
@@ -21,7 +21,7 @@ from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_ha
                           sturm_count)
 from klm.seqfactor import SeqSpec, gy_poly
 from klm.zcoeff import z_from_kl
-from oracles import det_cofactor, random_real_rooted
+from oracles import as_poly, as_table, degrees, det_cofactor, random_real_rooted
 
 
 def P(*coeffs) -> Poly:
@@ -76,17 +76,17 @@ def test_hurwitz_delta_symbolic_paper_values():
     dg = g.derivative()
     half = Fraction(1, 2)
     want_d2 = (d - 1) ** 2 * d ** 2 * half
-    assert as_poly(hurwitz_delta(g, dg, 1)) == want_d2
+    assert hurwitz_delta(g, dg, 1) == want_d2
     want_d4 = (d - 1) ** 2 * d ** 3 * (d ** 3 + 2 * d ** 2 + 9 * d - 8) * Fraction(1, 16)
-    assert as_poly(hurwitz_delta(g, dg, 2)) == want_d4
+    assert hurwitz_delta(g, dg, 2) == want_d4
     y = gy_poly(SeqSpec("b", 2))
     want_y4 = (d - 1) ** 2 * d ** 2 * (d ** 4 - 2 * d ** 3 + 9 * d ** 2 - 8 * d) * Fraction(1, 16)
-    assert as_poly(hurwitz_delta(y, y.derivative(), 2)) == want_y4
+    assert hurwitz_delta(y, y.derivative(), 2) == want_y4
 
 
 def test_hurwitz_symbolic_matches_numeric_evaluation():
     g = gy_poly(SeqSpec("f", 3))
-    sym = as_poly(hurwitz_delta(g, g.derivative(), 2))
+    sym = hurwitz_delta(g, g.derivative(), 2)
     # Degree in t is stable only for d >= 2(m-1); below that (d)_k kills
     # the leading coefficient and the determinant is normalized differently.
     for dd in range(4, 10):
@@ -95,7 +95,9 @@ def test_hurwitz_symbolic_matches_numeric_evaluation():
         assert sym.eval(Fraction(dd)) == num
 
 
-def hurwitz_rows(a: Poly, b: Poly, k: int) -> list[list]:
+def hurwitz_rows(a, b, k: int) -> list[list]:
+    """The Hurwitz matrix of A and B (numeric Polys, or TDTables whose entries
+    are Polys in d)."""
     n = a.degree
     return hurwitz_matrix([a.coeff(n - j) for j in range(n + 1)],
                           [b.coeff(n - j) for j in range(n + 1)], k)
@@ -115,7 +117,7 @@ def test_hurwitz_deltas_match_single_deltas_and_paper():
                 v.eval(shift) for v in deltas]
             rows = hurwitz_rows(g, dg, k_max)
             for k, v in enumerate(deltas, 1):
-                assert v.degree <= minor_degree_bound(rows, 2 * k)
+                assert v.degree <= minor_degree_bound(degrees(rows), 2 * k)
     g = gy_poly(SeqSpec("f", 2))
     in_dprime = hurwitz_deltas(g, g.derivative(), 2, 2)
     assert [str(c) for c in in_dprime[0].coeffs] == ["2", "6", "13/2", "3", "1/2"]
@@ -152,11 +154,12 @@ def test_hurwitz_deltas_numeric_match_cofactor():
 # -- symbolic Hurwitz determinants from the subresultant PRS ----------------------
 
 
-def elimination_deltas(a: Poly, b: Poly, k_max: int, shift: int = 0) -> list[Poly]:
-    """Delta_2k(A, B) from det_parametric alone, without the subresultant PRS."""
+def elimination_deltas(a, b, k_max: int, shift: int = 0) -> list[Poly]:
+    """Delta_2k(A, B) of TDTables from det_parametric alone, without the
+    subresultant PRS."""
     rows = hurwitz_rows(a, b, k_max)
     return [det_parametric([r[:2 * k] for r in rows[:2 * k]],
-                           minor_degree_bound(rows, 2 * k)).eval(X + shift)
+                           minor_degree_bound(degrees(rows), 2 * k)).eval(X + shift)
             for k in range(1, k_max + 1)]
 
 
@@ -179,14 +182,14 @@ poly_in_d = st.lists(rational, max_size=3).map(lambda cs: Poly(tuple(cs)))
 
 @st.composite
 def hurwitz_pairs(draw):
-    """(A, B, k_max, shift): A of degree 1..6 in t with coefficients of degree
-    <= 2 in d, and B = A' or a random B of lower degree in t."""
-    a = Poly(tuple(draw(st.lists(poly_in_d, min_size=2, max_size=7))))
+    """(A, B, k_max, shift): TDTables, A of degree 1..6 in t with coefficients
+    of degree <= 2 in d, and B = A' or a random B of lower degree in t."""
+    a = as_table(Poly(tuple(draw(st.lists(poly_in_d, min_size=2, max_size=7)))))
     assume(a.degree >= 1)
     if draw(st.booleans()):
         b = a.derivative()
     else:
-        b = Poly(tuple(draw(st.lists(poly_in_d, max_size=a.degree))))
+        b = as_table(Poly(tuple(draw(st.lists(poly_in_d, max_size=a.degree)))))
     return a, b, draw(st.integers(1, a.degree)), draw(st.integers(-3, 3))
 
 
@@ -202,13 +205,14 @@ def T(*coeffs) -> Poly:
     return Poly(tuple(as_poly(c) for c in coeffs))
 
 
-def with_derivative(a: Poly) -> tuple[Poly, Poly]:
+def with_derivative(a: Poly) -> tuple[TDTable, TDTable]:
+    a = as_table(a)
     return a, a.derivative()
 
 
 @pytest.mark.parametrize("a, b, fallbacks", [
     # lc(A) = d - 2 vanishes at the sweep point d = 2 only, where lc(B) = 1.
-    (T(1, X + 1, X, X - 2), T(X, 1, 1), [2]),
+    (as_table(T(1, X + 1, X, X - 2)), as_table(T(X, 1, 1)), [2]),
     # (t - d + 4)(t + 1)(t + 5) has a double zero at d = 3 only.
     (*with_derivative(T(4 - X, 1) * T(1, 1) * T(5, 1)), [3]),
     # (t - d + 3)^2 (t + 1) has a double zero at every d (a triple one at

@@ -1,7 +1,7 @@
 """The f/b coefficient sequences, falling-basis expansions, and G/Y/Q/R."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from klm import seqfactor
 from klm.arith import IntegrityError, binomial, falling_factorial
-from klm.polyring import ONE, Poly, X, as_poly, render
-from klm.seqfactor import (SeqSpec, base_real_rooted_polys, diagonal_value,
+from klm.polyring import ONE, Poly, TDTable, X, render
+from klm.seqfactor import (FAMILIES, SeqSpec, base_real_rooted_polys, diagonal_value,
                            expand_falling, fibonacci_poly, fibonacci_truncation,
                            gy_poly, kl_reformulation_check, qr_poly, seq_value)
-from oracles import symbolic_in_i, to_falling_basis
+from oracles import as_poly, symbolic_in_i, table_coeffs, to_falling_basis
 
 
 def P(*coeffs) -> Poly:
@@ -69,15 +69,16 @@ def test_seq_value_matches_quadratic_closed_form():
 def test_expand_falling_examples():
     d = X
     gs = expand_falling(SeqSpec("f", 2))
-    assert list(gs) == [ONE, (d + 1) * Fraction(1, 2), as_poly(Fraction(-1, 2))]
+    assert table_coeffs(gs) == [ONE, (d + 1) * Fraction(1, 2), as_poly(Fraction(-1, 2))]
+    assert gs == TDTable([[2], [1, 1], [-1]], 2)
     ys = expand_falling(SeqSpec("b", 2))
-    assert list(ys) == [ONE, (d - 1) * Fraction(1, 2), as_poly(Fraction(-1, 2))]
+    assert table_coeffs(ys) == [ONE, (d - 1) * Fraction(1, 2), as_poly(Fraction(-1, 2))]
 
 
 def test_falling_basis_invariants():
     for family in ("f", "b"):
         for m in (1, 2, 3, 8, 15):
-            gs = expand_falling(SeqSpec(family, m))
+            gs = table_coeffs(expand_falling(SeqSpec(family, m)))
             assert len(gs) == 2 * (m - 1) + 1
             assert gs[0] == 1
             lead = Fraction((-1) ** (m - 1), factorial(m - 1) * factorial(m))
@@ -90,7 +91,7 @@ def test_falling_round_trip():
         for m in (1, 2, 3, 5):
             spec = SeqSpec(family, m)
             for d in range(1, 10):
-                gs = [g.eval(Fraction(d)) for g in expand_falling(spec)]
+                gs = [g.eval(Fraction(d)) for g in table_coeffs(expand_falling(spec))]
                 for i in range(d + 1):
                     expansion = sum(g * falling_factorial(Fraction(i), k)
                                     for k, g in enumerate(gs))
@@ -108,8 +109,8 @@ def test_gy_poly_examples():
     for dd in range(1, 8):
         num = gy_poly(SeqSpec("f", 3), dd)
         sym = gy_poly(SeqSpec("f", 3))
-        assert num == Poly(tuple(as_poly(c).eval(Fraction(dd)) for c in sym.coeffs))
-    assert as_poly(g.coeff(1)) == d * (d + 1) * Fraction(1, 2)
+        assert num == Poly(tuple(c.eval(Fraction(dd)) for c in table_coeffs(sym)))
+    assert g.coeff(1) == d * (d + 1) * Fraction(1, 2)
 
 
 def test_numeric_gy_poly_rejects_d_below_one():
@@ -175,7 +176,7 @@ def seq_value_per_term(spec, d, i):
 
 def gy_poly_per_term(spec, d):
     return Poly(tuple(g.eval(Fraction(d)) * falling_factorial(Fraction(d), k)
-                      for k, g in enumerate(expand_falling(spec))))
+                      for k, g in enumerate(table_coeffs(expand_falling(spec)))))
 
 
 def test_seq_value_matches_its_per_term_sum_on_the_crosscheck_grid():
@@ -213,14 +214,38 @@ def test_gy_poly_matches_its_fraction_evaluation_past_the_grid(family, m, d):
     assert gy_poly(spec, d) == gy_poly_per_term(spec, d)
 
 
+def in_lowest_terms(table: TDTable) -> bool:
+    """den >= 1 shares no factor with every entry, and no row, nor the
+    table, ends in a zero."""
+    rows = table.rows
+    return (table.den >= 1 and gcd(table.den, *(c for row in rows for c in row)) == 1
+            and all(row[-1] for row in rows if row) and (not rows or rows[-1] != ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), m=st.integers(1, 12), d=st.integers(1, 80))
+def test_the_symbolic_table_evaluates_to_the_numeric_gy_poly(family, m, d):
+    # The integer (t, d) table of G or Y, its derivative in t, and the falling
+    # table it is built from, against the numeric kernels at one d.
+    spec = SeqSpec(family, m)
+    table = gy_poly(spec)
+    at_d = Poly(tuple(c.eval(Fraction(d)) for c in table_coeffs(table)))
+    assert at_d == gy_poly(spec, d) == gy_poly_per_term(spec, d)
+    slope = Poly(tuple(c.eval(Fraction(d)) for c in table_coeffs(table.derivative())))
+    assert slope == gy_poly(spec, d).derivative()
+    assert table.degree == 2 * (m - 1)
+    assert in_lowest_terms(table) and in_lowest_terms(table.derivative())
+    assert in_lowest_terms(expand_falling(spec))
+
+
 def test_expand_falling_matches_the_nested_fraction_expansion():
     # The integer (i, d) table against the defining sum expanded in nested
     # Fraction Polys and moved to the falling basis one coefficient at a time.
     for family in ("f", "b"):
         for m in range(1, 13):
             spec = SeqSpec(family, m)
-            want = tuple(as_poly(g) for g in to_falling_basis(symbolic_in_i(spec)))
-            assert expand_falling(spec) == want, spec
+            want = [as_poly(g) for g in to_falling_basis(symbolic_in_i(spec))]
+            assert table_coeffs(expand_falling(spec)) == want, spec
 
 
 def qr_poly_by_fraction_powers(spec, d):
