@@ -6,7 +6,10 @@ certified real-rooted via Sturm chains and Hurwitz determinants.
 
 The public names below load their module on first use (PEP 562), so that
 ``import klm`` and ``python -m klm.cli`` import no engine module until one
-is needed.
+is needed.  ``import klm.cli`` (the ``klm`` console script) goes one step
+further for the same reason: it puts every engine module into
+``sys.modules`` and onto this package unexecuted, and a module executes on
+the first access to one of its attributes.
 """
 
 __version__ = "0.1.0"

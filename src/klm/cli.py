@@ -9,15 +9,16 @@ up in an append-only JSON-lines run cache.  A hit prints the stored payload
 byte for byte; a miss produces, prints and records it.  A ``verify --csv``
 run then writes its table, hit or miss.
 
-Up to its last line the module imports the standard library alone; each
-command imports the engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
+The module imports the standard library alone; each command imports the
+engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
 module answers a cache hit before any engine module loads, so a hit costs an
 interpreter, argparse and one scan of the cache file, and a miss loads only
 its own command's modules (``compute kl`` never loads ``hooklen``,
 ``oracle``, ``seqfactor`` or ``realroot``).  ``import klm.cli``, and with it
-the ``klm`` console script, still loads every engine module: the last line
-of the module imports them all (ROADMAP item F moves the front into its own
-module and retires that line).
+the ``klm`` console script, registers every engine module in ``sys.modules``
+without executing it (``importlib.util.LazyLoader``): a module executes on
+the first access to one of its attributes, so the console script's hit
+executes none and its miss only its command's modules, as under ``-m``.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def _emit_json(obj) -> str:
 
 
 def writable_path(label: str, path: str) -> str:
-    """path, or a usage error naming label if it is a directory or sits in a
-    directory that does not exist."""
+    """path, or a usage error naming label if it is empty, is a directory or
+    sits in a directory that does not exist."""
+    if not path:
+        raise UsageError(f"{label} is empty")
     if os.path.isdir(path):
         raise UsageError(f"{label} {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -76,7 +79,8 @@ def writable_path(label: str, path: str) -> str:
 
 def cache_path(args) -> str:
     """The run cache file of args' command: --cache, $KLM_CACHE or the default."""
-    return writable_path("cache path", args.cache or os.environ.get("KLM_CACHE", DEFAULT_CACHE))
+    path = args.cache if args.cache is not None else os.environ.get("KLM_CACHE", DEFAULT_CACHE)
+    return writable_path("cache path", path)
 
 
 def run_key(command: str, params: dict) -> str:
@@ -239,7 +243,7 @@ def check_args(args) -> None:
     exception raised while the command runs is an internal fault.
     """
     if args.command == "verify":
-        if args.csv:
+        if args.csv is not None:
             if args.suite not in ("formulas", "z-formulas"):
                 raise UsageError("--csv is supported for the formulas and z-formulas suites")
             writable_path("csv path", args.csv)
@@ -359,6 +363,11 @@ def produce_compute(args) -> tuple[str, int]:
 
 
 def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificate]:
+    """The certificates of suite's grids.
+
+    Each suite's module executes, as do the modules its cells call, before
+    the suite starts a --jobs pool (see run_certify).
+    """
     if suite == "formulas":
         from . import klcoeff
         return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
@@ -371,6 +380,8 @@ def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificat
                 hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
     if suite == "oracle":
         from . import oracle
+        from .klcoeff import kl_poly  # noqa: F401  (check_oracle_pair calls both)
+        from .zcoeff import z_from_kl  # noqa: F401
         return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
                 oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
     if suite == "identities":
@@ -429,24 +440,30 @@ def produce_verify(args) -> tuple[str, int]:
 def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Certificate]:
     """The certificates of target's grid, in grid order.
 
-    Each target imports its engine modules before map_cells starts the --jobs
-    pool, so the forked workers inherit them instead of importing them again.
+    Each target imports a name from every engine module its cells call
+    before map_cells starts the --jobs pool.  That executes a module ``import
+    klm.cli`` registered lazily, so the forked workers inherit every module
+    instead of executing it again.
     """
     from .certificate import map_cells
     if target == "kl-roots":
-        from . import klcoeff, realroot  # noqa: F401
+        from .klcoeff import kl_poly  # noqa: F401
+        from .realroot import all_zeros_real_negative  # noqa: F401
         return map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
     if target == "z-roots":
-        from . import realroot, zcoeff  # noqa: F401
+        from .realroot import all_zeros_real_negative  # noqa: F401
+        from .zcoeff import z_from_kl  # noqa: F401
         return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
-        from . import realroot, seqfactor  # noqa: F401
+        from .realroot import n_sequence_test  # noqa: F401
+        from .seqfactor import seq_value  # noqa: F401
         family = target[-1]
         return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
     if target in ("hurwitz-G", "hurwitz-Y"):
-        from . import realroot, seqfactor  # noqa: F401
+        from .realroot import hurwitz_positivity_symbolic
+        from .seqfactor import gy_poly  # noqa: F401
         family = target[-1]
-        return map_cells(realroot.hurwitz_positivity_symbolic, [(family, m) for m in ms], jobs)
+        return map_cells(hurwitz_positivity_symbolic, [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
 
 
@@ -492,7 +509,25 @@ def main(argv: list[str] | None = None) -> int:
 if __name__ == "__main__":
     sys.exit(main())
 
-# `import klm.cli`, and with it the `klm` console script, loads every engine
-# layer: the tests and perfbench/tracer.py wrap functions in all of them.
-# `python -m klm.cli` has exited above and loads only what its command runs.
-from . import hooklen, klcoeff, oracle, realroot, seqfactor, zcoeff  # noqa: E402,F401
+
+def _register_engine_lazily() -> None:
+    """Put every engine module not yet imported into sys.modules and onto the
+    klm package, unexecuted: importlib's LazyLoader executes a module on the
+    first access to one of its attributes."""
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+    package = sys.modules[__package__]
+    for layer in ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen",
+                  "oracle", "seqfactor", "realroot"):
+        name = f"{__package__}.{layer}"
+        if name not in sys.modules:
+            spec = find_spec(name)
+            spec.loader = LazyLoader(spec.loader)
+            module = sys.modules[name] = module_from_spec(spec)
+            setattr(package, layer, module)
+            spec.loader.exec_module(module)
+
+
+# `import klm.cli`, and with it the `klm` console script, registers every
+# engine module, because the tests and perfbench/tracer.py look each one up in
+# sys.modules to wrap its functions.  `python -m klm.cli` has exited above.
+_register_engine_lazily()

@@ -358,14 +358,17 @@ def test_cache_hit_loads_no_engine_module(tmp_path, cli_env):
     assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & _imported_modules(hit.stderr)
 
 
-def _traced_run(argv, tmp_path, cli_env) -> subprocess.CompletedProcess:
-    """`python -X importtime -m klm.cli argv` with a fresh cache in tmp_path."""
-    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
+def _traced_run(argv, tmp_path, cli_env, env_cache=None) -> subprocess.CompletedProcess:
+    """`python -X importtime -m klm.cli argv` in tmp_path, with $KLM_CACHE
+    env_cache or else a fresh cache there."""
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl") if env_cache is None
+               else env_cache)
     return subprocess.run([sys.executable, "-X", "importtime", "-m", "klm.cli", *argv],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
 
 
-@pytest.mark.parametrize("argv, loads, skips", [
+# argv, the modules its miss loads, and modules it must not load.
+MISS_CASES = [
     (["compute", "kl", "--m", "2", "--d", "5"], {"klm.klcoeff"},
      {"klm.hooklen", "klm.oracle", "klm.seqfactor", "klm.realroot", "dataclasses", "csv"}),
     (["certify", "z-roots", "--m", "2..3", "--d", "1..4"], {"klm.realroot"},
@@ -374,7 +377,11 @@ def _traced_run(argv, tmp_path, cli_env) -> subprocess.CompletedProcess:
      {"klm.oracle", "klm.hooklen"}),
     (["certify", "hurwitz-G", "--m", "2"], {"klm.seqfactor", "klm.realroot"},
      {"klm.klcoeff", "klm.zcoeff", "klm.hooklen", "klm.oracle"}),
-], ids=["compute-kl", "certify-z-roots", "verify-formulas", "certify-hurwitz-G"])
+]
+MISS_IDS = ["compute-kl", "certify-z-roots", "verify-formulas", "certify-hurwitz-G"]
+
+
+@pytest.mark.parametrize("argv, loads, skips", MISS_CASES, ids=MISS_IDS)
 def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cli_env):
     proc = _traced_run(argv, tmp_path, cli_env)
     assert proc.returncode == 0 and proc.stdout, proc.stderr
@@ -409,6 +416,23 @@ def test_a_bad_csv_path_is_a_usage_error(csv, message, tmp_path, cli_env):
     assert f"usage error: csv path {path!r} {message}" in proc.stderr
     assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
     assert not (tmp_path / "cache.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, env_cache, label", [
+    ([], "", "cache path"),
+    (["--cache", ""], None, "cache path"),
+    (["--csv", ""], None, "csv path"),
+], ids=["empty-env", "empty-cache-flag", "empty-csv"])
+def test_an_empty_cache_or_csv_path_is_a_usage_error(argv, env_cache, label, tmp_path, cli_env):
+    # An empty $KLM_CACHE once ran the command and then failed to record it
+    # (exit 3), an empty --cache fell back to $KLM_CACHE, and an empty --csv
+    # wrote no table.
+    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3", *argv],
+                       tmp_path, cli_env, env_cache)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"usage error: {label} is empty" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spelling", ["relative", "absolute", "symlink", "hard-link"])
@@ -532,8 +556,11 @@ def test_import_klm_cli_loads_every_traced_layer(cli_env):
         "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    script = ("import json, sys, klm.cli\n"
+    script = ("import json, sys, types, klm.cli\n"
               "assert not set(sys.argv[2:]) & set(sys.modules), 'OpenSSL loaded'\n"
+              f"executed = [n for n in {ENGINE_LAYERS!r}\n"
+              "            if type(sys.modules['klm.' + n]) is types.ModuleType]\n"
+              "assert not executed, f'executed on import: {executed}'\n"
               "layers = json.loads(sys.argv[1])\n"
               "print(json.dumps([f'{layer}.{name}' for layer, names in layers.items()\n"
               "                  for name in names\n"
@@ -544,6 +571,93 @@ def test_import_klm_cli_loads_every_traced_layer(cli_env):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
     assert {"run_certify", "run_verify"} <= set(tracer.LAYERS["cli"])
+
+
+# -- the console script: `from klm.cli import main` executes what a run needs ----
+
+# Every module of the package but the CLI; `import klm.cli` registers each one
+# unexecuted.
+ENGINE_LAYERS = tuple(sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                             if p.stem not in ("__init__", "cli")))
+# The `klm` console script's entry, then a report of the modules that have
+# executed (a LazyLoader execution leaves no -X importtime line).
+CONSOLE_SCRIPT = ("import json, sys, types\n"
+                  "from klm.cli import main\n"
+                  "code = main()\n"
+                  "print(json.dumps([n for n, m in sys.modules.items()\n"
+                  "                  if type(m) is types.ModuleType]), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+
+
+def _console_run(argv, tmp_path, cli_env) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """The console entry on argv with a cache in tmp_path, and the modules it executed."""
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
+    proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_a_console_cache_hit_executes_no_engine_module(tmp_path, cli_env):
+    argv = ["certify", "kl-roots", "--m", "2", "--d", "1..3", "--jobs", "2"]
+    miss, miss_executed = _console_run(argv, tmp_path, cli_env)
+    hit, hit_executed = _console_run(argv, tmp_path, cli_env)
+    assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
+    assert set(ENGINE_MODULES) <= miss_executed
+    assert not OPENSSL_MODULES & miss_executed
+    assert {n for n in hit_executed if n.startswith("klm.")} == {"klm.cli"}
+    assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & hit_executed
+
+
+@pytest.mark.parametrize("argv, loads, skips", MISS_CASES, ids=MISS_IDS)
+def test_a_console_miss_executes_only_its_commands_modules(argv, loads, skips, tmp_path,
+                                                           cli_env):
+    proc, executed = _console_run(argv, tmp_path, cli_env)
+    assert proc.returncode == 0 and proc.stdout
+    assert loads <= executed
+    assert not (skips | OPENSSL_MODULES) & executed
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["certify", "kl-roots", "--m", "2..3", "--d", "1..4"], {"klcoeff", "realroot"}),
+    (["certify", "z-roots", "--m", "2..3", "--d", "1..4"], {"zcoeff", "realroot"}),
+    (["certify", "dseq-b", "--m", "2..3", "--d", "1..4"], {"seqfactor", "realroot"}),
+    (["certify", "hurwitz-Y", "--m", "2..3"], {"seqfactor", "realroot"}),
+    (["verify", "oracle", "--m-max", "2", "--d-max", "3"], {"oracle", "klcoeff", "zcoeff"}),
+    (["verify", "reform", "--m-max", "2", "--d-max", "3"], {"seqfactor", "klcoeff", "zcoeff"}),
+    (["verify", "identities", "--m-max", "2", "--d-max", "3"], {"klcoeff", "seqfactor"}),
+    (["verify", "hooks", "--m-max", "2", "--d-max", "3"], {"hooklen"}),
+], ids=["kl-roots", "z-roots", "dseq-b", "hurwitz-Y", "oracle", "reform", "identities",
+        "hooks"])
+def test_the_engine_executes_before_the_jobs_pool_forks(argv, modules, tmp_path, cli_env):
+    # A module still unexecuted when the pool forks would execute again in
+    # every worker.  The spy records, at each map_cells call, which engine
+    # modules have executed, runs the real pool, and then one cell in this
+    # process: that cell must execute nothing the workers lacked.
+    script = ("import json, sys, types\n"
+              "import klm.cli\n"
+              "from klm import certificate\n"
+              "pool = certificate.map_cells\n"
+              "def executed():\n"
+              "    return sorted(n[4:] for n, m in sys.modules.items()\n"
+              "                  if n.startswith('klm.') and type(m) is types.ModuleType)\n"
+              "def spy(worker, cells, jobs=1):\n"
+              "    at_fork = executed()\n"
+              "    out = pool(worker, cells, jobs)\n"
+              "    worker(*cells[0])\n"
+              "    print(json.dumps([at_fork, executed()]), file=sys.stderr)\n"
+              "    return out\n"
+              "certificate.map_cells = spy\n"
+              "sys.exit(klm.cli.main(sys.argv[1:]))\n")
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--jobs", "2"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0 and ": pass" in proc.stdout, proc.stderr
+    calls = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert calls
+    for at_fork, after_one_cell in calls:
+        assert at_fork == after_one_cell
+    assert modules <= set().union(*(at_fork for at_fork, _ in calls))
 
 
 def _seed_record(cache: Path, argv: list[str], payload: str, code: int,
