@@ -6,8 +6,9 @@ one run path: it checks the arguments, keys the command by a content hash
 (the SHA-256 of its canonical JSON, from CPython's built-in hash module, so
 no launch loads OpenSSL; ``--csv`` is not part of the key) and looks the key
 up in an append-only JSON-lines run cache.  A hit prints the stored payload
-byte for byte; a miss produces, prints and records it.  A ``verify --csv``
-run then writes its table, hit or miss.
+byte for byte and never opens the cache for writing; a miss first checks
+that the cache can take its record, then produces, prints and records it.  A
+``verify --csv`` run then writes its table, hit or miss.
 
 The module imports the standard library alone; each command imports the
 engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
@@ -81,6 +82,28 @@ def cache_path(args) -> str:
     """The run cache file of args' command: --cache, $KLM_CACHE or the default."""
     path = args.cache if args.cache is not None else os.environ.get("KLM_CACHE", DEFAULT_CACHE)
     return writable_path("cache path", path)
+
+
+def check_cache_writable(path: str) -> None:
+    """A usage error unless a record can be appended to the cache at path.
+
+    An existing cache must open for appending and seek to its end; a new one
+    needs a directory that can be written and searched.  Neither check
+    creates the file, so a run that fails later leaves none behind.
+    """
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        try:
+            os.lseek(fd, 0, os.SEEK_END)
+        finally:
+            os.close(fd)
+    except FileNotFoundError:
+        if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+            raise UsageError(f"cache path {path!r} is in a directory that cannot be "
+                             "written") from None
+    except OSError as exc:
+        raise UsageError(f"cache path {path!r} cannot be written: "
+                         f"{exc.strerror or exc}") from None
 
 
 def run_key(command: str, params: dict) -> str:
@@ -490,6 +513,7 @@ def execute(args) -> int:
         sys.stdout.write(hit["payload"])
         code = hit["exit"]
     else:
+        check_cache_writable(path)
         start = time.monotonic()
         payload, code = PRODUCE[args.command](args)
         sys.stdout.write(payload)

@@ -5,6 +5,12 @@ int) coefficients.  A :class:`TDTable` is a polynomial in t whose
 coefficients are polynomials in a parameter d, as one integer table over one
 denominator.
 
+Beneath both, and beneath every integer certificate, is one kernel on
+ascending integer coefficient lists: ``cleared`` puts ints or Fractions over
+the positive lcm of their denominators, ``primitive`` divides out the
+content, ``times_linear`` multiplies by a x + c and ``horner`` evaluates at
+an integer.  The other modules call these rather than keep copies of them.
+
 Also here: exact determinants.  One fraction-free Bareiss elimination over
 the integers (Bareiss 1968) serves them all: with row swaps it gives the
 determinant of a Fraction matrix; without them its diagonal holds every
@@ -16,7 +22,6 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import factorial, gcd, lcm
 
 from .arith import IntegrityError
@@ -32,6 +37,36 @@ def _trimmed(xs) -> tuple:
     while xs and not xs[-1]:
         xs.pop()
     return tuple(xs)
+
+
+# -- the integer coefficient-list kernel ---------------------------------------
+
+
+def cleared(coeffs) -> tuple[list[int], int]:
+    """Ints or Fractions as integer numerators over the positive lcm of their
+    denominators: (nums, den) with nums[k] / den == coeffs[k]."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def primitive(cs: list[int]) -> list[int]:
+    """An integer list divided by its positive content; signs are kept, and
+    an all-zero list is returned as it is."""
+    g = gcd(*cs)
+    return cs if g <= 1 else [c // g for c in cs]
+
+
+def times_linear(p, c: int, a: int = 1) -> list[int]:
+    """The integer polynomial p (ascending) times a x + c."""
+    return [c * lo + a * hi for lo, hi in zip([*p, 0], [0, *p])]
+
+
+def horner(cs, x: int) -> int:
+    """The integer polynomial with ascending coefficients cs, evaluated at x."""
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
 
 
 class Poly:
@@ -244,12 +279,7 @@ def squarefree_part(p: Poly) -> Poly:
 
 def _primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with gcd 1 (sign preserved)."""
-    if not p:
-        return p
-    den = lcm(*(Fraction(c).denominator for c in p.coeffs))
-    num = reduce(gcd, (abs(Fraction(c).numerator) for c in p.coeffs))
-    scale = Fraction(den, num)
-    return Poly(tuple(c * scale for c in p.coeffs))
+    return Poly(primitive(cleared(p.coeffs)[0]))
 
 
 def expand_binomial_affine(a: Poly, k: int) -> Poly:
@@ -313,10 +343,9 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     mat: list[list[int]] = []
     scale = 1
     for r in rows:
-        fr = [Fraction(c) for c in r]
-        den = lcm(*(c.denominator for c in fr))
+        nums, den = cleared(r)
         scale *= den
-        mat.append([int(c * den) for c in fr])
+        mat.append(nums)
     pivots, sign = _bareiss(mat, swap=True)
     return Fraction(sign * pivots[-1], scale)
 
@@ -336,7 +365,7 @@ def interpolate_steps(ys: list[int], den: int) -> Poly:
     fact = 1  # n! / k!
     for k in range(n, -1, -1):
         # acc <- acc * (t - k) + diffs[k] * n! / k!
-        acc = [a - k * b for a, b in zip([0] + acc, acc + [0])]
+        acc = times_linear(acc, -k)
         acc[0] += diffs[k] * fact
         fact *= k or 1
     return Poly(tuple(Fraction(c, den * fact) for c in acc))
@@ -362,14 +391,6 @@ def minor_degree_bound(degrees: list[list[int]], j: int) -> int:
     column-sum bounds."""
     degs = [[max(e, 0) for e in row[:j]] for row in degrees[:j]]
     return min(sum(map(max, degs)), sum(map(max, zip(*degs))))
-
-
-def horner(cs, x: int) -> int:
-    """The integer polynomial with ascending coefficients cs, evaluated at x."""
-    v = 0
-    for c in reversed(cs):
-        v = v * x + c
-    return v
 
 
 def leading_minors(mat: list[list[int]], orders) -> dict[int, int]:

@@ -2,8 +2,9 @@
 
 Every real-root count comes from one integer Sturm chain per polynomial:
 the remainder sequence of (p, p') run as a primitive pseudo-remainder
-sequence (Collins 1967; Brown-Traub 1971).  Each step scales by a positive
-power of |lc| and divides out the content, so every element is a positive
+sequence (Collins 1967; Brown-Traub 1971) on ``polyring``'s integer
+coefficient lists.  Each step scales by a positive power of |lc| and divides
+out the content (``polyring.primitive``), so every element is a positive
 multiple of the true Sturm remainder and sign variations stay exact.  The
 chain need not start from a squarefree p: its sign variations count the
 distinct real roots in (a, b] for endpoints that are not roots, and its
@@ -11,27 +12,27 @@ last element is gcd(p, p'), which gives the distinct-root count and seeds
 the multiplicity profile.  A palindromic polynomial (every Z-polynomial;
 Proudfoot-Xu-Young 2018) is certified on the chain of its half in t + 1/t
 when that shows only simple negative zeros.  Borchardt-Hermite Hurwitz
-determinants give an independent distinct-real-zeros criterion, numerically
-and symbolically in the shifted parameter d' = d - 2(m-1).  All of them are
-leading minors of one Hurwitz matrix.  Numeric ones come from one integer
-elimination, which keeps them independent of the Sturm chain they are
-checked against.  Symbolic ones are interpolated from their values at
-integer points of d: at each point A(d) and B(d) are evaluated once from the
-integer rows of their (t, d) tables, one subresultant PRS (Collins 1967)
-gives every determinant, and the elimination of the integer Hurwitz matrix
-of the same values checks it at three points and stands in where the PRS
-gives none.  The n-sequence test completes the toolbox.
+determinants give an independent distinct-real-zeros criterion, which
+``hurwitz_positivity_symbolic`` reads in the shifted parameter
+d' = d - 2(m-1); ``hurwitz_deltas`` also takes a numeric polynomial.  All of
+them are leading minors of one Hurwitz matrix.  Numeric ones come from one
+integer elimination, which keeps them independent of the Sturm chain.
+Symbolic ones are interpolated from their values at integer points of d: at
+each point A(d) and B(d) are evaluated once from the integer rows of their
+(t, d) tables, one subresultant PRS (Collins 1967) gives every determinant,
+and the elimination of the integer Hurwitz matrix of the same values checks
+it at three points and stands in where the PRS gives none.  The n-sequence
+test completes the toolbox.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .arith import IntegrityError, binomial
 from .certificate import Certificate, judge
-from .polyring import (Poly, TDTable, X, horner, interpolate_steps, leading_minors,
-                       minor_degree_bound)
+from .polyring import (Poly, TDTable, X, cleared, horner, interpolate_steps, leading_minors,
+                       minor_degree_bound, primitive)
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -43,12 +44,6 @@ def _sign(x) -> int:
     if x < 0:
         return -1
     return 0
-
-
-def _primitive_ints(cs: list[int]) -> list[int]:
-    """Divide an integer coefficient list by its (positive) content."""
-    g = gcd(*cs)
-    return cs if g == 1 else [c // g for c in cs]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -69,13 +64,6 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _integer_coeffs(p: Poly) -> list[int]:
-    """p's coefficients times the positive lcm of their denominators."""
-    fr = [Fraction(c) for c in p.coeffs]
-    den = lcm(*(c.denominator for c in fr))
-    return [c.numerator * (den // c.denominator) for c in fr]
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of (p, p') over the integers, each element primitive.
 
@@ -84,15 +72,15 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """
     if not p:
         raise ValueError("Sturm chain of the zero polynomial")
-    cur = _primitive_ints(_integer_coeffs(p))
+    cur = primitive(cleared(p.coeffs)[0])
     chain = [cur]
     if len(cur) > 1:
-        chain.append(_primitive_ints([k * c for k, c in enumerate(cur) if k]))
+        chain.append(primitive([k * c for k, c in enumerate(cur) if k]))
         while len(chain[-1]) > 1:
             r = _pseudo_rem(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(_primitive_ints([-c for c in r]))
+            chain.append(primitive([-c for c in r]))
     return [Poly(cs) for cs in chain]
 
 
@@ -161,11 +149,6 @@ def sturm_count(p: Poly, a, b) -> int:
     return _count(sturm_chain(p), a, b) + extra
 
 
-def count_real_roots(p: Poly) -> int:
-    """Distinct real roots over the whole line."""
-    return sturm_count(p, NEG_INF, POS_INF)
-
-
 def _all_real(p: Poly) -> bool:
     """Every complex root of p (degree >= 1) is real, read from one chain."""
     chain = sturm_chain(p)
@@ -202,7 +185,7 @@ def _palindromic_half(p: Poly) -> Poly | None:
     n = len(cs) - 1
     if n < 1 or cs != cs[::-1]:
         return None
-    q = _integer_coeffs(p)
+    q = cleared(cs)[0]
     if n % 2:
         # Divide by 1 + t; an odd palindromic polynomial vanishes at -1.
         for i in range(1, n):
@@ -303,8 +286,8 @@ def _table(p: Poly | TDTable) -> TDTable:
     """p itself, or a numeric Poly as constant rows over its own denominator."""
     if isinstance(p, TDTable):
         return p
-    den = lcm(*(Fraction(c).denominator for c in p.coeffs))
-    return TDTable(([int(c * den)] for c in p.coeffs), den)
+    nums, den = cleared(p.coeffs)
+    return TDTable(([c] for c in nums), den)
 
 
 def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int = 0) -> list:
@@ -360,29 +343,6 @@ def hurwitz_delta(a: Poly, b: Poly, k: int):
     """Hurwitz determinant Delta_2k(A, B), exact: a Fraction for numeric
     Polys, a polynomial in d for TDTables."""
     return hurwitz_deltas(a, b, k)[-1]
-
-
-def distinct_real_certificate(a: Poly, subject: str | None = None) -> Certificate:
-    """Certify that deg(A) distinct real zeros exist: all Delta_2k > 0.
-
-    Cross-validated against the Sturm distinct-real-root count.
-    """
-    subject = subject or "polynomial"
-    n = a.degree
-    if n < 1:
-        raise ValueError("criterion applies to polynomials of degree >= 1")
-    deltas = hurwitz_deltas(a, a.derivative(), n)
-    hurwitz_ok = all(v > 0 for v in deltas)
-    sturm_real = count_real_roots(a)
-    sturm_ok = sturm_real == n
-    if hurwitz_ok != sturm_ok:
-        raise RuntimeError(
-            f"Hurwitz and Sturm disagree on {subject}: {hurwitz_ok} vs {sturm_ok}")
-    if hurwitz_ok:
-        return judge(subject, "hurwitz", None, {"deltas": [str(v) for v in deltas]})
-    return judge(subject, "hurwitz", {
-        "deltas": [str(v) for v in deltas],
-        "sturm_distinct_real": sturm_real})
 
 
 def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:

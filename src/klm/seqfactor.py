@@ -25,7 +25,7 @@ from math import comb, factorial, lcm
 
 from .arith import IntegrityError, binomial, falling_factorial, stirling2, sum_over_lcm
 from .certificate import Certificate, grid_certificate
-from .polyring import Poly, TDTable, horner
+from .polyring import Poly, TDTable, horner, times_linear
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
@@ -69,15 +69,6 @@ def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
     return sum_over_lcm(terms)
 
 
-def _times_linear(p: list[int], c: int, a: int = 1) -> list[int]:
-    """The integer polynomial p (ascending) times a x + c."""
-    out = [0] * (len(p) + 1)
-    for n, e in enumerate(p):
-        out[n] += c * e
-        out[n + 1] += a * e
-    return out
-
-
 @lru_cache(maxsize=None)
 def expand_falling(spec: SeqSpec) -> TDTable:
     """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b),
@@ -94,14 +85,14 @@ def expand_falling(spec: SeqSpec) -> TDTable:
     m = spec.m
     terms = []
     for h in range(m):
-        a_h = reduce(_times_linear, range(h), [1])  # (i-1+h)_h
+        a_h = reduce(times_linear, range(h), [1])  # (i-1+h)_h
         if spec.family == "f":
-            a_h = reduce(_times_linear, range(h + 2, m + 1), a_h)  # (i+m)_{m-h-1}
+            a_h = reduce(times_linear, range(h + 2, m + 1), a_h)  # (i+m)_{m-h-1}
             den = (m - h) * binomial(m, h) * factorial(m - h - 1) * factorial(h) ** 2
         else:
-            a_h = _times_linear(a_h, m, h - m + 1)
+            a_h = times_linear(a_h, m, h - m + 1)
             den = (h + 1) * m * factorial(h) ** 2
-        rising = reduce(_times_linear, range(1, h + 1), [1])  # (u+1)...(u+h)
+        rising = reduce(times_linear, range(1, h + 1), [1])  # (u+1)...(u+h)
         terms.append((a_h, rising, den))
     common = lcm(*(den for _, _, den in terms))
     table = [[0] * m for _ in range(max(len(a) + len(u) - 1 for a, u, _ in terms))]
@@ -131,7 +122,7 @@ def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly | TDTable:
         return Poly(Fraction(horner(g, d) * falling_factorial(d, k), gs.den)
                     for k, g in enumerate(gs.rows))
     # Row k times (d)_k = d (d - 1) ... (d - k + 1).
-    return TDTable((reduce(_times_linear, range(0, -k, -1), g)
+    return TDTable((reduce(times_linear, range(0, -k, -1), g)
                     for k, g in enumerate(gs.rows)), gs.den)
 
 

@@ -38,24 +38,23 @@ def _positive_integer(m: int, d: int, i: int, value, route: str) -> int:
 # Memoised: every Z_{U_{m,d}} with d >= k reads P_{U_{m,k}}.
 @lru_cache(maxsize=None)
 def _kl_row(m: int, k: int) -> tuple[int, ...]:
-    """The coefficients of P_{U_{m,k}}, each checked to be an integer."""
-    return tuple(as_integer(c) for c in kl_poly(m, k).coeffs)
+    """The integer coefficients of P_{U_{m,k}}."""
+    return kl_poly(m, k).coeffs
 
 
 # Memoised: the from_kl route reads Z one coefficient at a time.
 @lru_cache(maxsize=None)
 def z_from_kl(m: int, d: int) -> Poly:
-    """Z_{U_{m,d}}(t) = t^d + sum_k binom(d+m, k+m) t^{d-k} P_{U_{m,k}}(t)."""
+    """Z_{U_{m,d}}(t) = t^d + sum_k binom(d+m, k+m) t^{d-k} P_{U_{m,k}}(t),
+    with int coefficients, each checked to be positive."""
     _check_range(m, d, 0)
-    # Summed in ints (every KL coefficient is an integer), one Fraction each at the end.
     coeffs = [0] * (d + 1)
     coeffs[d] = 1
     for k in range(1, d + 1):
         pref = binomial(d + m, k + m)
         for j, c in enumerate(_kl_row(m, k)):
             coeffs[d - k + j] += pref * c
-    return Poly([Fraction(_positive_integer(m, d, i, c, "from_kl"))
-                 for i, c in enumerate(coeffs)])
+    return Poly([_positive_integer(m, d, i, c, "from_kl") for i, c in enumerate(coeffs)])
 
 
 def z_alternating(m: int, d: int, i: int) -> Fraction:
@@ -91,9 +90,10 @@ def z_positive(m: int, d: int, i: int) -> Fraction:
     return Fraction(comb(d + m, i + m) * comb(d + m, i) * total, comb(d + m, m) * den)
 
 
-# Route name -> z(m,d,i) as a Fraction; the alternating form is stated for
-# i < d, and z(m,d,d) = 1 by convention.  Each entry looks its formula up at
-# call time, so a patched module function is the one that runs.
+# Route name -> z(m,d,i) as a Fraction, or an int from from_kl; the
+# alternating form is stated for i < d, and z(m,d,d) = 1 by convention.  Each
+# entry looks its formula up at call time, so a patched module function is
+# the one that runs.
 ROUTES = {
     "from_kl": lambda m, d, i: z_from_kl(m, d).coeff(i),
     "alternating": lambda m, d, i: Fraction(1) if i == d else z_alternating(m, d, i),
@@ -110,8 +110,9 @@ def z_coefficient(m: int, d: int, i: int, route: str = "positive") -> int:
 
 
 def z_poly(m: int, d: int, route: str = "positive") -> Poly:
-    """Z_{U_{m,d}}(t) assembled from the requested coefficient route."""
-    return Poly(tuple(Fraction(z_coefficient(m, d, i, route)) for i in range(d + 1)))
+    """Z_{U_{m,d}}(t) assembled from the requested coefficient route, with
+    int coefficients."""
+    return Poly(tuple(z_coefficient(m, d, i, route) for i in range(d + 1)))
 
 
 def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int]]:

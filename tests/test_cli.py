@@ -435,6 +435,56 @@ def test_an_empty_cache_or_csv_path_is_a_usage_error(argv, env_cache, label, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs a procfs file")
+def test_a_cache_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
+    # A procfs file opens for writing but cannot seek to its end.  Such a
+    # cache once let the command print its payload and then fail to record
+    # it (exit 3).
+    proc = _traced_run(["compute", "kl", "--m", "2", "--d", "3", "--cache", "/proc/version"],
+                       tmp_path, cli_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "usage error: cache path '/proc/version' cannot be written" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+
+
+def _refusing_writes(path, flags, *args, real_open=os.open, **kwargs):
+    """os.open, except that opening for writing fails as on a read-only file."""
+    if flags & (os.O_WRONLY | os.O_RDWR):
+        raise PermissionError(13, "Permission denied", path)
+    return real_open(path, flags, *args, **kwargs)
+
+
+def test_a_hit_replays_from_a_cache_that_cannot_be_written(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["compute", "kl", "--m", "2", "--d", "3", "--cache", str(cache)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1 + 5*t\n"
+    seeded = cache.read_bytes()
+    monkeypatch.setattr(os, "open", _refusing_writes)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1 + 5*t\n"
+    # A miss on the same cache stops before it runs, with nothing on stdout.
+    assert main(["compute", "kl", "--m", "2", "--d", "4", "--cache", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"usage error: cache path {str(cache)!r} cannot be written: Permission denied" in err
+    assert cache.read_bytes() == seeded
+
+
+def test_a_new_cache_in_a_directory_that_cannot_be_written_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache.jsonl"
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        os.fspath(path) != str(tmp_path) and real_access(path, mode)))
+    assert main(["compute", "kl", "--m", "2", "--d", "3", "--cache", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"usage error: cache path {str(cache)!r} is in a directory that cannot be written"
+            in err)
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("spelling", ["relative", "absolute", "symlink", "hard-link"])
 def test_a_csv_path_that_names_the_run_cache_is_a_usage_error(spelling, tmp_path, monkeypatch,
                                                              capsys):

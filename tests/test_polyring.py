@@ -2,16 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from klm.arith import falling_factorial
-from klm.polyring import (ONE, Poly, TDTable, X, det_fraction, det_parametric,
+from klm.polyring import (ONE, Poly, TDTable, X, cleared, det_fraction, det_parametric,
                           expand_binomial_affine, interpolate, leading_minors,
-                          minor_degree_bound, poly_gcd, render, render_in_d,
-                          squarefree_part)
+                          minor_degree_bound, poly_gcd, primitive, render, render_in_d,
+                          squarefree_part, times_linear)
 from oracles import as_poly, degrees, det_cofactor, to_falling_basis
 
 
@@ -225,3 +225,34 @@ def test_product_over_mixed_coefficients_equals_the_fraction_product(p, q):
     assert render(got) == render(want)
     if all(isinstance(c, int) for c in p.coeffs + q.coeffs):
         assert all(type(c) is int for c in got.coeffs)
+
+
+# -- the integer coefficient-list kernel ----------------------------------------
+
+int_lists = st.lists(st.integers(-10**6, 10**6), max_size=8)
+
+
+@given(st.lists(scalars, max_size=8))
+def test_cleared_puts_every_coefficient_over_the_least_common_denominator(coeffs):
+    nums, den = cleared(coeffs)
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert [Fraction(n, den) for n in nums] == [Fraction(c) for c in coeffs]
+    assert den == lcm(*(Fraction(c).denominator for c in coeffs))
+
+
+@given(int_lists)
+def test_primitive_divides_by_the_positive_content(cs):
+    out = primitive(cs)
+    g = gcd(*cs)
+    if not g:
+        assert out == cs
+        return
+    assert [c * g for c in out] == cs
+    assert gcd(*out) == 1
+
+
+@given(int_lists, st.integers(-50, 50), st.integers(-50, 50))
+def test_times_linear_is_the_poly_product(p, c, a):
+    assert Poly(times_linear(p, c, a)) == Poly(p) * Poly((c, a))
+    assert Poly(times_linear(tuple(p), c)) == Poly(p) * Poly((c, 1))
+    assert all(type(x) is int for x in times_linear(p, c, a))

@@ -13,9 +13,7 @@ from klm.klcoeff import kl_poly
 from klm.polyring import (ONE, IntegrityError, Poly, TDTable, X, det_parametric,
                           minor_degree_bound, poly_gcd, squarefree_part)
 from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_half,
-                          all_zeros_real_negative,
-                          count_real_roots, distinct_real_certificate,
-                          hurwitz_delta, hurwitz_deltas, hurwitz_matrix,
+                          all_zeros_real_negative, hurwitz_delta, hurwitz_deltas, hurwitz_matrix,
                           hurwitz_positivity_symbolic,
                           multiplicity_profile, n_sequence_test, sturm_chain,
                           sturm_count)
@@ -32,7 +30,7 @@ def test_sturm_count_examples():
     assert sturm_count(P(1, 5), NEG_INF, 0) == 1
     assert sturm_count(P(1, 9, 5), NEG_INF, 0) == 2
     assert sturm_count(P(1, 0, 1), NEG_INF, POS_INF) == 0
-    assert count_real_roots(P(-1, 0, 1)) == 2
+    assert sturm_count(P(-1, 0, 1), NEG_INF, POS_INF) == 2
 
 
 def test_sturm_count_products_of_distinct_linear_factors():
@@ -43,7 +41,7 @@ def test_sturm_count_products_of_distinct_linear_factors():
         p = ONE
         for r in roots:
             p = p * P(-r, 1)
-        assert count_real_roots(p) == j
+        assert sturm_count(p, NEG_INF, POS_INF) == j
         assert sturm_count(p, NEG_INF, 0) == sum(1 for r in roots if r <= 0)
 
 
@@ -245,13 +243,20 @@ def test_a_wrong_prs_value_trips_the_spot_check(t, monkeypatch):
         hurwitz_deltas(g, g.derivative(), 2, 2)
 
 
-def test_distinct_real_certificate_examples():
-    assert distinct_real_certificate(P(2, -3, 1)).passed
-    assert not distinct_real_certificate(P(1, 0, 1)).passed
-    assert distinct_real_certificate(P(1, 6, -3)).passed  # G_{2,3}
+def hurwitz_and_sturm(p: Poly) -> tuple[bool, bool]:
+    """Whether every Delta_2k(p, p') is positive, and whether Sturm counts
+    deg p distinct real zeros: the two verdicts on distinct real zeros."""
+    hurwitz = all(v > 0 for v in hurwitz_deltas(p, p.derivative(), p.degree))
+    return hurwitz, sturm_count(p, NEG_INF, POS_INF) == p.degree
 
 
-def test_distinct_real_certificate_randomized():
+def test_hurwitz_agrees_with_sturm_examples():
+    assert hurwitz_and_sturm(P(2, -3, 1)) == (True, True)
+    assert hurwitz_and_sturm(P(1, 0, 1)) == (False, False)
+    assert hurwitz_and_sturm(P(1, 6, -3)) == (True, True)  # G_{2,3}
+
+
+def test_hurwitz_agrees_with_sturm_randomized():
     rng = random.Random(17)
     for _ in range(500):
         if rng.random() < 0.5:
@@ -263,11 +268,8 @@ def test_distinct_real_certificate_randomized():
                            for _ in range(rng.randint(2, 7))))
             if p.degree < 1:
                 continue
-        cert = distinct_real_certificate(p)
-        # The certificate itself cross-validates against Sturm counting and
-        # raises on disagreement; here we only re-assert the pass direction.
-        if cert.passed:
-            assert count_real_roots(p) == p.degree
+        hurwitz, sturm = hurwitz_and_sturm(p)
+        assert hurwitz == sturm, p
 
 
 def test_hurwitz_positivity_symbolic_small_m():
@@ -385,7 +387,7 @@ def test_integer_chain_matches_fraction_reference(p):
     assert p.degree - last.degree == squarefree_part(p).degree
     assert sturm_count(p, NEG_INF, 0) == reference_count(p, NEG_INF, 0)
     assert sturm_count(p, 0, POS_INF) == reference_count(p, 0, POS_INF)
-    assert count_real_roots(p) == reference_count(p, NEG_INF, POS_INF)
+    assert sturm_count(p, NEG_INF, POS_INF) == reference_count(p, NEG_INF, POS_INF)
     assert multiplicity_profile(p) == reference_profile(p)
     assert multiplicity_profile(p, last) == reference_profile(p)
 

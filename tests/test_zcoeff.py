@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from klm import zcoeff
+from klm.klcoeff import kl_poly
 from klm.polyring import IntegrityError, Poly
 from klm.zcoeff import (dyck_peak_counts, narayana_check, narayana_ratio,
                         verify_three_routes, z_alternating, z_diagonal_symbolic,
@@ -19,6 +20,14 @@ def test_z_from_kl_examples():
     assert z_from_kl(1, 2) == P(1, 3, 1)
     assert z_from_kl(2, 3) == P(1, 10, 10, 1)
     assert z_from_kl(1, 3) == P(1, 6, 6, 1)
+
+
+def test_kl_and_z_polynomials_have_int_coefficients():
+    # c(m,d,i) and z(m,d,i) are integers, and the Polys carry them as ints.
+    for m in range(1, 4):
+        for d in range(1, 9):
+            for p in (kl_poly(m, d), z_from_kl(m, d), z_poly(m, d)):
+                assert p.coeffs and all(type(c) is int for c in p.coeffs), (m, d, p)
 
 
 def test_z_alternating_examples():
