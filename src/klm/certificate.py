@@ -8,7 +8,19 @@ from collections import namedtuple
 METHODS = ("sturm", "hurwitz", "nseq", "identity")
 
 
-class Certificate(namedtuple("Certificate", "subject method verdict witness")):
+class Checked:
+    """A mixin, listed before a namedtuple base, whose ``_make`` (and so
+    ``_replace``, which calls it) builds through the subclass's ``__new__``:
+    namedtuple's own ``_make`` skips ``__new__``'s checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Certificate(Checked, namedtuple("Certificate", "subject method verdict witness")):
     """Outcome of one verification or certification run.
 
     A failing certificate always carries a reproducible witness: the exact
@@ -26,11 +38,6 @@ class Certificate(namedtuple("Certificate", "subject method verdict witness")):
         if verdict == "fail" and witness is None:
             raise ValueError("a failing certificate must carry a witness")
         return super().__new__(cls, subject, method, verdict, witness)
-
-    @classmethod
-    def _make(cls, fields):
-        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
-        return cls(*fields)
 
     @property
     def passed(self) -> bool:
@@ -55,18 +62,23 @@ def judge(subject: str, method: str, failure: dict | None,
 def map_cells(worker, cells: list[tuple], jobs: int = 1) -> list:
     """[worker(*cell) for cell in cells], across worker processes when jobs > 1.
 
-    The pool starts every worker up front, so it gets no more than jobs, the
-    number of cells or the number of CPUs.  Results keep grid order.  A worker
-    run in another process must be a module-level function, so that it
-    pickles by name.
+    The first cell always runs in this process, so every module a cell needs
+    has executed, and its memos hold that cell's values, before a pool forks:
+    the workers inherit them instead of executing each module again.  The
+    pool starts every worker up front, so it gets no more than jobs, the
+    number of remaining cells or the number of CPUs; when that is one or
+    none, the remaining cells run here too.  Results keep grid order.  A worker run in another
+    process must be a module-level function, so that it pickles by name.
     """
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    results = [worker(*cell) for cell in cells[:1]]
+    rest = cells[1:]
+    workers = min(jobs, len(rest), os.cpu_count() or 1)
     if workers <= 1:
-        return [worker(*cell) for cell in cells]
+        return results + [worker(*cell) for cell in rest]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(cells) // (workers * 4))
-        return list(pool.map(worker, *zip(*cells), chunksize=chunk))
+        chunk = max(1, len(rest) // (workers * 4))
+        return results + list(pool.map(worker, *zip(*rest), chunksize=chunk))
 
 
 def grid_certificate(subject: str, worker, cells: list[tuple], jobs: int = 1,

@@ -20,6 +20,8 @@ the ``klm`` console script, registers every engine module in ``sys.modules``
 without executing it (``importlib.util.LazyLoader``): a module executes on
 the first access to one of its attributes, so the console script's hit
 executes none and its miss only its command's modules, as under ``-m``.
+A ``--jobs`` grid forks its workers only after its first cell has run here
+(``certificate.map_cells``), so they inherit the modules that cell executed.
 """
 
 from __future__ import annotations
@@ -84,10 +86,10 @@ def cache_path(args) -> str:
     return writable_path("cache path", path)
 
 
-def check_cache_writable(path: str) -> None:
-    """A usage error unless a record can be appended to the cache at path.
+def check_writable(label: str, path: str) -> None:
+    """A usage error naming label unless the file at path can be written.
 
-    An existing cache must open for appending and seek to its end; a new one
+    An existing file must open for appending and seek to its end; a new one
     needs a directory that can be written and searched.  Neither check
     creates the file, so a run that fails later leaves none behind.
     """
@@ -99,10 +101,10 @@ def check_cache_writable(path: str) -> None:
             os.close(fd)
     except FileNotFoundError:
         if not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
-            raise UsageError(f"cache path {path!r} is in a directory that cannot be "
+            raise UsageError(f"{label} {path!r} is in a directory that cannot be "
                              "written") from None
     except OSError as exc:
-        raise UsageError(f"cache path {path!r} cannot be written: "
+        raise UsageError(f"{label} {path!r} cannot be written: "
                          f"{exc.strerror or exc}") from None
 
 
@@ -275,6 +277,7 @@ def check_args(args) -> None:
             if os.path.realpath(args.csv) == os.path.realpath(cache) or (
                     both and os.path.samefile(args.csv, cache)):
                 raise UsageError(f"csv path {args.csv!r} is the run cache {cache!r}")
+            check_writable("csv path", args.csv)
         return
     if args.command == "compute":
         if args.symbolic_d and args.kind not in ("G", "Y"):
@@ -326,8 +329,6 @@ def _exit_code(run, args) -> int | None:
 
 
 # -- certify cells ---------------------------------------------------------------
-# Each cell imports what it calls; run_certify has loaded those modules before
-# the --jobs pool forks, so in a worker the imports are dictionary lookups.
 
 
 def _cell_kl_root(m, d):
@@ -386,11 +387,7 @@ def produce_compute(args) -> tuple[str, int]:
 
 
 def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificate]:
-    """The certificates of suite's grids.
-
-    Each suite's module executes, as do the modules its cells call, before
-    the suite starts a --jobs pool (see run_certify).
-    """
+    """The certificates of suite's grids."""
     if suite == "formulas":
         from . import klcoeff
         return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
@@ -403,8 +400,6 @@ def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificat
                 hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
     if suite == "oracle":
         from . import oracle
-        from .klcoeff import kl_poly  # noqa: F401  (check_oracle_pair calls both)
-        from .zcoeff import z_from_kl  # noqa: F401
         return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
                 oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
     if suite == "identities":
@@ -461,30 +456,17 @@ def produce_verify(args) -> tuple[str, int]:
 
 
 def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Certificate]:
-    """The certificates of target's grid, in grid order.
-
-    Each target imports a name from every engine module its cells call
-    before map_cells starts the --jobs pool.  That executes a module ``import
-    klm.cli`` registered lazily, so the forked workers inherit every module
-    instead of executing it again.
-    """
+    """The certificates of target's grid, in grid order."""
     from .certificate import map_cells
     if target == "kl-roots":
-        from .klcoeff import kl_poly  # noqa: F401
-        from .realroot import all_zeros_real_negative  # noqa: F401
         return map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
     if target == "z-roots":
-        from .realroot import all_zeros_real_negative  # noqa: F401
-        from .zcoeff import z_from_kl  # noqa: F401
         return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
-        from .realroot import n_sequence_test  # noqa: F401
-        from .seqfactor import seq_value  # noqa: F401
         family = target[-1]
         return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
     if target in ("hurwitz-G", "hurwitz-Y"):
         from .realroot import hurwitz_positivity_symbolic
-        from .seqfactor import gy_poly  # noqa: F401
         family = target[-1]
         return map_cells(hurwitz_positivity_symbolic, [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
@@ -513,7 +495,7 @@ def execute(args) -> int:
         sys.stdout.write(hit["payload"])
         code = hit["exit"]
     else:
-        check_cache_writable(path)
+        check_writable("cache path", path)
         start = time.monotonic()
         payload, code = PRODUCE[args.command](args)
         sys.stdout.write(payload)

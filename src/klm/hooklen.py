@@ -13,11 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .certificate import Certificate, grid_certificate
+from .certificate import Certificate, Checked, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
 
 
-class Partition(namedtuple("Partition", "parts")):
+class Partition(Checked, namedtuple("Partition", "parts")):
     """Weakly decreasing tuple of positive parts."""
 
     __slots__ = ()
@@ -28,11 +28,6 @@ class Partition(namedtuple("Partition", "parts")):
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must weakly decrease, got {parts}")
         return super().__new__(cls, parts)
-
-    @classmethod
-    def _make(cls, fields):
-        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
-        return cls(*fields)
 
     @property
     def n(self) -> int:

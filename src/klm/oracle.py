@@ -15,11 +15,11 @@ from itertools import combinations
 from operator import add
 
 from .arith import binomial
-from .certificate import Certificate, grid_certificate
+from .certificate import Certificate, Checked, grid_certificate
 from .polyring import Poly
 
 
-class RankedLattice(namedtuple("RankedLattice", "m d")):
+class RankedLattice(Checked, namedtuple("RankedLattice", "m d")):
     """Rank-grouped lattice of flats of a uniform matroid U_{m,d}.
 
     Proper flats of rank k are the binom(m+d, k) subsets of size k < d;
@@ -33,11 +33,6 @@ class RankedLattice(namedtuple("RankedLattice", "m d")):
         if m < 0 or d < 0:
             raise ValueError(f"invalid uniform matroid U_{{{m},{d}}}")
         return super().__new__(cls, m, d)
-
-    @classmethod
-    def _make(cls, fields):
-        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
-        return cls(*fields)
 
     @property
     def rank(self) -> int:

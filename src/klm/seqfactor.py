@@ -24,14 +24,14 @@ from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
 from .arith import IntegrityError, binomial, falling_factorial, stirling2, sum_over_lcm
-from .certificate import Certificate, grid_certificate
+from .certificate import Certificate, Checked, grid_certificate
 from .polyring import Poly, TDTable, horner, times_linear
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
 
 
-class SeqSpec(namedtuple("SeqSpec", "family m")):
+class SeqSpec(Checked, namedtuple("SeqSpec", "family m")):
     """Which sequence family (f or b) at which m."""
 
     __slots__ = ()
@@ -42,11 +42,6 @@ class SeqSpec(namedtuple("SeqSpec", "family m")):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         return super().__new__(cls, family, m)
-
-    @classmethod
-    def _make(cls, fields):
-        # namedtuple's own _make, which _replace calls, skips __new__'s checks.
-        return cls(*fields)
 
 
 def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:

@@ -11,11 +11,8 @@ from fractions import Fraction
 from math import factorial
 
 from klm import hooklen, klcoeff, oracle, seqfactor, zcoeff
-from klm.klcoeff import kl_poly
-from klm.realroot import (all_zeros_real_negative, hurwitz_positivity_symbolic,
-                          n_sequence_test)
-from klm.seqfactor import SeqSpec, expand_falling, gy_poly, seq_value
-from klm.zcoeff import z_from_kl
+from klm.cli import run_certify
+from klm.seqfactor import SeqSpec, expand_falling
 from oracles import count_syt
 
 
@@ -70,30 +67,18 @@ def test_criterion_05_hook_length_coverage():
 
 
 def test_criterion_06_negative_zeros_desk_scale():
-    failing = None
-    for m in range(2, 11):
-        for d in range(1, 26):
-            if not all_zeros_real_negative(kl_poly(m, d)).passed:
-                failing = ("kl", m, d)
-            elif not all_zeros_real_negative(z_from_kl(m, d)).passed:
-                failing = ("z", m, d)
-            if failing:
-                break
-        if failing:
-            break
-    if failing is None:
-        for d in range(1, 41):
-            if not (all_zeros_real_negative(kl_poly(1, d)).passed
-                    and all_zeros_real_negative(z_from_kl(1, d)).passed):
-                failing = ("m=1", d)
-                break
+    certs = [cert for target in ("kl-roots", "z-roots")
+             for ms, ds in ((range(2, 11), range(1, 26)), ([1], range(1, 41)))
+             for cert in run_certify(target, list(ms), list(ds), 1)]
+    failing = [cert.subject for cert in certs if not cert.passed]
     report(6, "negative zeros of P and Z: 2<=m<=10 d<=25, m=1 d<=40",
-           failing is None, failing)
+           not failing, failing)
 
 
 def test_criterion_07_symbolic_hurwitz():
-    g2 = hurwitz_positivity_symbolic("G", 2)
-    y2 = hurwitz_positivity_symbolic("Y", 2)
+    g = run_certify("hurwitz-G", [2, 3, 4, 5], [], 1)
+    y = run_certify("hurwitz-Y", [2, 3, 4, 5], [], 1)
+    g2, y2, higher = g[0], y[0], g[1:] + y[1:]
     paper_ok = (
         g2.passed and y2.passed
         and g2.witness["delta_coeffs_in_dprime"][0]
@@ -102,8 +87,6 @@ def test_criterion_07_symbolic_hurwitz():
         == ["13", "60", "233/2", "124", "1265/16", "31", "59/8", "1", "1/16"]
         and y2.witness["delta_coeffs_in_dprime"][1]
         == ["5", "24", "97/2", "54", "585/16", "63/4", "35/8", "3/4", "1/16"])
-    higher = [hurwitz_positivity_symbolic(family, m)
-              for family in ("G", "Y") for m in (3, 4, 5)]
     small_ok = all(case["real_rooted"]
                    for cert in higher for case in cert.witness["small_cases"])
     report(7, "symbolic Hurwitz: m=2 printed expansions, m in {3,4,5} positivity",
@@ -112,15 +95,9 @@ def test_criterion_07_symbolic_hurwitz():
 
 
 def test_criterion_08_d_sequences_and_falling_invariants():
-    failing = None
-    for family in ("f", "b"):
-        for m in range(2, 7):
-            spec = SeqSpec(family, m)
-            for d in range(1, 21):
-                gamma = [seq_value(spec, d, i) for i in range(d + 1)]
-                if not n_sequence_test(gamma, d).passed:
-                    failing = (family, m, d)
-                    break
+    failing = [cert.subject for target in ("dseq-f", "dseq-b")
+               for cert in run_certify(target, list(range(2, 7)), list(range(1, 21)), 1)
+               if not cert.passed]
     basis_ok = True
     for family in ("f", "b"):
         for m in range(1, 16):
@@ -130,7 +107,7 @@ def test_criterion_08_d_sequences_and_falling_invariants():
                     and gs.degree + 1 == 2 * m - 1):
                 basis_ok = False
     report(8, "d-sequence tests 2<=m<=6 d<=20 and falling-basis invariants m<=15",
-           failing is None and basis_ok, failing)
+           not failing and basis_ok, failing)
 
 
 def test_criterion_09_identity_suite():

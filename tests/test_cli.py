@@ -198,6 +198,13 @@ def _negative_kl(m, d, i, route="positive"):
     raise IntegrityError(f"negative KL coefficient c({m},{d},{i})")
 
 
+def _past_the_first_cell(fault, real):
+    """fault where m > 1 and real elsewhere.  A reform grid's first cell, which
+    map_cells runs before it forks, has m = 1, so at --jobs 2 the fault is
+    raised in a worker."""
+    return lambda m, d, i, *route: (fault if m > 1 else real)(m, d, i, *route)
+
+
 def _tampered_subresultants(a, b, k_max, prs=realroot._subresultant_deltas):
     out = prs(a, b, k_max)
     return out and {**out, 2: out[2] + 1}
@@ -206,12 +213,14 @@ def _tampered_subresultants(a, b, k_max, prs=realroot._subresultant_deltas):
 @pytest.mark.parametrize("patch, argv, error", [
     (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
      ["compute", "kl", "--m", "2", "--d", "3"], "negative KL coefficient"),
-    (lambda mp: mp.setattr(klcoeff, "kl_coefficient", _negative_kl),
+    (lambda mp: mp.setattr(klcoeff, "kl_coefficient",
+                           _past_the_first_cell(_negative_kl, klcoeff.kl_coefficient)),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "negative KL coefficient"),
     (lambda mp: mp.setattr(zcoeff, "kl_poly", lambda m, k: Poly((Fraction(1, 2),))),
      ["compute", "z", "--m", "2", "--d", "3"], "expected an integer value, got 1/2"),
-    (lambda mp: mp.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: Fraction(1, 2)),
+    (lambda mp: mp.setitem(klcoeff.ROUTES, "positive", _past_the_first_cell(
+        lambda m, d, i: Fraction(1, 2), klcoeff.ROUTES["positive"])),
      ["verify", "reform", "--m-max", "2", "--d-max", "4", "--jobs", "2"],
      "expected an integer value, got 1/2"),
     (lambda mp: mp.setattr(realroot, "_subresultant_deltas", _tampered_subresultants),
@@ -447,6 +456,18 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
     assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs a procfs file")
+def test_a_csv_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
+    # Such a --csv once let verify print its pass line and record the run,
+    # and then fail to write the table (exit 3).
+    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3",
+                        "--csv", "/proc/version"], tmp_path, cli_env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "usage error: csv path '/proc/version' cannot be written" in proc.stderr
+    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def _refusing_writes(path, flags, *args, real_open=os.open, **kwargs):
     """os.open, except that opening for writing fails as on a read-only file."""
     if flags & (os.O_WRONLY | os.O_RDWR):
@@ -672,31 +693,39 @@ def test_a_console_miss_executes_only_its_commands_modules(argv, loads, skips, t
     (["certify", "kl-roots", "--m", "2..3", "--d", "1..4"], {"klcoeff", "realroot"}),
     (["certify", "z-roots", "--m", "2..3", "--d", "1..4"], {"zcoeff", "realroot"}),
     (["certify", "dseq-b", "--m", "2..3", "--d", "1..4"], {"seqfactor", "realroot"}),
-    (["certify", "hurwitz-Y", "--m", "2..3"], {"seqfactor", "realroot"}),
+    (["certify", "hurwitz-Y", "--m", "2..4"], {"seqfactor", "realroot"}),
     (["verify", "oracle", "--m-max", "2", "--d-max", "3"], {"oracle", "klcoeff", "zcoeff"}),
     (["verify", "reform", "--m-max", "2", "--d-max", "3"], {"seqfactor", "klcoeff", "zcoeff"}),
     (["verify", "identities", "--m-max", "2", "--d-max", "3"], {"klcoeff", "seqfactor"}),
-    (["verify", "hooks", "--m-max", "2", "--d-max", "3"], {"hooklen"}),
+    (["verify", "hooks", "--m-max", "3", "--d-max", "5"], {"hooklen"}),
 ], ids=["kl-roots", "z-roots", "dseq-b", "hurwitz-Y", "oracle", "reform", "identities",
         "hooks"])
 def test_the_engine_executes_before_the_jobs_pool_forks(argv, modules, tmp_path, cli_env):
     # A module still unexecuted when the pool forks would execute again in
-    # every worker.  The spy records, at each map_cells call, which engine
-    # modules have executed, runs the real pool, and then one cell in this
-    # process: that cell must execute nothing the workers lacked.
-    script = ("import json, sys, types\n"
+    # every worker.  The spy records which engine modules have executed when
+    # each map_cells call constructs its pool, runs the real pool, and then
+    # the grid's last cell, which a worker ran, in this process: that cell
+    # must execute nothing the workers lacked.  Every grid here is large
+    # enough that each map_cells call forms a pool.
+    script = ("import concurrent.futures, json, sys, types\n"
               "import klm.cli\n"
               "from klm import certificate\n"
-              "pool = certificate.map_cells\n"
+              "pool, grid = concurrent.futures.ProcessPoolExecutor, certificate.map_cells\n"
+              "forks = []\n"
               "def executed():\n"
               "    return sorted(n[4:] for n, m in sys.modules.items()\n"
               "                  if n.startswith('klm.') and type(m) is types.ModuleType)\n"
+              "class SpyPool(pool):\n"
+              "    def __init__(self, *args, **kwargs):\n"
+              "        forks.append(executed())\n"
+              "        super().__init__(*args, **kwargs)\n"
               "def spy(worker, cells, jobs=1):\n"
-              "    at_fork = executed()\n"
-              "    out = pool(worker, cells, jobs)\n"
-              "    worker(*cells[0])\n"
-              "    print(json.dumps([at_fork, executed()]), file=sys.stderr)\n"
+              "    forks.clear()\n"
+              "    out = grid(worker, cells, jobs)\n"
+              "    worker(*cells[-1])\n"
+              "    print(json.dumps([forks, executed()]), file=sys.stderr)\n"
               "    return out\n"
+              "concurrent.futures.ProcessPoolExecutor = SpyPool\n"
               "certificate.map_cells = spy\n"
               "sys.exit(klm.cli.main(sys.argv[1:]))\n")
     env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
@@ -705,9 +734,10 @@ def test_the_engine_executes_before_the_jobs_pool_forks(argv, modules, tmp_path,
     assert proc.returncode == 0 and ": pass" in proc.stdout, proc.stderr
     calls = [json.loads(line) for line in proc.stderr.splitlines()]
     assert calls
-    for at_fork, after_one_cell in calls:
-        assert at_fork == after_one_cell
-    assert modules <= set().union(*(at_fork for at_fork, _ in calls))
+    for forks, after_one_cell in calls:
+        assert len(forks) == 1, "no pool formed" if not forks else forks
+        assert forks[0] == after_one_cell
+    assert modules <= set().union(*(forks[0] for forks, _ in calls))
 
 
 def _seed_record(cache: Path, argv: list[str], payload: str, code: int,

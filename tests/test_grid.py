@@ -119,12 +119,13 @@ def test_grid_reports_the_first_failure_in_grid_order_with_two_jobs():
 
 
 @pytest.mark.parametrize("jobs, n_cells, cpus, pool", [
-    (10**6, 3, 8, {"max_workers": 3, "chunksize": 1}),
+    (10**6, 3, 8, {"max_workers": 2, "chunksize": 1}),
     (10**6, 100, 4, {"max_workers": 4, "chunksize": 6}),
     (3, 100, 8, {"max_workers": 3, "chunksize": 8}),
     (10**6, 100, None, None),
+    (10**6, 2, 8, None),
     (10**6, 1, 8, None),
-], ids=["cells", "cpus", "jobs", "cpu-count-unknown", "one-cell"])
+], ids=["cells", "cpus", "jobs", "cpu-count-unknown", "two-cells", "one-cell"])
 def test_map_cells_starts_no_more_workers_than_cells_or_cpus(jobs, n_cells, cpus, pool,
                                                              monkeypatch):
     made = []
