@@ -167,19 +167,15 @@ def cache_append(path, record: dict) -> None:
         os.close(fd)
 
 
-def run_params(args) -> dict:
-    """The parameters that key the run record of args' command.
+# Parsed arguments that leave the payload as it is: the command keys the run on
+# its own, and ``verify --csv`` shares the record of plain ``verify``.
+UNKEYED = ("command", "jobs", "cache", "csv")
 
-    ``--jobs``, ``--cache`` and ``--csv`` leave the payload as it is, so none of
-    them is a parameter: ``verify --csv`` shares the record of plain ``verify``.
-    """
-    if args.command == "compute":
-        return {"kind": args.kind, "m": args.m, "d": args.d, "route": args.route,
-                "symbolic_d": args.symbolic_d, "json": args.json}
-    if args.command == "verify":
-        return {"suite": args.suite, "m_max": args.m_max, "d_max": args.d_max,
-                "json": args.json}
-    return {"target": args.target, "m": args.m, "d": args.d, "json": args.json}
+
+def run_params(args) -> dict:
+    """The parameters that key the run record of args' command: every parsed
+    argument except those of ``UNKEYED``."""
+    return {k: v for k, v in vars(args).items() if k not in UNKEYED}
 
 
 # -- arguments -------------------------------------------------------------------
@@ -313,19 +309,6 @@ def check_args(args) -> None:
         raise UsageError(f"m must be >= 1, got {m}")
     elif d is not None and d < 1:
         raise UsageError(f"{'gy' if kind in ('G', 'Y') else 'qr'}_poly requires d >= 1, got {d}")
-
-
-def _exit_code(run, args) -> int | None:
-    """run(args), with bad input reported as a usage error (exit 2) and any
-    other fault, a ValueError included, as an internal error (exit 3)."""
-    try:
-        return run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 # -- certify cells ---------------------------------------------------------------
@@ -509,7 +492,17 @@ def execute(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return _exit_code(execute, parse_args(argv))
+    """Run argv's command, with bad input reported as a usage error (exit 2)
+    and any other fault, a ValueError included, as an internal error (exit 3)."""
+    args = parse_args(argv)
+    try:
+        return execute(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -447,7 +447,7 @@ def render_in_d(p: Poly) -> str:
     return _signed_sum(terms)
 
 
-def render(p: Poly | TDTable, var: str = "t") -> str:
+def render(p: Poly | TDTable) -> str:
     """Canonical ascending rendering, e.g. '1 + 6*t + 6*t^2 + 1*t^3'; a
     TDTable's coefficients render in d, e.g. '1 + (d^2/2 + d/2)*t'."""
     terms = []
@@ -456,7 +456,7 @@ def render(p: Poly | TDTable, var: str = "t") -> str:
         if isinstance(c, Poly) and c.degree < 1:  # a constant in d renders as a number
             c = c.coeff(0)
         if c:
-            power = "" if k == 0 else "*" + (var if k == 1 else f"{var}^{k}")
+            power = "" if k == 0 else "*" + ("t" if k == 1 else f"t^{k}")
             if isinstance(c, Poly):
                 terms.append((False, f"({render_in_d(c)}){power}"))
             else:

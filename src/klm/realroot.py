@@ -1,28 +1,29 @@
 """Exact real-rootedness certification.
 
-Every real-root count comes from one integer Sturm chain per polynomial:
-the remainder sequence of (p, p') run as a primitive pseudo-remainder
-sequence (Collins 1967; Brown-Traub 1971) on ``polyring``'s integer
-coefficient lists.  Each step scales by a positive power of |lc| and divides
-out the content (``polyring.primitive``), so every element is a positive
-multiple of the true Sturm remainder and sign variations stay exact.  The
-chain need not start from a squarefree p: its sign variations count the
-distinct real roots in (a, b] for endpoints that are not roots, and its
-last element is gcd(p, p'), which gives the distinct-root count and seeds
-the multiplicity profile.  A palindromic polynomial (every Z-polynomial;
-Proudfoot-Xu-Young 2018) is certified on the chain of its half in t + 1/t
-when that shows only simple negative zeros.  Borchardt-Hermite Hurwitz
-determinants give an independent distinct-real-zeros criterion, which
-``hurwitz_positivity_symbolic`` reads in the shifted parameter
-d' = d - 2(m-1); ``hurwitz_deltas`` also takes a numeric polynomial.  All of
-them are leading minors of one Hurwitz matrix.  Numeric ones come from one
-integer elimination, which keeps them independent of the Sturm chain.
-Symbolic ones are interpolated from their values at integer points of d: at
-each point A(d) and B(d) are evaluated once from the integer rows of their
-(t, d) tables, one subresultant PRS (Collins 1967) gives every determinant,
-and the elimination of the integer Hurwitz matrix of the same values checks
-it at three points and stands in where the PRS gives none.  The n-sequence
-test completes the toolbox.
+Every real-zero count comes from one census, ``_census``, which builds one
+integer Sturm chain per polynomial: the remainder sequence of (p, p') run as
+a primitive pseudo-remainder sequence (Collins 1967; Brown-Traub 1971) on
+``polyring``'s integer coefficient lists.  Each step scales by a positive
+power of |lc| and divides out the content (``polyring.primitive``), so every
+element is a positive multiple of the true Sturm remainder and sign
+variations stay exact.  The chain need not start from a squarefree p: its
+sign variations count the distinct real zeros in (a, b] for endpoints that
+are not zeros, and its last element is gcd(p, p'), which gives the
+distinct-zero count and seeds the multiplicity profile.  The census reads the
+variations at -inf, at each cut and at +inf, and every certificate and
+``sturm_count`` take their counts from it.  A palindromic polynomial (every
+Z-polynomial; Proudfoot-Xu-Young 2018) is certified on the census of its
+half in t + 1/t when that shows only simple negative zeros.
+Borchardt-Hermite Hurwitz determinants give an independent
+distinct-real-zeros criterion, which ``hurwitz_positivity_symbolic`` reads in
+the shifted parameter d' = d - 2(m-1).  All of them are leading minors of
+one Hurwitz matrix, and ``hurwitz_deltas`` computes them the same way for a
+numeric polynomial (one point) and for (t, d) tables: from their values at
+integer points of d, where A(d) and B(d) are evaluated once from the integer
+rows of their tables, one subresultant PRS (Collins 1967) gives every
+determinant, and the elimination of the integer Hurwitz matrix of the same
+values checks it at the first, middle and last point and stands in where the
+PRS gives none.  The n-sequence test completes the toolbox.
 """
 
 from __future__ import annotations
@@ -102,19 +103,18 @@ def _sign_at(p: Poly, x) -> int:
     return _sign(acc)
 
 
-def _variations(chain: list[Poly], x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count(chain: list[Poly], a, b) -> int:
-    """Distinct real roots in (a, b] of the chain's polynomial; a, b not roots."""
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _distinct(p: Poly, chain: list[Poly]) -> int:
-    """Distinct complex roots of p, from the gcd(p, p') closing its chain."""
-    return p.degree - chain[-1].degree
+def _census(p: Poly, *cuts) -> tuple[int, list[int], Poly]:
+    """The real-zero census of p (degree >= 1) from one Sturm chain: the
+    number of distinct zeros, the number of distinct real zeros in each gap
+    (-inf, c_1], ..., (c_k, +inf) of the ascending cuts, none a zero of p,
+    and gcd(p, p') up to a scalar."""
+    chain = sturm_chain(p)
+    variations = []
+    for x in (NEG_INF, *cuts, POS_INF):
+        signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+        variations.append(sum(a != b for a, b in zip(signs, signs[1:])))
+    gaps = [v - w for v, w in zip(variations, variations[1:])]
+    return p.degree - chain[-1].degree, gaps, chain[-1]
 
 
 def _deflate(p: Poly, root: Fraction) -> tuple[Poly, int]:
@@ -146,13 +146,8 @@ def sturm_count(p: Poly, a, b) -> int:
         extra = 1
     if p.degree == 0:
         return extra
-    return _count(sturm_chain(p), a, b) + extra
-
-
-def _all_real(p: Poly) -> bool:
-    """Every complex root of p (degree >= 1) is real, read from one chain."""
-    chain = sturm_chain(p)
-    return _count(chain, NEG_INF, POS_INF) == _distinct(p, chain)
+    _, (_, inside, _), _ = _census(p, a, b)
+    return inside + extra
 
 
 def multiplicity_profile(p: Poly, gcd_pp: Poly | None = None) -> list[int]:
@@ -220,8 +215,7 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
     if p.coeff(0) == 0:
         raise ValueError("p(0) = 0: a zero root fails 'only negative zeros' by definition")
     w = _palindromic_half(p)
-    if (w is not None and _sign_at(w, -2) != 0
-            and _count(sturm_chain(w), NEG_INF, -2) == w.degree):
+    if w is not None and _sign_at(w, -2) != 0 and _census(w, -2)[1][0] == w.degree:
         return judge(subject, "sturm", None, {
             "distinct_zeros": p.degree, "multiplicities": [p.degree]})
     return _direct_certificate(p, subject)
@@ -230,17 +224,14 @@ def all_zeros_real_negative(p: Poly, subject: str | None = None) -> Certificate:
 def _direct_certificate(p: Poly, subject: str) -> Certificate:
     """all_zeros_real_negative on p's own chain, p nonzero with p(0) != 0.
 
-    One Sturm chain counts the distinct negative zeros and, through its
-    last element gcd(p, p'), the distinct zeros; multiplicities cannot
-    move a zero off the negative axis.
+    One census counts the distinct zeros and the distinct negative ones;
+    multiplicities cannot move a zero off the negative axis.
     """
-    chain = sturm_chain(p)
-    distinct = _distinct(p, chain)
-    negative = _count(chain, NEG_INF, 0)
+    distinct, (negative, _), gcd_pp = _census(p, 0)
     if negative == distinct:
         return judge(subject, "sturm", None, {
             "distinct_zeros": distinct,
-            "multiplicities": multiplicity_profile(p, chain[-1])})
+            "multiplicities": multiplicity_profile(p, gcd_pp)})
     return judge(subject, "sturm", {
         "distinct_zeros": distinct, "negative_real_zeros": negative,
         "coeffs": [str(c) for c in p.coeffs]})
@@ -298,11 +289,11 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
     is interpolated, as an exact polynomial in d - shift, from its values at
     d = shift, shift + 1, ... up to its degree bound, where A(d) and B(d) are
     evaluated once from the integer rows of their TDTables (a numeric Poly
-    enters as constant rows).  For TDTables with deg B < deg A, one
-    subresultant PRS of A(d), B(d) gives every value; the elimination of the
-    integer Hurwitz matrix of A(d), B(d) checks it at the first, middle and
-    last point, and stands in wherever lc(A)(d) = 0 or the PRS has a degree
-    gap.  Numeric Polys give Fractions from the elimination alone.
+    enters as constant rows, so its sweep has one point).  When deg B < deg A,
+    one subresultant PRS of A(d), B(d) gives every value; the elimination of
+    the integer Hurwitz matrix of A(d), B(d) checks it at the first, middle
+    and last point, and stands in wherever lc(A)(d) = 0 or the PRS has a
+    degree gap.  Numeric Polys give Fractions, TDTables polynomials in d.
     """
     symbolic = isinstance(a, TDTable) or isinstance(b, TDTable)
     a, b = _table(a), _table(b)
@@ -311,7 +302,7 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
     if k_max < 1:
         raise ValueError(f"Hurwitz index k must be >= 1, got {k_max}")
     n = a.degree
-    prs = symbolic and b.degree < n
+    prs = b.degree < n
     a_rows, b_rows = a.rows, (b.rows + ((),) * n)[:n + 1]  # B's rows for t^0..t^n
     degrees = hurwitz_matrix([len(r) - 1 for r in a_rows[::-1]],
                              [len(r) - 1 for r in b_rows[::-1]], k_max)
@@ -378,7 +369,8 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         if g.degree < 1:
             small_cases.append({"d": d, "degree": g.degree, "real_rooted": True})
             continue
-        ok = _all_real(g)
+        distinct, (real,), _ = _census(g)
+        ok = real == distinct
         small_cases.append({"d": d, "degree": g.degree, "real_rooted": ok})
         if not ok:
             return judge(subject, "hurwitz", {
@@ -408,11 +400,8 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
     if p.coeff(0) == 0:
         return judge(subject, "nseq", {
             "reason": "zero root", "coeffs": [str(c) for c in p.coeffs]})
-    # p(0) != 0, so one chain counts both half-lines.
-    chain = sturm_chain(p)
-    distinct = _distinct(p, chain)
-    neg = _count(chain, NEG_INF, 0)
-    pos = _count(chain, 0, POS_INF)
+    # p(0) != 0, so one census counts both half-lines.
+    distinct, (neg, pos), _ = _census(p, 0)
     if neg == distinct or pos == distinct:
         return judge(subject, "nseq", None, {
             "degree": p.degree, "distinct_zeros": distinct,

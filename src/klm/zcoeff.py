@@ -210,7 +210,9 @@ def dyck_peak_counts(n: int) -> list[int]:
     return walk(n, n, 0, False)[1:] if n > 0 else []
 
 
-# The Dyck-path oracle enumerates paths of semilength d + 1, so it stops here.
+# The Dyck-path oracle covers d up to here.  Its count is a memoised step
+# recursion, not an enumeration, so it could go further; the cap stays because
+# every narayana witness records it as "enumerated_up_to".
 DYCK_ENUMERATION_CAP = 12
 
 

@@ -797,6 +797,26 @@ def test_run_keys_stay_those_of_existing_caches(argv, key):
     assert cli.run_key(args.command, cli.run_params(args)) == key
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "kl", "--m", "2", "--d", "3"],
+    ["verify", "z-formulas", "--csv", "x.csv"],
+    ["certify", "kl-roots", "--m", "2", "--d", "3"],
+], ids=["compute", "verify", "certify"])
+def test_every_parsed_argument_but_the_unkeyed_ones_keys_the_run(argv):
+    # An option added to the parser keys the run without a second list to
+    # update, so it can never replay the payload of the plain command.
+    args = cli.parse_args(argv)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices[args.command]._actions} - {"help"}
+    keyed = dests - set(cli.UNKEYED)
+    assert set(cli.run_params(args)) == keyed
+    key = cli.run_key(args.command, cli.run_params(args))
+    for dest in keyed:
+        changed = argparse.Namespace(**{**vars(args), dest: "changed"})
+        assert cli.run_key(args.command, cli.run_params(changed)) != key, dest
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

@@ -227,9 +227,14 @@ def test_symbolic_hurwitz_deltas_fall_back_to_the_elimination(a, b, fallbacks, m
                    for k in range(1, a.degree + 1)]
 
 
-@pytest.mark.parametrize("t", [0, 4, 8], ids=["first", "middle", "last"])
-def test_a_wrong_prs_value_trips_the_spot_check(t, monkeypatch):
+@pytest.mark.parametrize("a, shift, t", [
     # Delta_4 of G_2 has degree 8 in d', so the sweep runs over d' = 0..8.
+    *((gy_poly(SeqSpec("f", 2)), 2, t) for t in (0, 4, 8)),
+    # A numeric polynomial's sweep has one point, where the PRS gives the
+    # determinants and the elimination checks them.
+    (P(2, -3, 1), 0, 0),
+], ids=["first", "middle", "last", "numeric"])
+def test_a_wrong_prs_value_trips_the_spot_check(a, shift, t, monkeypatch):
     calls = []
     prs = realroot._subresultant_deltas
 
@@ -238,9 +243,8 @@ def test_a_wrong_prs_value_trips_the_spot_check(t, monkeypatch):
         calls.append(None)
         return {**out, 4: out[4] + 1} if len(calls) == t + 1 else out
     monkeypatch.setattr(realroot, "_subresultant_deltas", tampered)
-    g = gy_poly(SeqSpec("f", 2))
-    with pytest.raises(IntegrityError, match=f"leading minors at d = {2 + t} disagree"):
-        hurwitz_deltas(g, g.derivative(), 2, 2)
+    with pytest.raises(IntegrityError, match=f"leading minors at d = {shift + t} disagree"):
+        hurwitz_deltas(a, a.derivative(), 2, shift)
 
 
 def hurwitz_and_sturm(p: Poly) -> tuple[bool, bool]:
