@@ -61,6 +61,11 @@ class UsageError(Exception):
     pass
 
 
+class _DefaultRoute(str):
+    """--route's default, told apart from a route typed for a kind it does not
+    apply to; it keys a run as the plain string does."""
+
+
 def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -218,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", choices=COMPUTE_KINDS)
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--d", type=int, default=None)
-    pc.add_argument("--route", default="positive", choices=KL_ROUTES)
+    pc.add_argument("--route", default=_DefaultRoute("positive"), choices=KL_ROUTES)
     pc.add_argument("--symbolic-d", action="store_true", dest="symbolic_d",
                     help="leave d symbolic (kinds G and Y)")
     common(pc)
@@ -276,6 +281,8 @@ def check_args(args) -> None:
             check_writable("csv path", args.csv)
         return
     if args.command == "compute":
+        if args.kind != "kl" and not isinstance(args.route, _DefaultRoute):
+            raise UsageError(f"--route applies to kind kl, not {args.kind}")
         if args.symbolic_d and args.kind not in ("G", "Y"):
             raise UsageError(f"--symbolic-d applies to kinds G and Y, not {args.kind}")
         if args.symbolic_d and args.d is not None:

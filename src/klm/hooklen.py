@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from .arith import IntegrityError
 from .certificate import Certificate, Checked, grid_certificate
-from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand
+from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand, max_index
 
 
 class Partition(Checked, namedtuple("Partition", "parts")):
@@ -50,8 +51,8 @@ def dim_irrep(shape: Partition) -> int:
     hook_product = prod(h for row in hook_lengths(shape) for h in row)
     num = factorial(shape.n)
     if num % hook_product:
-        raise ArithmeticError(f"hook product {hook_product} does not divide {shape.n}! "
-                              f"for {shape}")
+        raise IntegrityError(f"hook product {hook_product} does not divide {shape.n}! "
+                             f"for {shape}")
     return num // hook_product
 
 
@@ -89,7 +90,7 @@ def first_row_hooks_piecewise(m: int, d: int, i: int, h: int) -> list[int]:
 def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int, int, int]]:
     """Every summand (m, d, i, h) of the equivariant sums on the grid, in grid order."""
     return [(m, d, i, h) for m in range(1, m_max + 1) for d in range(1, d_max + 1)
-            for i in range(1, (d - 1) // 2 + 1) for h in range(1, min(m, d - 2 * i) + 1)]
+            for i in range(1, max_index(d) + 1) for h in range(1, min(m, d - 2 * i) + 1)]
 
 
 def verify_hook_factorizations(m_max: int, d_max: int, jobs: int = 1) -> Certificate:

@@ -8,9 +8,11 @@ is the one list of them: ``kl_coefficient`` indexes it, ``compare_routes_at``
 compares its entries at one (m, d, i), ``verify_four_routes`` runs that over
 a grid, and its keys are the CLI's route choices and CSV columns.
 
-The recursion runs in integers.  Each closed form, and each sum of the proof
-identities, adds its terms as integer numerators over the lcm of their
-denominators and builds one Fraction at the end (``arith.sum_over_lcm``).
+Each formula has one copy: the alternating form is (-1)^i binom(d+m, i) times
+the proof sum p_m of ``p_sum``, and ``positive_term`` serves the positive form
+and the proof identities.  The recursion runs in integers; the hook form, p_m
+and q_m add integer numerators over the lcm of their denominators and build
+one Fraction at the end (``arith.sum_over_lcm``).
 """
 
 from __future__ import annotations
@@ -87,24 +89,24 @@ def hook_summand(m: int, d: int, i: int, h: int) -> Fraction:
 
 
 def c_alternating(m: int, d: int, i: int) -> Fraction:
-    """Alternating closed form for c(m,d,i), summed over lcm_h(d-h-i+m)."""
+    """Alternating closed form for c(m,d,i): (-1)^i binom(d+m, i) p_m(d,i),
+    with the alternating h-sum p_m of ``p_sum``."""
     _check_range(m, d, i)
-    total = sum_over_lcm(
-        ((-1) ** (h + 1) * h * binomial(d - h - i + m, d - 2 * i - h) * binomial(m + i, m - h),
-         d - h - i + m)
-        for h in range(1, m + 1))
-    return binomial(d + m, i) * total
+    return (-1) ** i * binomial(d + m, i) * p_sum(m, d, i)
+
+
+def positive_term(d: int, i: int, h: int) -> int:
+    """binom(d-i+h, h+i+1) binom(i-1+h, h), the second factor 1 at h = 0 even
+    when i = 0: the positive form's h-th term, and the proof identities' base
+    case (h = 0) and telescoping step (h = m)."""
+    return binomial(d - i + h, h + i + 1) * (binomial(i - 1 + h, h) if h else 1)
 
 
 def c_positive(m: int, d: int, i: int) -> Fraction:
-    """Manifestly positive closed form for c(m,d,i)."""
+    """Manifestly positive closed form for c(m,d,i), binom(d+m, i) / (d-i)
+    times the sum of positive_term over h < m."""
     _check_range(m, d, i)
-    total = 0
-    for h in range(m):
-        # binom(i-1+h, h) is 1 at h = 0 even when i = 0 (empty product).
-        b = 1 if h == 0 else binomial(i - 1 + h, h)
-        total += binomial(d - i + h, h + i + 1) * b
-    return Fraction(binomial(d + m, i) * total, d - i)
+    return Fraction(binomial(d + m, i) * sum(positive_term(d, i, h) for h in range(m)), d - i)
 
 
 # Route name -> c(m,d,i) as a Fraction, or None where the route states no
@@ -199,14 +201,14 @@ def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
                     "p": str(p_sum(m, d, i)), "q": str(q_sum(m, d, i))}
     if i < 1:
         return None
-    base = Fraction(binomial(d - i, i + 1), d - i)
+    base = Fraction(positive_term(d, i, 0), d - i)
     for form, fn in (("alternating", f_normalized_alternating), ("hook", f_normalized_hook)):
         f = {m: fn(m, d, i) for m in range(1, m_max + 1)}
         if f[1] != base:
             return {"identity": "f_1 base case", "form": form, "d": d, "i": i,
                     "got": str(f[1]), "want": str(base)}
         for m in range(1, m_max):
-            step = Fraction(binomial(d - i + m, m + i + 1) * binomial(i - 1 + m, m), d - i)
+            step = Fraction(positive_term(d, i, m), d - i)
             if f[m + 1] - f[m] != step:
                 return {"identity": "recurrence difference", "form": form,
                         "m": m, "d": d, "i": i,

@@ -9,7 +9,8 @@ Beneath both, and beneath every integer certificate, is one kernel on
 ascending integer coefficient lists: ``cleared`` puts ints or Fractions over
 the positive lcm of their denominators, ``primitive`` divides out the
 content, ``times_linear`` multiplies by a x + c and ``horner`` evaluates at
-an integer.  The other modules call these rather than keep copies of them.
+an int or a Fraction.  The other modules call these rather than keep copies
+of them.
 
 Also here: exact determinants.  One fraction-free Bareiss elimination over
 the integers (Bareiss 1968) serves them all: with row swaps it gives the
@@ -61,8 +62,8 @@ def times_linear(p, c: int, a: int = 1) -> list[int]:
     return [c * lo + a * hi for lo, hi in zip([*p, 0], [0, *p])]
 
 
-def horner(cs, x: int) -> int:
-    """The integer polynomial with ascending coefficients cs, evaluated at x."""
+def horner(cs, x):
+    """Ascending coefficients cs evaluated at x, exactly for ints and Fractions."""
     v = 0
     for c in reversed(cs):
         v = v * x + c

@@ -39,14 +39,6 @@ NEG_INF = "-inf"
 POS_INF = "+inf"
 
 
-def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """|lc(b)|^(deg a - deg b + 1) * (a mod b), ascending integer coefficients."""
     lead, db = b[-1], len(b) - 1
@@ -86,21 +78,16 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 
 def _sign_at(p: Poly, x) -> int:
+    """The sign of p at x: an int, a Fraction, or one of the sentinels
+    NEG_INF and POS_INF, where the leading term decides."""
     cs = p.coeffs
     if x == NEG_INF:
-        return _sign(cs[-1]) * (-1) ** (p.degree % 2)
-    if x == POS_INF:
-        return _sign(cs[-1])
-    x = Fraction(x)
-    if not x:
-        return _sign(cs[0])
-    # p(x) * den^deg, evaluated in integers by homogenised Horner.
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(cs):
-        acc = acc * num + c * scale
-        scale *= den
-    return _sign(acc)
+        v = cs[-1] * (-1) ** (p.degree % 2)
+    elif x == POS_INF:
+        v = cs[-1]
+    else:
+        v = horner(cs, x)
+    return (v > 0) - (v < 0)
 
 
 def _census(p: Poly, *cuts) -> tuple[int, list[int], Poly]:

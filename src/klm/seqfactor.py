@@ -12,8 +12,9 @@ table of integer coefficients of i^n d^a over a common denominator, and the
 Stirling numbers S(n, k) move each column to the falling basis in i, giving
 the g_{m,k}(d) as the rows of one TDTable.  The symbolic G and Y are that
 table with row k times (d)_k; at an integer d its rows are evaluated and
-multiplied by the integer (d)_k.  The h-sum of f_m or b_m at numeric
-arguments adds integer numerators over one denominator per family and m.
+multiplied by the integer (d)_k.  At numeric arguments the h-sum of f_m or
+b_m has one copy, ``seq_sum``, which adds integer numerators over one
+denominator per family and m; ``seq_value`` and ``zcoeff.z_positive`` read it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
-from .arith import IntegrityError, binomial, falling_factorial, stirling2, sum_over_lcm
+from .arith import IntegrityError, binomial, falling_factorial, stirling2
 from .certificate import Certificate, Checked, grid_certificate
 from .polyring import Poly, TDTable, horner, times_linear
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
@@ -44,24 +45,31 @@ class SeqSpec(Checked, namedtuple("SeqSpec", "family m")):
         return super().__new__(cls, family, m)
 
 
-def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
-    """Direct numeric evaluation of f_m(d,i) or b_m(d,i).
-
-    The h-th term's denominator is (m-h) binom(m,h) for f and (h+1) m for
-    b, so the sum is over lcm_h((m-h) binom(m,h)) resp. lcm(1..m) m.
+def seq_sum(family: str, m: int, d: int, i: int) -> tuple[int, int]:
+    """The defining h-sum of f_m(d,i) or b_m(d,i), 0 <= i <= d, as (numerator,
+    denominator).  The h-th term is binom(i-1+h, h) binom(d-i+h, h) times
+    binom(i+m, m-h-1) / ((m-h) binom(m,h)) for f, whose denominators divide m!,
+    and (i(h-m+1) + m) / ((h+1) m) for b, whose denominators divide m m!.
     """
+    f = family == "f"
+    den = factorial(m) if f else m * factorial(m)
+    num = 0
+    b_ih_dh = 1  # binom(i-1+h, h) binom(d-i+h, h), 1 at h = 0 even when i = 0
+    for h in range(m):
+        if h:  # binom(n+h, h) = binom(n+h-1, h-1) (n+h) / h, exact for each factor
+            b_ih_dh = b_ih_dh * (i - 1 + h) * (d - i + h) // (h * h)
+        if f:
+            num += comb(i + m, m - h - 1) * b_ih_dh * (den // ((m - h) * comb(m, h)))
+        else:
+            num += (i * (h - m + 1) + m) * b_ih_dh * (den // ((h + 1) * m))
+    return num, den
+
+
+def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
+    """Direct numeric evaluation of f_m(d,i) or b_m(d,i), from ``seq_sum``."""
     if not 0 <= i <= d:
         raise ValueError(f"sequence index i={i} out of range [0, {d}]")
-    m = spec.m
-    terms = []
-    for h in range(m):
-        b_ih = 1 if h == 0 else binomial(i - 1 + h, h)
-        b_dh = binomial(d - i + h, h)
-        if spec.family == "f":
-            terms.append((binomial(i + m, m - h - 1) * b_ih * b_dh, (m - h) * binomial(m, h)))
-        else:
-            terms.append(((i * (h - m + 1) + m) * b_ih * b_dh, (h + 1) * m))
-    return sum_over_lcm(terms)
+    return Fraction(*seq_sum(spec.family, spec.m, d, i))
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +161,8 @@ def base_real_rooted_polys(m: int, d: int) -> tuple[Poly, Poly, Poly]:
     """
     if m < 1 or d < 1:
         raise ValueError("base polynomials require m, d >= 1")
-    top = (d - 1) // 2
-    kl_base = Poly(tuple(Fraction(binomial(d + 2 * m, i + m) * binomial(d - i - 1, i))
-                         for i in range(top + 1)))
     fib_trunc = fibonacci_truncation(d)
+    kl_base = Poly(tuple(binomial(d + 2 * m, i + m) * c for i, c in enumerate(fib_trunc.coeffs)))
     z_base = Poly(tuple(Fraction(binomial(d + 2 * m, i + m) * binomial(d, i))
                         for i in range(d + 1)))
     return kl_base, fib_trunc, z_base
@@ -164,7 +170,8 @@ def base_real_rooted_polys(m: int, d: int) -> tuple[Poly, Poly, Poly]:
 
 def fibonacci_truncation(d: int) -> Poly:
     """sum_i binom(d-i-1, i) t^i, the ascending companion of F_d."""
-    return Poly(tuple(Fraction(binomial(d - i - 1, i)) for i in range((d - 1) // 2 + 1)))
+    from .klcoeff import max_index
+    return Poly(tuple(Fraction(binomial(d - i - 1, i)) for i in range(max_index(d) + 1)))
 
 
 def fibonacci_poly(d: int) -> Poly:
@@ -172,8 +179,8 @@ def fibonacci_poly(d: int) -> Poly:
     if d < 1:
         raise ValueError(f"fibonacci_poly requires d >= 1, got {d}")
     coeffs = [Fraction(0)] * d
-    for i in range((d - 1) // 2 + 1):
-        coeffs[d - 2 * i - 1] = Fraction(binomial(d - i - 1, i))
+    for i, c in enumerate(fibonacci_truncation(d).coeffs):
+        coeffs[d - 2 * i - 1] = c
     return Poly(coeffs)
 
 
@@ -194,7 +201,7 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
     side "z":  z(m,d,i) binom(d+2m,m) = binom(d+2m,i+m) binom(d,i)     b_m(d,i).
 
     z is read from the KL polynomials (the from_kl route): the positive closed
-    form is b_m(d,i)'s own h-sum times binomials, so it would test only a
+    form is ``seq_sum``'s b_m(d,i) times binomials, so it would test only a
     binomial identity.
     """
     from .klcoeff import kl_coefficient

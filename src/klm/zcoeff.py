@@ -5,19 +5,21 @@ or computed coefficientwise by an alternating closed form and by a positive
 closed form.  ``ROUTES`` is the one list of them: ``z_coefficient`` and
 ``z_poly`` index it, ``compare_routes_at`` compares its entries on one
 Z_{U_{m,d}}, ``verify_three_routes`` runs that over a grid, and its keys are
-the CLI's CSV columns.  The m = 1 column specializes to Narayana polynomials.
+the CLI's CSV columns.  The positive form reads b_m(d,i) from its one h-sum,
+``seqfactor.seq_sum``; the m = 1 column specializes to Narayana polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .arith import IntegrityError, as_integer, binomial
 from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_poly
 from .polyring import Poly
+from .seqfactor import seq_sum
 
 
 def _check_range(m: int, d: int, i: int) -> None:
@@ -71,23 +73,13 @@ def z_alternating(m: int, d: int, i: int) -> Fraction:
     return Fraction(comb(d + 2 * m, i + m) * comb(d, i) * total, comb(d + 2 * m, m) * m)
 
 
-@lru_cache(maxsize=None)
-def _positive_den(m: int) -> int:
-    """lcm(1..m) * m, the common denominator of z_positive's h-sum."""
-    return lcm(*range(1, m + 1)) * m
-
-
 def z_positive(m: int, d: int, i: int) -> Fraction:
-    """Positive closed form for z(m,d,i), valid on the full range 0 <= i <= d."""
+    """Positive closed form for z(m,d,i), valid on the full range 0 <= i <= d:
+    binom(d+m, i+m) binom(d+m, i) b_m(d,i) / binom(d+m, m), with b_m(d,i)
+    read from ``seqfactor.seq_sum``."""
     _check_range(m, d, i)
-    # The h-sum over its common denominator lcm(1..m)*m, then one division;
-    # every index is valid on 0 <= i <= d.
-    den = _positive_den(m)
-    total = 0
-    for h in range(m):
-        b = 1 if h == 0 else comb(i - 1 + h, h)
-        total += (i * (h - m + 1) + m) * (den // ((h + 1) * m)) * b * comb(d - i + h, h)
-    return Fraction(comb(d + m, i + m) * comb(d + m, i) * total, comb(d + m, m) * den)
+    num, den = seq_sum("b", m, d, i)
+    return Fraction(comb(d + m, i + m) * comb(d + m, i) * num, comb(d + m, m) * den)
 
 
 # Route name -> z(m,d,i) as a Fraction, or an int from from_kl; the

@@ -536,7 +536,12 @@ def test_a_csv_path_that_names_the_run_cache_is_a_usage_error(spelling, tmp_path
      "compute G takes --d or --symbolic-d, not both"),
     (["verify", "hooks", "--csv", "x.csv"],
      "--csv is supported for the formulas and z-formulas suites"),
-], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d", "csv-on-hooks"])
+    (["compute", "z", "--m", "2", "--d", "3", "--route", "hook"],
+     "--route applies to kind kl, not z"),
+    (["compute", "G", "--m", "2", "--symbolic-d", "--route", "positive"],
+     "--route applies to kind kl, not G"),
+], ids=["hurwitz-with-d", "symbolic-d-on-kl", "symbolic-d-with-d", "csv-on-hooks",
+        "route-on-z", "default-route-on-G"])
 def test_an_ignored_argument_is_a_usage_error(argv, message, tmp_path, cli_env):
     _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
 

@@ -48,6 +48,15 @@ def _plus_one_in_sequence(real):
     return faulty
 
 
+def _plus_one_in_b_sum(real):
+    """real(family, m, d, i) as (numerator, denominator), plus 1 in family b
+    at (m, d, i) = (M, D, I)."""
+    def faulty(family, m, d, i):
+        num, den = real(family, m, d, i)
+        return (num + den, den) if (family, m, d, i) == ("b", M, D, I) else (num, den)
+    return faulty
+
+
 PLANTS = {
     "c_recursive": (klcoeff, _plus_one_at_cell),
     "c_hook_form": (klcoeff, _plus_one_at_cell),
@@ -61,6 +70,13 @@ PLANTS = {
     "q_sum": (klcoeff, _plus_one_at_cell),
     "kl_poly": (klcoeff, _plus_one_in_poly),
     "seq_value": (seqfactor, _plus_one_in_sequence),
+    "seq_sum": (seqfactor, _plus_one_in_b_sum),
+}
+
+# A sum that two routes read is caught by the commands of both.
+CATCHERS = {
+    "p_sum": ("verify formulas", "verify identities"),
+    "seq_sum": ("verify z-formulas", "verify reform"),
 }
 
 
@@ -85,8 +101,8 @@ def test_every_command_passes_without_a_plant(tmp_path, fresh_memos, capsys):
     assert exit_codes(tmp_path) == [0] * len(COMMANDS), capsys.readouterr()
 
 
-@pytest.mark.parametrize("name", PLANTS)
-def test_a_planted_fault_fails_some_command(name, tmp_path, monkeypatch, fresh_memos, capsys):
+def planted_exit_codes(name, tmp_path, monkeypatch) -> dict[str, int]:
+    """Each command's exit code, by its argument text, with PLANTS[name] planted."""
     home, fault = PLANTS[name]
     real = getattr(home, name)
     faulty = fault(real)
@@ -94,7 +110,21 @@ def test_a_planted_fault_fails_some_command(name, tmp_path, monkeypatch, fresh_m
     for module in ENGINE:
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, faulty)
-    codes = exit_codes(tmp_path)
+    return dict(zip(map(" ".join, COMMANDS), exit_codes(tmp_path)))
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_a_planted_fault_fails_some_command(name, tmp_path, monkeypatch, fresh_memos, capsys):
+    codes = planted_exit_codes(name, tmp_path, monkeypatch)
     capsys.readouterr()
-    assert any(code in (1, 3) for code in codes), dict(zip(map(" ".join, COMMANDS), codes))
-    assert all(code in (0, 1, 3) for code in codes), codes
+    assert any(code in (1, 3) for code in codes.values()), codes
+    assert all(code in (0, 1, 3) for code in codes.values()), codes
+
+
+@pytest.mark.parametrize("name", CATCHERS)
+def test_a_shared_sum_is_caught_by_every_route_that_reads_it(name, tmp_path, monkeypatch,
+                                                             fresh_memos, capsys):
+    codes = planted_exit_codes(name, tmp_path, monkeypatch)
+    capsys.readouterr()
+    caught = {command: codes[command + " --m-max 4 --d-max 8"] for command in CATCHERS[name]}
+    assert all(code in (1, 3) for code in caught.values()), caught

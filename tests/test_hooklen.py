@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from klm import hooklen
+from klm.arith import IntegrityError
 from klm.hooklen import (Partition, c_equivariant_sum, check_hook_cell, dim_irrep,
                          equivariant_shape, first_row_hooks_piecewise, grid_cells,
                          hook_lengths, verify_equivariant_sum, verify_hook_factorizations)
@@ -55,6 +56,17 @@ def test_dim_irrep_examples():
     assert dim_irrep(Partition((2, 2))) == 2
     assert dim_irrep(Partition((3, 2))) == 5
     assert dim_irrep(Partition((7,))) == 1
+
+
+def test_a_hook_product_that_does_not_divide_n_factorial_is_an_integrity_error(monkeypatch):
+    # (3, 2) with its last hook read as 2 instead of 1: 4*3*1*2*2 = 48 does not divide 5!.
+    monkeypatch.setattr(hooklen, "hook_lengths", lambda shape: [[4, 3, 1], [2, 2]])
+    dim_irrep.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match="hook product 48 does not divide 5!"):
+            dim_irrep(Partition((3, 2)))
+    finally:
+        dim_irrep.cache_clear()
 
 
 def test_dim_matches_syt_enumeration():

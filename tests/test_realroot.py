@@ -45,6 +45,25 @@ def test_sturm_count_products_of_distinct_linear_factors():
         assert sturm_count(p, NEG_INF, 0) == sum(1 for r in roots if r <= 0)
 
 
+# Rational points: 0, integers, and proper fractions of either sign.
+rational_points = st.one_of(
+    st.just(0), st.integers(-50, 50),
+    st.builds(lambda n, k: Fraction(n, k), st.integers(-200, 200), st.integers(2, 30))
+    .filter(lambda x: x.denominator > 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=10).filter(lambda cs: cs[-1]),
+       rational_points)
+def test_sign_at_is_the_sign_of_the_exact_value(cs, x):
+    p = Poly(tuple(cs))
+    value = sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(cs))
+    assert realroot._sign_at(p, x) == (value > 0) - (value < 0)
+    leading = cs[-1] * (-1) ** (len(cs) - 1)
+    assert realroot._sign_at(p, NEG_INF) == (leading > 0) - (leading < 0)
+    assert realroot._sign_at(p, POS_INF) == (cs[-1] > 0) - (cs[-1] < 0)
+
+
 def test_multiplicity_profile():
     p = P(-1, 1) ** 3 * P(2, 1)
     assert multiplicity_profile(p) == [1, 0, 1]
