@@ -5,9 +5,9 @@ must agree on the nose, validated against a formula-free lattice oracle, and
 certified real-rooted via Sturm chains and Hurwitz determinants.
 
 The public names below load their module on first use (PEP 562), so that
-``import klm`` and ``python -m klm.cli`` import no engine module until one
-is needed.  ``import klm.cli`` (the ``klm`` console script) goes one step
-further for the same reason: it puts every engine module into
+``import klm`` imports no engine module until one is needed.  ``klm.cli``,
+started as ``python -m klm.cli`` or imported by the ``klm`` console script,
+goes one step further for the same reason: it puts every engine module into
 ``sys.modules`` and onto this package unexecuted, and a module executes on
 the first access to one of its attributes.
 """

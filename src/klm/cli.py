@@ -10,18 +10,9 @@ byte for byte and never opens the cache for writing; a miss first checks
 that the cache can take its record, then produces, prints and records it.  A
 ``verify --csv`` run then writes its table, hit or miss.
 
-The module imports the standard library alone; each command imports the
-engine modules it runs when it runs.  Started as ``python -m klm.cli``, the
-module answers a cache hit before any engine module loads, so a hit costs an
-interpreter, argparse and one scan of the cache file, and a miss loads only
-its own command's modules (``compute kl`` never loads ``hooklen``,
-``oracle``, ``seqfactor`` or ``realroot``).  ``import klm.cli``, and with it
-the ``klm`` console script, registers every engine module in ``sys.modules``
-without executing it (``importlib.util.LazyLoader``): a module executes on
-the first access to one of its attributes, so the console script's hit
-executes none and its miss only its command's modules, as under ``-m``.
-A ``--jobs`` grid forks its workers only after its first cell has run here
-(``certificate.map_cells``), so they inherit the modules that cell executed.
+Every engine module is registered unexecuted before anything else runs,
+under ``python -m klm.cli`` and ``import klm.cli`` (the ``klm`` console
+script) alike, so a hit executes none of them and a miss only its command's.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ import json
 import os
 import sys
 import time
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # The run key's SHA-256 comes from CPython's built-in hash module, the one
 # hashlib falls back to without OpenSSL: importing hashlib would load
@@ -44,12 +36,34 @@ except ImportError:
     except ImportError:  # a build that leaves the built-in SHA-256 out
         from hashlib import sha256
 
+
+def _register_engine_lazily() -> None:
+    """Put every engine module not yet imported into sys.modules and onto the
+    klm package, unexecuted: importlib's LazyLoader executes a module on the
+    first access to one of its attributes."""
+    package = sys.modules[__package__]
+    for layer in ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen",
+                  "oracle", "seqfactor", "realroot"):
+        name = f"{__package__}.{layer}"
+        if name not in sys.modules:
+            spec = find_spec(name)
+            spec.loader = LazyLoader(spec.loader)
+            module = sys.modules[name] = module_from_spec(spec)
+            setattr(package, layer, module)
+            spec.loader.exec_module(module)
+
+
+_register_engine_lazily()
+# Bound after registration, so binding a module does not execute it.
+from . import (certificate, hooklen, klcoeff, oracle, polyring, realroot, seqfactor,
+               zcoeff)
+
 ENGINE_VERSION = "klm-0.3.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
 
 COMPUTE_KINDS = ("kl", "z", "char", "G", "Y", "Q", "R")
-# The keys of klcoeff.ROUTES, spelled out because the front imports no engine
-# module.
+# The keys of klcoeff.ROUTES, spelled out because reading them there would
+# execute klcoeff before the cache lookup.
 KL_ROUTES = ("recursive", "hook", "alternating", "positive")
 VERIFY_SUITES = ("formulas", "z-formulas", "hooks", "oracle", "identities",
                  "narayana", "reform")
@@ -265,7 +279,7 @@ def check_args(args) -> None:
     index below what the engine accepts (in the engine's words), and a --csv
     the command cannot write or that names the run cache (the table would wipe it).
 
-    Runs before the cache is read and before any engine module loads, so an
+    Runs before the cache is read and before any engine module executes, so an
     exception raised while the command runs is an internal fault.
     """
     if args.command == "verify":
@@ -322,90 +336,73 @@ def check_args(args) -> None:
 
 
 def _cell_kl_root(m, d):
-    from .klcoeff import kl_poly
-    from .realroot import all_zeros_real_negative
-    return all_zeros_real_negative(kl_poly(m, d), f"kl-roots m={m} d={d}")
+    return realroot.all_zeros_real_negative(klcoeff.kl_poly(m, d), f"kl-roots m={m} d={d}")
 
 
 def _cell_z_root(m, d):
-    from .realroot import all_zeros_real_negative
-    from .zcoeff import z_from_kl
-    return all_zeros_real_negative(z_from_kl(m, d), f"z-roots m={m} d={d}")
+    return realroot.all_zeros_real_negative(zcoeff.z_from_kl(m, d), f"z-roots m={m} d={d}")
 
 
 def _cell_dseq(family, m, d):
-    from .realroot import n_sequence_test
-    from .seqfactor import SeqSpec, seq_value
-    spec = SeqSpec(family, m)
-    gamma = [seq_value(spec, d, i) for i in range(d + 1)]
-    return n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
+    spec = seqfactor.SeqSpec(family, m)
+    gamma = [seqfactor.seq_value(spec, d, i) for i in range(d + 1)]
+    return realroot.n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
 
 
 # -- compute ---------------------------------------------------------------------
 
 
-def compute_poly(kind: str, m: int, d: int | None, route: str) -> Poly | TDTable:
+def compute_poly(kind: str, m: int, d: int | None,
+                 route: str) -> polyring.Poly | polyring.TDTable:
     """The polynomial of kind at (m, d); d is None for a symbolic d (G and Y, a TDTable)."""
     if kind == "kl":
-        from .klcoeff import kl_poly
-        return kl_poly(m, d, route)
+        return klcoeff.kl_poly(m, d, route)
     if kind == "z":
-        from .zcoeff import z_from_kl
-        return z_from_kl(m, d)
+        return zcoeff.z_from_kl(m, d)
     if kind == "char":
-        from .oracle import RankedLattice, char_poly
-        return char_poly(RankedLattice(m, d))
-    from .seqfactor import SeqSpec, gy_poly, qr_poly
+        return oracle.char_poly(oracle.RankedLattice(m, d))
     if kind in ("G", "Y"):
-        return gy_poly(SeqSpec("f" if kind == "G" else "b", m), d)
-    return qr_poly(SeqSpec("f" if kind == "Q" else "b", m), d)
+        return seqfactor.gy_poly(seqfactor.SeqSpec("f" if kind == "G" else "b", m), d)
+    return seqfactor.qr_poly(seqfactor.SeqSpec("f" if kind == "Q" else "b", m), d)
 
 
 def produce_compute(args) -> tuple[str, int]:
     """The polynomial as text, or as JSON with one string per coefficient of
     t^k (rendered in d for a symbolic d)."""
-    from .polyring import render, render_in_d
     p = compute_poly(args.kind, args.m, args.d, args.route)
     if not args.json:
-        return render(p) + "\n", 0
-    coeffs = ([str(c) for c in p.coeffs] if args.d is not None
-              else [render_in_d(p.coeff(k)) for k in range(p.degree + 1)])
+        return polyring.render(p) + "\n", 0
+    coeffs = ([polyring.exact_str(c) for c in p.coeffs] if args.d is not None
+              else [polyring.render_in_d(p.coeff(k)) for k in range(p.degree + 1)])
     return _emit_json({"kind": args.kind, "m": args.m, "d": args.d, "coeffs": coeffs}) + "\n", 0
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[Certificate]:
+def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[certificate.Certificate]:
     """The certificates of suite's grids."""
     if suite == "formulas":
-        from . import klcoeff
         return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
     if suite == "z-formulas":
-        from . import zcoeff
         return [zcoeff.verify_three_routes(m_max, d_max, jobs)]
     if suite == "hooks":
-        from . import hooklen
         return [hooklen.verify_hook_factorizations(m_max, d_max, jobs),
                 hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
     if suite == "oracle":
-        from . import oracle
         return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
                 oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
     if suite == "identities":
-        from . import klcoeff, seqfactor
         return [klcoeff.verify_proof_identities(m_max, d_max, jobs),
                 seqfactor.verify_diagonal_identities(m_max, d_max, jobs)]
     if suite == "narayana":
-        from . import zcoeff
         return [zcoeff.narayana_check(d_max, jobs=jobs)]
     if suite == "reform":
-        from . import seqfactor
         return [seqfactor.kl_reformulation_check(m_max, d_max, jobs)]
     raise UsageError(f"unknown verify suite {suite!r}")
 
 
-def _format_certs(certs: list[Certificate], as_json: bool) -> tuple[str, int]:
+def _format_certs(certs: list[certificate.Certificate], as_json: bool) -> tuple[str, int]:
     lines = []
     code = 0
     for c in certs:
@@ -423,8 +420,6 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
     """Regression CSV: one row per (m,d,i), one column per entry of the
     suite's route table, empty where a route states no formula."""
     import csv
-
-    from . import klcoeff, zcoeff
     if suite == "formulas":
         routes, cells = klcoeff.ROUTES, klcoeff.grid_cells(m_max, d_max)
     else:
@@ -445,20 +440,20 @@ def produce_verify(args) -> tuple[str, int]:
 # -- certify ---------------------------------------------------------------------
 
 
-def run_certify(target: str, ms: list[int], ds: list[int], jobs: int) -> list[Certificate]:
+def run_certify(target: str, ms: list[int], ds: list[int],
+                jobs: int) -> list[certificate.Certificate]:
     """The certificates of target's grid, in grid order."""
-    from .certificate import map_cells
     if target == "kl-roots":
-        return map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
+        return certificate.map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
     if target == "z-roots":
-        return map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
+        return certificate.map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
     if target in ("dseq-f", "dseq-b"):
         family = target[-1]
-        return map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
+        return certificate.map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
     if target in ("hurwitz-G", "hurwitz-Y"):
-        from .realroot import hurwitz_positivity_symbolic
         family = target[-1]
-        return map_cells(hurwitz_positivity_symbolic, [(family, m) for m in ms], jobs)
+        return certificate.map_cells(realroot.hurwitz_positivity_symbolic,
+                                     [(family, m) for m in ms], jobs)
     raise UsageError(f"unknown certify target {target!r}")
 
 
@@ -514,26 +509,3 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
-
-
-def _register_engine_lazily() -> None:
-    """Put every engine module not yet imported into sys.modules and onto the
-    klm package, unexecuted: importlib's LazyLoader executes a module on the
-    first access to one of its attributes."""
-    from importlib.util import LazyLoader, find_spec, module_from_spec
-    package = sys.modules[__package__]
-    for layer in ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen",
-                  "oracle", "seqfactor", "realroot"):
-        name = f"{__package__}.{layer}"
-        if name not in sys.modules:
-            spec = find_spec(name)
-            spec.loader = LazyLoader(spec.loader)
-            module = sys.modules[name] = module_from_spec(spec)
-            setattr(package, layer, module)
-            spec.loader.exec_module(module)
-
-
-# `import klm.cli`, and with it the `klm` console script, registers every
-# engine module, because the tests and perfbench/tracer.py look each one up in
-# sys.modules to wrap its functions.  `python -m klm.cli` has exited above.
-_register_engine_lazily()

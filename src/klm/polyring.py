@@ -22,6 +22,7 @@ exactly.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -188,10 +189,7 @@ class Poly:
 
     def eval(self, x):
         """Evaluate by Horner's rule; x may be a scalar or a Poly."""
-        out = Fraction(0) if _is_scalar(x) else 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return horner(self.coeffs, x)
 
     # -- Euclidean structure (Fraction coefficients only) --------------------
 
@@ -434,17 +432,24 @@ def _signed_sum(terms) -> str:
     return out or "0"
 
 
+def exact_str(c) -> str:
+    """str(c) for an int or a Fraction, also past CPython's limit of 4300
+    digits on int-to-text conversion: a Decimal built from an int is exact."""
+    text = str(Decimal(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{Decimal(c.denominator)}"
+
+
 def render_in_d(p: Poly) -> str:
     """Compact rendering in descending powers of d, e.g. 'd^2/2 + d/2'."""
     terms = []
     for k in range(p.degree, -1, -1):
         c = Fraction(p.coeff(k))
         if c and k == 0:
-            terms.append((c < 0, str(abs(c))))
+            terms.append((c < 0, exact_str(abs(c))))
         elif c:
             var, num, den = ("d" if k == 1 else f"d^{k}"), abs(c.numerator), c.denominator
-            body = var if num == 1 else f"{num}*{var}"
-            terms.append((c < 0, body + (f"/{den}" if den != 1 else "")))
+            body = var if num == 1 else f"{exact_str(num)}*{var}"
+            terms.append((c < 0, body + (f"/{exact_str(den)}" if den != 1 else "")))
     return _signed_sum(terms)
 
 
@@ -461,5 +466,5 @@ def render(p: Poly | TDTable) -> str:
             if isinstance(c, Poly):
                 terms.append((False, f"({render_in_d(c)}){power}"))
             else:
-                terms.append((c < 0, f"{abs(Fraction(c))}{power}"))
+                terms.append((c < 0, f"{exact_str(abs(c))}{power}"))
     return _signed_sum(terms)

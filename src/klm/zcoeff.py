@@ -18,7 +18,7 @@ from math import comb
 from .arith import IntegrityError, as_integer, binomial
 from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_poly
-from .polyring import Poly
+from .polyring import ONE, Poly, X, expand_binomial_affine
 from .seqfactor import seq_sum
 
 
@@ -150,7 +150,6 @@ def z_diagonal_symbolic(m: int) -> bool:
     claim reduces to sum_h ((d(h-m+1)+m)/((h+1)m)) * binom(d-1+h, h) = 1
     as a polynomial in d; this reproduces the telescoping computation.
     """
-    from .polyring import ONE, X, expand_binomial_affine
     total = Poly()
     for h in range(m):
         # binom(d-1+h, h) expanded as a polynomial in d.

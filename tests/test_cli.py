@@ -164,7 +164,7 @@ def test_dseq_at_d_zero_exits_2_from_the_console(tmp_path, run_cli):
 
 
 def test_route_choices_are_the_engine_routes():
-    """The front spells the routes out, as it cannot import the engine."""
+    """The front spells the routes out, as reading them would execute klcoeff."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     route = next(a for a in commands.choices["compute"]._actions if a.dest == "route")
@@ -256,6 +256,19 @@ def test_an_engine_value_error_on_valid_arguments_exits_3(tmp_path, monkeypatch,
     assert not cache.exists()
 
 
+def test_a_coefficient_past_4300_digits_prints_exactly(tmp_path, monkeypatch, capsys):
+    # CPython's str() refuses an int of more than 4300 digits, and such a
+    # coefficient once made a valid compute exit 3.
+    digits = "1" + "0" * 4998 + "7"
+    monkeypatch.setattr(klcoeff, "kl_poly",
+                        lambda m, d, route="positive": Poly((1, 10 ** 4999 + 7)))
+    argv = ["compute", "kl", "--m", "2", "--d", "3", "--cache", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"1 + {digits}*t\n"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", digits]
+
+
 def test_smallest_grid_and_one_job_run(tmp_path, capsys):
     argv = ["verify", "oracle", "--m-max", "1", "--d-max", "1", "--jobs", "1",
             "--cache", str(tmp_path / "c.jsonl")]
@@ -340,7 +353,7 @@ def test_corrupt_cache_line_is_skipped(tmp_path, run_cli):
                    env_cache=cache)[0] == 2
 
 
-# -- the replay front: a hit is answered before the engine loads ------------------
+# -- the replay front: a hit is answered before the engine executes ---------------
 
 ENGINE_MODULES = ("klm.realroot", "klm.polyring", "concurrent.futures")
 # OpenSSL's hash module, which no launch loads when CPython's built-in
@@ -348,35 +361,64 @@ ENGINE_MODULES = ("klm.realroot", "klm.polyring", "concurrent.futures")
 OPENSSL_MODULES = ({"_hashlib"} if importlib.util.find_spec("_sha2")
                    or importlib.util.find_spec("_sha256") else set())
 
+# The CLI's two launches, each as (setup, run): `python -m klm.cli`, through
+# the runpy call that runs the module as __main__, and the `klm` console
+# script's entry.
+ENTRIES = {
+    "module": ("import runpy",
+               "runpy.run_module('klm.cli', run_name='__main__', alter_sys=True)"),
+    "console": ("from klm.cli import main", "sys.exit(main())"),
+}
+# The klm modules a hit executes under each entry; under -m the CLI is __main__.
+FRONT = {"module": set(), "console": {"klm.cli"}}
 
-def _imported_modules(importtime_stderr: str) -> set[str]:
-    return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()
-            if line.startswith("import time:")}
+
+def _launch(entry, argv, tmp_path, cli_env,
+            env_cache=None) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """The CLI started through entry on argv in tmp_path, with $KLM_CACHE
+    env_cache or else a fresh cache there, and the modules it executed.
+
+    The report reads sys.modules: an engine module registered by
+    LazyLoader is a plain module once it has executed, and its execution
+    leaves no -X importtime line.
+    """
+    setup, run = ENTRIES[entry]
+    script = (f"import json, sys, types\n{setup}\ntry:\n    {run}\nfinally:\n"
+              "    print(json.dumps([n for n, m in sys.modules.items()\n"
+              "                      if type(m) is types.ModuleType]), file=sys.stderr)\n")
+    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl") if env_cache is None
+               else env_cache)
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def _launches(argv, tmp_path, cli_env, env_cache=None):
+    """_launch(entry, ...) under each entry in turn."""
+    return [_launch(entry, argv, tmp_path, cli_env, env_cache) for entry in ENTRIES]
+
+
+def _assert_a_hit_executes_no_engine_module(entry, tmp_path, cli_env):
+    argv = ["certify", "kl-roots", "--m", "2", "--d", "1..3", "--jobs", "2"]
+    miss, miss_executed = _launch(entry, argv, tmp_path, cli_env)
+    hit, hit_executed = _launch(entry, argv, tmp_path, cli_env)
+    assert miss.returncode == hit.returncode == 0, (miss.stderr, hit.stderr)
+    assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
+    assert set(ENGINE_MODULES) <= miss_executed
+    assert not OPENSSL_MODULES & miss_executed
+    assert {n for n in hit_executed if n.startswith("klm.")} == FRONT[entry]
+    assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & hit_executed
 
 
 def test_cache_hit_loads_no_engine_module(tmp_path, cli_env):
-    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
-    args = [sys.executable, "-X", "importtime", "-m", "klm.cli",
-            "certify", "kl-roots", "--m", "2", "--d", "1..3", "--jobs", "2"]
-    miss = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tmp_path)
-    hit = subprocess.run(args, capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert miss.returncode == hit.returncode == 0, (miss.stderr, hit.stderr)
-    assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
-    assert set(ENGINE_MODULES) <= _imported_modules(miss.stderr)
-    assert not OPENSSL_MODULES & _imported_modules(miss.stderr)
-    assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & _imported_modules(hit.stderr)
+    _assert_a_hit_executes_no_engine_module("module", tmp_path, cli_env)
 
 
-def _traced_run(argv, tmp_path, cli_env, env_cache=None) -> subprocess.CompletedProcess:
-    """`python -X importtime -m klm.cli argv` in tmp_path, with $KLM_CACHE
-    env_cache or else a fresh cache there."""
-    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl") if env_cache is None
-               else env_cache)
-    return subprocess.run([sys.executable, "-X", "importtime", "-m", "klm.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+def test_a_console_cache_hit_executes_no_engine_module(tmp_path, cli_env):
+    _assert_a_hit_executes_no_engine_module("console", tmp_path, cli_env)
 
 
-# argv, the modules its miss loads, and modules it must not load.
+# argv, the modules its miss executes, and modules it must not execute.
 MISS_CASES = [
     (["compute", "kl", "--m", "2", "--d", "5"], {"klm.klcoeff"},
      {"klm.hooklen", "klm.oracle", "klm.seqfactor", "klm.realroot", "dataclasses", "csv"}),
@@ -390,13 +432,25 @@ MISS_CASES = [
 MISS_IDS = ["compute-kl", "certify-z-roots", "verify-formulas", "certify-hurwitz-G"]
 
 
+def _assert_a_miss_executes_only_its_commands_modules(entry, argv, loads, skips, tmp_path,
+                                                      cli_env):
+    proc, executed = _launch(entry, argv, tmp_path, cli_env)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    assert loads <= executed
+    assert not (skips | OPENSSL_MODULES) & executed
+
+
 @pytest.mark.parametrize("argv, loads, skips", MISS_CASES, ids=MISS_IDS)
 def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cli_env):
-    proc = _traced_run(argv, tmp_path, cli_env)
-    assert proc.returncode == 0 and proc.stdout, proc.stderr
-    loaded = _imported_modules(proc.stderr)
-    assert loads <= loaded
-    assert not (skips | OPENSSL_MODULES) & loaded
+    _assert_a_miss_executes_only_its_commands_modules("module", argv, loads, skips, tmp_path,
+                                                      cli_env)
+
+
+@pytest.mark.parametrize("argv, loads, skips", MISS_CASES, ids=MISS_IDS)
+def test_a_console_miss_executes_only_its_commands_modules(argv, loads, skips, tmp_path,
+                                                           cli_env):
+    _assert_a_miss_executes_only_its_commands_modules("console", argv, loads, skips, tmp_path,
+                                                      cli_env)
 
 
 @pytest.mark.parametrize("cache, message", [
@@ -405,11 +459,11 @@ def test_a_miss_loads_only_its_commands_modules(argv, loads, skips, tmp_path, cl
 ], ids=["missing-parent", "directory"])
 def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
     path = str(tmp_path / cache)
-    proc = _traced_run(["compute", "kl", "--m", "2", "--d", "5", "--cache", path],
-                       tmp_path, cli_env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"usage error: cache path {path!r} {message}" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    for proc, executed in _launches(["compute", "kl", "--m", "2", "--d", "5", "--cache", path],
+                                    tmp_path, cli_env):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: cache path {path!r} {message}" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
     assert not (tmp_path / "missing").exists()
 
 
@@ -419,11 +473,11 @@ def test_a_bad_cache_path_is_a_usage_error(cache, message, tmp_path, cli_env):
 ], ids=["missing-parent", "directory"])
 def test_a_bad_csv_path_is_a_usage_error(csv, message, tmp_path, cli_env):
     path = str(tmp_path / csv)
-    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3", "--csv", path],
-                       tmp_path, cli_env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"usage error: csv path {path!r} {message}" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    for proc, executed in _launches(["verify", "formulas", "--m-max", "2", "--d-max", "3",
+                                     "--csv", path], tmp_path, cli_env):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: csv path {path!r} {message}" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
     assert not (tmp_path / "cache.jsonl").exists()
 
 
@@ -436,11 +490,11 @@ def test_an_empty_cache_or_csv_path_is_a_usage_error(argv, env_cache, label, tmp
     # An empty $KLM_CACHE once ran the command and then failed to record it
     # (exit 3), an empty --cache fell back to $KLM_CACHE, and an empty --csv
     # wrote no table.
-    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3", *argv],
-                       tmp_path, cli_env, env_cache)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"usage error: {label} is empty" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    for proc, executed in _launches(["verify", "formulas", "--m-max", "2", "--d-max", "3", *argv],
+                                    tmp_path, cli_env, env_cache):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: {label} is empty" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -449,22 +503,22 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
     # A procfs file opens for writing but cannot seek to its end.  Such a
     # cache once let the command print its payload and then fail to record
     # it (exit 3).
-    proc = _traced_run(["compute", "kl", "--m", "2", "--d", "3", "--cache", "/proc/version"],
-                       tmp_path, cli_env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "usage error: cache path '/proc/version' cannot be written" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    for proc, executed in _launches(["compute", "kl", "--m", "2", "--d", "3",
+                                     "--cache", "/proc/version"], tmp_path, cli_env):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "usage error: cache path '/proc/version' cannot be written" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs a procfs file")
 def test_a_csv_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
     # Such a --csv once let verify print its pass line and record the run,
     # and then fail to write the table (exit 3).
-    proc = _traced_run(["verify", "formulas", "--m-max", "2", "--d-max", "3",
-                        "--csv", "/proc/version"], tmp_path, cli_env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "usage error: csv path '/proc/version' cannot be written" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
+    for proc, executed in _launches(["verify", "formulas", "--m-max", "2", "--d-max", "3",
+                                     "--csv", "/proc/version"], tmp_path, cli_env):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "usage error: csv path '/proc/version' cannot be written" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -600,11 +654,11 @@ def _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env):
     # A record a run stored before the check existed is not replayed either.
     cache = tmp_path / "cache.jsonl"
     _seed_record(cache, argv, "stale\n", 0)
-    proc = _traced_run(argv, tmp_path, cli_env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert f"usage error: {message}" in proc.stderr
-    assert {n for n in _imported_modules(proc.stderr) if n.startswith("klm.")} <= {"klm.cli"}
-    assert len(cache.read_text().splitlines()) == 1
+    for proc, executed in _launches(argv, tmp_path, cli_env):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: {message}" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
+        assert len(cache.read_text().splitlines()) == 1
 
 
 def test_import_klm_is_lazy(cli_env):
@@ -624,6 +678,12 @@ def test_import_klm_is_lazy(cli_env):
     assert set(klm.__all__) <= set(dir(klm))
     with pytest.raises(AttributeError):
         klm.no_such_name
+
+
+# Every module of the package but the CLI; `import klm.cli` registers each one
+# unexecuted.
+ENGINE_LAYERS = tuple(sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                             if p.stem not in ("__init__", "cli")))
 
 
 def test_import_klm_cli_loads_every_traced_layer(cli_env):
@@ -649,49 +709,7 @@ def test_import_klm_cli_loads_every_traced_layer(cli_env):
     assert {"run_certify", "run_verify"} <= set(tracer.LAYERS["cli"])
 
 
-# -- the console script: `from klm.cli import main` executes what a run needs ----
-
-# Every module of the package but the CLI; `import klm.cli` registers each one
-# unexecuted.
-ENGINE_LAYERS = tuple(sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
-                             if p.stem not in ("__init__", "cli")))
-# The `klm` console script's entry, then a report of the modules that have
-# executed (a LazyLoader execution leaves no -X importtime line).
-CONSOLE_SCRIPT = ("import json, sys, types\n"
-                  "from klm.cli import main\n"
-                  "code = main()\n"
-                  "print(json.dumps([n for n, m in sys.modules.items()\n"
-                  "                  if type(m) is types.ModuleType]), file=sys.stderr)\n"
-                  "sys.exit(code)\n")
-
-
-def _console_run(argv, tmp_path, cli_env) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """The console entry on argv with a cache in tmp_path, and the modules it executed."""
-    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
-    proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *argv],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode in (0, 1), proc.stderr
-    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
-
-
-def test_a_console_cache_hit_executes_no_engine_module(tmp_path, cli_env):
-    argv = ["certify", "kl-roots", "--m", "2", "--d", "1..3", "--jobs", "2"]
-    miss, miss_executed = _console_run(argv, tmp_path, cli_env)
-    hit, hit_executed = _console_run(argv, tmp_path, cli_env)
-    assert miss.stdout == hit.stdout and miss.stdout.count(": pass") == 3
-    assert set(ENGINE_MODULES) <= miss_executed
-    assert not OPENSSL_MODULES & miss_executed
-    assert {n for n in hit_executed if n.startswith("klm.")} == {"klm.cli"}
-    assert not (set(ENGINE_MODULES) | OPENSSL_MODULES) & hit_executed
-
-
-@pytest.mark.parametrize("argv, loads, skips", MISS_CASES, ids=MISS_IDS)
-def test_a_console_miss_executes_only_its_commands_modules(argv, loads, skips, tmp_path,
-                                                           cli_env):
-    proc, executed = _console_run(argv, tmp_path, cli_env)
-    assert proc.returncode == 0 and proc.stdout
-    assert loads <= executed
-    assert not (skips | OPENSSL_MODULES) & executed
+# -- the fork point: a --jobs pool forks from an executed engine ------------------
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -711,38 +729,40 @@ def test_the_engine_executes_before_the_jobs_pool_forks(argv, modules, tmp_path,
     # each map_cells call constructs its pool, runs the real pool, and then
     # the grid's last cell, which a worker ran, in this process: that cell
     # must execute nothing the workers lacked.  Every grid here is large
-    # enough that each map_cells call forms a pool.
-    script = ("import concurrent.futures, json, sys, types\n"
-              "import klm.cli\n"
-              "from klm import certificate\n"
-              "pool, grid = concurrent.futures.ProcessPoolExecutor, certificate.map_cells\n"
-              "forks = []\n"
-              "def executed():\n"
-              "    return sorted(n[4:] for n, m in sys.modules.items()\n"
-              "                  if n.startswith('klm.') and type(m) is types.ModuleType)\n"
-              "class SpyPool(pool):\n"
-              "    def __init__(self, *args, **kwargs):\n"
-              "        forks.append(executed())\n"
-              "        super().__init__(*args, **kwargs)\n"
-              "def spy(worker, cells, jobs=1):\n"
-              "    forks.clear()\n"
-              "    out = grid(worker, cells, jobs)\n"
-              "    worker(*cells[-1])\n"
-              "    print(json.dumps([forks, executed()]), file=sys.stderr)\n"
-              "    return out\n"
-              "concurrent.futures.ProcessPoolExecutor = SpyPool\n"
-              "certificate.map_cells = spy\n"
-              "sys.exit(klm.cli.main(sys.argv[1:]))\n")
-    env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl"))
-    proc = subprocess.run([sys.executable, "-c", script, *argv, "--jobs", "2"],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
-    assert proc.returncode == 0 and ": pass" in proc.stdout, proc.stderr
-    calls = [json.loads(line) for line in proc.stderr.splitlines()]
-    assert calls
-    for forks, after_one_cell in calls:
-        assert len(forks) == 1, "no pool formed" if not forks else forks
-        assert forks[0] == after_one_cell
-    assert modules <= set().union(*(forks[0] for forks, _ in calls))
+    # enough that each map_cells call forms a pool.  Under either entry the
+    # spy executes certificate before the CLI runs.
+    for entry, (setup, run) in ENTRIES.items():
+        script = ("import concurrent.futures, json, sys, types\n"
+                  f"{setup}\n"
+                  "from klm import certificate\n"
+                  "pool, grid = concurrent.futures.ProcessPoolExecutor, certificate.map_cells\n"
+                  "forks = []\n"
+                  "def executed():\n"
+                  "    return sorted(n[4:] for n, m in sys.modules.items()\n"
+                  "                  if n.startswith('klm.') and type(m) is types.ModuleType)\n"
+                  "class SpyPool(pool):\n"
+                  "    def __init__(self, *args, **kwargs):\n"
+                  "        forks.append(executed())\n"
+                  "        super().__init__(*args, **kwargs)\n"
+                  "def spy(worker, cells, jobs=1):\n"
+                  "    forks.clear()\n"
+                  "    out = grid(worker, cells, jobs)\n"
+                  "    worker(*cells[-1])\n"
+                  "    print(json.dumps([forks, executed()]), file=sys.stderr)\n"
+                  "    return out\n"
+                  "concurrent.futures.ProcessPoolExecutor = SpyPool\n"
+                  "certificate.map_cells = spy\n"
+                  f"{run}\n")
+        env = dict(cli_env, KLM_CACHE=str(tmp_path / f"{entry}.jsonl"))
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--jobs", "2"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0 and ": pass" in proc.stdout, (entry, proc.stderr)
+        calls = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert calls
+        for forks, after_one_cell in calls:
+            assert len(forks) == 1, "no pool formed" if not forks else forks
+            assert forks[0] == after_one_cell
+        assert modules <= set().union(*(forks[0] for forks, _ in calls))
 
 
 def _seed_record(cache: Path, argv: list[str], payload: str, code: int,

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from klm.arith import falling_factorial
 from klm.polyring import (ONE, Poly, TDTable, X, cleared, det_fraction, det_parametric,
-                          expand_binomial_affine, interpolate, leading_minors,
+                          exact_str, expand_binomial_affine, interpolate, leading_minors,
                           minor_degree_bound, poly_gcd, primitive, render, render_in_d,
                           squarefree_part, times_linear)
 from oracles import as_poly, degrees, det_cofactor, to_falling_basis
@@ -202,6 +202,16 @@ def test_render_examples():
     assert render(table) == render(g)
     assert render(table.derivative()) == "(d^2/2 + d/2) + (-d^2 + d)*t"
     assert render(TDTable([])) == "0"
+
+
+def test_render_past_4300_digits():
+    # CPython's str() refuses an int of more than 4300 digits.
+    big, digits = 10 ** 4999 + 7, "1" + "0" * 4998 + "7"
+    assert exact_str(-big) == "-" + digits
+    assert exact_str(Fraction(big, 3)) == digits + "/3"
+    assert exact_str(Fraction(-3, big)) == "-3/" + digits
+    assert render(P(1, -big, Fraction(1, big))) == f"1 - {digits}*t + 1/{digits}*t^2"
+    assert render_in_d(Poly((Fraction(big, 2), -big))) == f"-{digits}*d + {digits}/2"
 
 
 def test_td_table_is_kept_in_lowest_terms():
