@@ -8,19 +8,7 @@ from collections import namedtuple
 METHODS = ("sturm", "hurwitz", "nseq", "identity")
 
 
-class Checked:
-    """A mixin, listed before a namedtuple base, whose ``_make`` (and so
-    ``_replace``, which calls it) builds through the subclass's ``__new__``:
-    namedtuple's own ``_make`` skips ``__new__``'s checks."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-
-class Certificate(Checked, namedtuple("Certificate", "subject method verdict witness")):
+class Certificate(namedtuple("Certificate", "subject method verdict witness")):
     """Outcome of one verification or certification run.
 
     A failing certificate always carries a reproducible witness: the exact
@@ -38,6 +26,12 @@ class Certificate(Checked, namedtuple("Certificate", "subject method verdict wit
         if verdict == "fail" and witness is None:
             raise ValueError("a failing certificate must carry a witness")
         return super().__new__(cls, subject, method, verdict, witness)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``'s checks, and so does ``_replace``, which
+        calls this: namedtuple's own ``_make`` skips them."""
+        return cls(*fields)
 
     @property
     def passed(self) -> bool:

@@ -344,8 +344,7 @@ def _cell_z_root(m, d):
 
 
 def _cell_dseq(family, m, d):
-    spec = seqfactor.SeqSpec(family, m)
-    gamma = [seqfactor.seq_value(spec, d, i) for i in range(d + 1)]
+    gamma = [seqfactor.seq_value(family, m, d, i) for i in range(d + 1)]
     return realroot.n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
 
 
@@ -360,10 +359,11 @@ def compute_poly(kind: str, m: int, d: int | None,
     if kind == "z":
         return zcoeff.z_from_kl(m, d)
     if kind == "char":
-        return oracle.char_poly(oracle.RankedLattice(m, d))
+        return oracle.char_poly(m, d)
+    family = "f" if kind in ("G", "Q") else "b"
     if kind in ("G", "Y"):
-        return seqfactor.gy_poly(seqfactor.SeqSpec("f" if kind == "G" else "b", m), d)
-    return seqfactor.qr_poly(seqfactor.SeqSpec("f" if kind == "Q" else "b", m), d)
+        return seqfactor.gy_poly(family, m, d)
+    return seqfactor.qr_poly(family, m, d)
 
 
 def produce_compute(args) -> tuple[str, int]:
@@ -430,7 +430,7 @@ def write_routes_csv(path: str, suite: str, m_max: int, d_max: int) -> None:
         out.writerow(["m", "d", "i", *routes])
         for m, d, i in cells:
             values = (formula(m, d, i) for formula in routes.values())
-            out.writerow([m, d, i, *("" if v is None else str(v) for v in values)])
+            out.writerow([m, d, i, *("" if v is None else polyring.exact_str(v) for v in values)])
 
 
 def produce_verify(args) -> tuple[str, int]:

@@ -1,4 +1,4 @@
-"""Partitions, hook lengths, and the equivariant dimension sum.
+"""Young diagrams, hook lengths, and the equivariant dimension sum.
 
 The KL coefficient c(m,d,i) equals a sum of symmetric-group irreducible
 dimensions over the shapes (d+m-2i-h+1, h+1, 2^{i-1}); the dimensions come
@@ -8,36 +8,18 @@ explicit standard-Young-tableaux enumeration).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
 from .arith import IntegrityError
-from .certificate import Certificate, Checked, grid_certificate
+from .certificate import Certificate, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand, max_index
 
 
-class Partition(Checked, namedtuple("Partition", "parts")):
-    """Weakly decreasing tuple of positive parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: tuple[int, ...]):
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive, got {parts}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"partition parts must weakly decrease, got {parts}")
-        return super().__new__(cls, parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-
-def hook_lengths(shape: Partition) -> list[list[int]]:
-    """Hook length of every cell: arm + leg + 1, row-major."""
-    parts = shape.parts
+def hook_lengths(parts: tuple[int, ...]) -> list[list[int]]:
+    """Hook length of every cell of the shape with these weakly decreasing
+    positive parts: arm + leg + 1, row-major."""
     cols: list[int] = []  # column lengths, the conjugate partition
     for r in range(len(parts) - 1, -1, -1):
         cols += [r + 1] * (parts[r] - len(cols))
@@ -45,23 +27,26 @@ def hook_lengths(shape: Partition) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def dim_irrep(shape: Partition) -> int:
+def dim_irrep(parts: tuple[int, ...]) -> int:
     """Hook-length formula: n! / product of hook lengths, once per shape
-    (an equivariant shape recurs for every (m, d) with the same m + d)."""
-    hook_product = prod(h for row in hook_lengths(shape) for h in row)
-    num = factorial(shape.n)
+    (an equivariant shape recurs for every (m, d) with the same m + d).
+    Parts that are not positive and weakly decreasing are a ValueError."""
+    if any(p <= 0 for p in parts):
+        raise ValueError(f"partition parts must be positive, got {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"partition parts must weakly decrease, got {parts}")
+    hook_product = prod(h for row in hook_lengths(parts) for h in row)
+    n = sum(parts)
+    num = factorial(n)
     if num % hook_product:
-        raise IntegrityError(f"hook product {hook_product} does not divide {shape.n}! "
-                             f"for {shape}")
+        raise IntegrityError(f"hook product {hook_product} does not divide {n}! for {parts}")
     return num // hook_product
 
 
-def equivariant_shape(m: int, d: int, i: int, h: int) -> Partition:
-    """The shape (d+m-2i-h+1, h+1, 2^{i-1}) indexing one summand of c(m,d,i),
-    for i >= 1 and 1 <= h <= min(m, d-2i)."""
-    # Valid by construction, so Partition's checks are skipped: 2h <= m + d - 2i
-    # puts the first part at least h+1 >= 2, and every part is positive.
-    return tuple.__new__(Partition, ((d + m - 2 * i - h + 1, h + 1) + (2,) * (i - 1),))
+def equivariant_shape(m: int, d: int, i: int, h: int) -> tuple[int, ...]:
+    """The parts (d+m-2i-h+1, h+1, 2^{i-1}) of the shape indexing one summand
+    of c(m,d,i), for i >= 1 and 1 <= h <= min(m, d-2i)."""
+    return (d + m - 2 * i - h + 1, h + 1) + (2,) * (i - 1)
 
 
 def c_equivariant_sum(m: int, d: int, i: int) -> int:
@@ -112,7 +97,7 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
     """One (m,d,i,h) cell of the hook verification; None means all identities hold."""
     shape = equivariant_shape(m, d, i, h)
     hooks = hook_lengths(shape)
-    where = {"m": m, "d": d, "i": i, "h": h, "shape": list(shape.parts)}
+    where = {"m": m, "d": d, "i": i, "h": h, "shape": list(shape)}
 
     piecewise = first_row_hooks_piecewise(m, d, i, h)
     if piecewise != hooks[0]:

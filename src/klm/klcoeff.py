@@ -10,16 +10,17 @@ a grid, and its keys are the CLI's route choices and CSV columns.
 
 Each formula has one copy: the alternating form is (-1)^i binom(d+m, i) times
 the proof sum p_m of ``p_sum``, and ``positive_term`` serves the positive form
-and the proof identities.  The recursion runs in integers; the hook form, p_m
-and q_m add integer numerators over the lcm of their denominators and build
-one Fraction at the end (``arith.sum_over_lcm``).
+and the proof identities.  The recursion runs in integers; the hook form adds
+integer numerators over the lcm of its denominators (``arith.sum_over_lcm``),
+and p_m and q_m each sum integer numerators over one stated denominator, so
+each builds one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .arith import IntegrityError, as_integer, binomial, sum_over_lcm
 from .certificate import Certificate, grid_certificate
@@ -145,24 +146,30 @@ def kl_poly(m: int, d: int, route: str = "positive") -> Poly:
 # -- proof-internal identities ------------------------------------------------
 
 
-# Each term of p_sum and q_sum is an integer over a product of factorials,
-# and each sum adds its numerators over the lcm of those products.  A term
-# with a negative factorial argument is skipped: the paper's sums take
-# 1/(negative)! = 0.
 def p_sum(m: int, d: int, i: int) -> Fraction:
-    """The alternating h-sum p_m from the recursion-consistency proof."""
-    return sum_over_lcm(
-        ((-1) ** (i + h + 1) * h * factorial(d - h - i + m - 1),
-         factorial(h + i) * factorial(m - h) * factorial(d - 2 * i - h))
-        for h in range(1, m + 1) if d - h - i + m - 1 >= 0 and d - 2 * i - h >= 0)
+    """The alternating h-sum p_m from the recursion-consistency proof,
+    sum_{h=1}^m (-1)^(i+h+1) h (d-h-i+m-1)! / ((h+i)! (m-h)! (d-2i-h)!), with
+    the paper's 1/(negative)! = 0.  Over the one denominator (m+i)! (d-2i-1)!
+    the h-th numerator is h (d-h-i+m-1)! binom(m+i, m-h) (d-2i-1)!/(d-2i-h)!,
+    and the last factor, a falling factorial, is 0 for h > d-2i, so those
+    terms are left out; where d-2i-1 < 0 every term is.
+    """
+    top = d - 2 * i - 1
+    if top < 0:
+        return Fraction(0)
+    return Fraction(sum((-1) ** (i + h + 1) * h * factorial(d - h - i + m - 1)
+                        * comb(m + i, m - h) * perm(top, h - 1)
+                        for h in range(1, min(m, top + 1) + 1)),
+                    factorial(m + i) * factorial(top))
 
 
 def q_sum(m: int, d: int, i: int) -> Fraction:
-    """The alternating j-sum q_m paired with p_m; p_m - q_m = 1."""
-    return sum_over_lcm(
-        ((-1) ** (j + 1) * (i - j) * factorial(m + d - i),
-         (i + m) * (j + m) * factorial(j) * factorial(d - i - j) * factorial(m - 1))
-        for j in range(min(i, d - i) + 1))
+    """The alternating j-sum q_m paired with p_m; p_m - q_m = 1.  Its j-th term
+    (-1)^(j+1) (i-j) (m+d-i)! / ((i+m) (j+m) j! (d-i-j)! (m-1)!) is
+    (-1)^(j+1) (i-j) binom(m+d-i, j+m) binom(j+m-1, j) over the one
+    denominator i+m."""
+    return Fraction(sum((-1) ** (j + 1) * (i - j) * comb(m + d - i, j + m) * comb(j + m - 1, j)
+                        for j in range(min(i, d - i) + 1)), i + m)
 
 
 def f_normalized_alternating(m: int, d: int, i: int) -> Fraction:

@@ -9,45 +9,23 @@ scale, the structural facts the rank-grouped fast path relies on.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from operator import add
 
 from .arith import binomial
-from .certificate import Certificate, Checked, grid_certificate
+from .certificate import Certificate, grid_certificate
 from .polyring import Poly
 
 
-class RankedLattice(Checked, namedtuple("RankedLattice", "m d")):
-    """Rank-grouped lattice of flats of a uniform matroid U_{m,d}.
-
-    Proper flats of rank k are the binom(m+d, k) subsets of size k < d;
-    the unique top flat is the whole ground set at rank d.  m = 0 gives
-    the Boolean lattice of the free matroid.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, d: int):
-        if m < 0 or d < 0:
-            raise ValueError(f"invalid uniform matroid U_{{{m},{d}}}")
-        return super().__new__(cls, m, d)
-
-    @property
-    def rank(self) -> int:
-        return self.d
-
-    @property
-    def ground(self) -> int:
-        return self.m + self.d
-
-    def flat_count(self, k: int) -> int:
-        if k == self.d:
-            return 1
-        if 0 <= k < self.d:
-            return binomial(self.ground, k)
-        return 0
+def flat_count(m: int, d: int, k: int) -> int:
+    """The flats of rank k of U_{m,d}: the binom(m+d, k) subsets of size k < d,
+    and at rank d the whole ground set."""
+    if k == d:
+        return 1
+    if 0 <= k < d:
+        return binomial(m + d, k)
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -70,9 +48,11 @@ def _mobius_by_rank(m: int, d: int) -> tuple[tuple[int, ...], int]:
     return tuple(proper), top
 
 
-def char_poly(lattice: RankedLattice) -> Poly:
-    """chi(t) = sum_F mu(bottom, F) t^{rank - rank F}, grouped by rank."""
-    m, d = lattice.m, lattice.d
+def char_poly(m: int, d: int) -> Poly:
+    """chi(t) of U_{m,d} = sum_F mu(bottom, F) t^{rank - rank F}, grouped by
+    rank; m = 0 gives the Boolean lattice of the free matroid."""
+    if m < 0 or d < 0:
+        raise ValueError(f"invalid uniform matroid U_{{{m},{d}}}")
     proper, top = _mobius_by_rank(m, d)
     coeffs = [0] * (d + 1)
     for k in range(d):
@@ -96,10 +76,10 @@ def kl_defining(m: int, d: int) -> tuple[Poly, bool]:
     for k in range(1, d):
         # Localization at a rank-k flat is the free matroid on k elements;
         # contraction is U_{m, d-k}.  binom(m+d, k) flats share each rank.
-        chi = char_poly(RankedLattice(0, k))
+        chi = char_poly(0, k)
         p_contr = kl_defining(m, d - k)[0] if d - k >= 1 else Poly((1,))
         r = r + binomial(m + d, k) * (chi * p_contr)
-    r = r + char_poly(RankedLattice(m, d))
+    r = r + char_poly(m, d)
 
     half = (d - 1) // 2
     coeffs = tuple(r.coeff(d - j) for j in range(half + 1))
@@ -258,7 +238,7 @@ def audit_matroid(m: int, d: int) -> dict | None:
         # Contraction by f: upper interval, ranks shifted down by k,
         # compared against the rank-grouped counts of U_{m, d-k}.
         if k not in wants:
-            wants[k] = [RankedLattice(m, d - k).flat_count(j) for j in range(d - k + 1)]
+            wants[k] = [flat_count(m, d - k, j) for j in range(d - k + 1)]
         if counts != wants[k]:
             return {"m": m, "d": d, "flat": _elements(f),
                     "reason": "contraction lattice mismatch",

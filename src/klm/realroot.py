@@ -330,15 +330,15 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     d' = d - 2(m-1), must have strictly positive coefficients; the finitely
     many small cases d < 2(m-1) are settled by direct Sturm tests.
     """
-    from .seqfactor import SeqSpec, gy_poly
+    from .seqfactor import gy_poly
     if m < 2:
         raise ValueError("the Hurwitz argument starts at m = 2")
     if family not in ("G", "Y"):
         raise ValueError(f"family must be G or Y, got {family!r}")
-    spec = SeqSpec("f" if family == "G" else "b", m)
+    seq = "f" if family == "G" else "b"
     subject = f"hurwitz-{family} m={m}"
 
-    sym = gy_poly(spec)  # a TDTable: polynomial in t, integer rows in d
+    sym = gy_poly(seq, m)  # a TDTable: polynomial in t, integer rows in d
     # Evaluated at d = 2(m-1) + j, so every Delta_2k comes out in d'.
     deltas = hurwitz_deltas(sym, sym.derivative(), 2 * (m - 1), 2 * (m - 1))
     expansions = []
@@ -352,7 +352,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
 
     small_cases = []
     for d in range(1, 2 * (m - 1)):
-        g = gy_poly(spec, d)
+        g = gy_poly(seq, m, d)
         if g.degree < 1:
             small_cases.append({"d": d, "degree": g.degree, "real_rooted": True})
             continue

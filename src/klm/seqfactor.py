@@ -19,30 +19,23 @@ denominator per family and m; ``seq_value`` and ``zcoeff.z_positive`` read it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
 from .arith import IntegrityError, binomial, falling_factorial, stirling2
-from .certificate import Certificate, Checked, grid_certificate
+from .certificate import Certificate, grid_certificate
 from .polyring import Poly, TDTable, horner, times_linear
 # klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
 
 FAMILIES = ("f", "b")
 
 
-class SeqSpec(Checked, namedtuple("SeqSpec", "family m")):
-    """Which sequence family (f or b) at which m."""
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, m: int):
-        if family not in FAMILIES:
-            raise ValueError(f"family must be 'f' or 'b', got {family!r}")
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return super().__new__(cls, family, m)
+def _check_family(family: str, m: int) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"family must be 'f' or 'b', got {family!r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
 
 
 def seq_sum(family: str, m: int, d: int, i: int) -> tuple[int, int]:
@@ -50,7 +43,9 @@ def seq_sum(family: str, m: int, d: int, i: int) -> tuple[int, int]:
     denominator).  The h-th term is binom(i-1+h, h) binom(d-i+h, h) times
     binom(i+m, m-h-1) / ((m-h) binom(m,h)) for f, whose denominators divide m!,
     and (i(h-m+1) + m) / ((h+1) m) for b, whose denominators divide m m!.
+    A family other than f or b, or an m below 1, is a ValueError.
     """
+    _check_family(family, m)
     f = family == "f"
     den = factorial(m) if f else m * factorial(m)
     num = 0
@@ -65,15 +60,15 @@ def seq_sum(family: str, m: int, d: int, i: int) -> tuple[int, int]:
     return num, den
 
 
-def seq_value(spec: SeqSpec, d: int, i: int) -> Fraction:
+def seq_value(family: str, m: int, d: int, i: int) -> Fraction:
     """Direct numeric evaluation of f_m(d,i) or b_m(d,i), from ``seq_sum``."""
     if not 0 <= i <= d:
         raise ValueError(f"sequence index i={i} out of range [0, {d}]")
-    return Fraction(*seq_sum(spec.family, spec.m, d, i))
+    return Fraction(*seq_sum(family, m, d, i))
 
 
 @lru_cache(maxsize=None)
-def expand_falling(spec: SeqSpec) -> TDTable:
+def expand_falling(family: str, m: int) -> TDTable:
     """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b),
     as the rows k of one integer table in d over one denominator.
 
@@ -85,11 +80,11 @@ def expand_falling(spec: SeqSpec) -> TDTable:
     i^n d^a over D = lcm_h E_h; i^n = sum_k S(n,k) (i)_k moves each d^a
     column to the falling basis, and g_{m,k} is row k of the result over D.
     """
-    m = spec.m
+    _check_family(family, m)
     terms = []
     for h in range(m):
         a_h = reduce(times_linear, range(h), [1])  # (i-1+h)_h
-        if spec.family == "f":
+        if family == "f":
             a_h = reduce(times_linear, range(h + 2, m + 1), a_h)  # (i+m)_{m-h-1}
             den = (m - h) * binomial(m, h) * factorial(m - h - 1) * factorial(h) ** 2
         else:
@@ -110,7 +105,7 @@ def expand_falling(spec: SeqSpec) -> TDTable:
                      for a in range(m)] for k in range(len(table))), common)
 
 
-def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly | TDTable:
+def gy_poly(family: str, m: int, d: int | None = None) -> Poly | TDTable:
     """G_{m,d}(t) (family f) or Y_{m,d}(t) (family b).
 
     With d None the result is symbolic: a TDTable whose row k holds
@@ -120,7 +115,7 @@ def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly | TDTable:
     """
     if d is not None and d < 1:
         raise ValueError(f"gy_poly requires d >= 1, got {d}")
-    gs = expand_falling(spec)
+    gs = expand_falling(family, m)
     if d is not None:
         return Poly(Fraction(horner(g, d) * falling_factorial(d, k), gs.den)
                     for k, g in enumerate(gs.rows))
@@ -129,24 +124,24 @@ def gy_poly(spec: SeqSpec, d: int | None = None) -> Poly | TDTable:
                     for k, g in enumerate(gs.rows)), gs.den)
 
 
-def qr_poly(spec: SeqSpec, d: int) -> Poly:
+def qr_poly(family: str, m: int, d: int) -> Poly:
     """Q_d(t) (family f) or R_d(t) (family b) at the given d.
 
     Also verifies the exact factorization
     Q_d(t) = sum_k g_{m,k}(d) (d)_k t^k (1+t)^{d-k}, which is how the
     d-sequence test reduces to G_{m,d}, with g_{m,k}(d) (d)_k read from
-    ``gy_poly(spec, d)``: (d)_k vanishes for k > d, so G has no such term.
+    ``gy_poly(family, m, d)``: (d)_k vanishes for k > d, so G has no such term.
     """
     if d < 1:
         raise ValueError(f"qr_poly requires d >= 1, got {d}")
-    q = Poly(tuple(seq_value(spec, d, i) * binomial(d, i) for i in range(d + 1)))
+    q = Poly(tuple(seq_value(family, m, d, i) * binomial(d, i) for i in range(d + 1)))
     # The t^j coefficient of t^k (1+t)^(d-k) is the integer binom(d-k, j-k).
-    gs = gy_poly(spec, d).coeffs
+    gs = gy_poly(family, m, d).coeffs
     alt = Poly(tuple(sum(c * comb(d - k, j - k) for k, c in enumerate(gs[:j + 1]))
                      for j in range(d + 1)))
     if len(gs) > d + 1 or alt != q:
         raise IntegrityError(
-            f"factorization identity failed for {spec.family}_{spec.m} at d={d}")
+            f"factorization identity failed for {family}_{m} at d={d}")
     return q
 
 
@@ -211,7 +206,7 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
     else:
         lhs, choose, family = z_coefficient(m, d, i, "from_kl"), binomial(d, i), "b"
     lhs *= binomial(d + 2 * m, m)
-    rhs = binomial(d + 2 * m, i + m) * choose * seq_value(SeqSpec(family, m), d, i)
+    rhs = binomial(d + 2 * m, i + m) * choose * seq_value(family, m, d, i)
     if lhs != rhs:
         return {"side": side, "m": m, "d": d, "i": i, "lhs": str(lhs), "rhs": str(rhs)}
     return None
@@ -219,7 +214,7 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
 
 def diagonal_value(m: int, d: int) -> Fraction:
     """f_m(d,d), which collapses to binom(m+d-1, m-1)."""
-    return seq_value(SeqSpec("f", m), d, d)
+    return seq_value("f", m, d, d)
 
 
 def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
@@ -233,7 +228,7 @@ def check_diagonal_at(m: int, d: int) -> dict | None:
     """The two diagonal identities at one (m, d); None means both hold."""
     want = binomial(m + d - 1, m - 1)
     got = diagonal_value(m, d)
-    at_one = sum(gy_poly(SeqSpec("f", m), d).coeffs)
+    at_one = sum(gy_poly("f", m, d).coeffs)
     if got != want or at_one != want:
         return {"m": m, "d": d, "f_diagonal": str(got), "G_at_1": str(at_one), "binomial": want}
     return None

@@ -61,10 +61,9 @@ def multinomial(n: int, parts) -> int:
     return out
 
 
-def symbolic_in_i(spec) -> Poly:
+def symbolic_in_i(family: str, m: int) -> Poly:
     """The defining sum of f_m or b_m expanded as a polynomial in i whose
     coefficients are Fraction Polys in d (the nested-Fraction reference)."""
-    m = spec.m
     i_var = X
     d_var = X  # the inner variable; kept distinct by nesting level
     total = Poly()
@@ -72,7 +71,7 @@ def symbolic_in_i(spec) -> Poly:
         b_ih = expand_binomial_affine(i_var + (h - 1), h)
         # binom(d-i+h, h): affine in i with constant part d+h.
         b_dh = expand_binomial_affine(Poly((d_var + h, Fraction(-1))), h)
-        if spec.family == "f":
+        if family == "f":
             pref = expand_binomial_affine(i_var + m, m - h - 1) * Fraction(1, (m - h) * binomial(m, h))
         else:
             pref = Poly((Fraction(1, h + 1), Fraction(h - m + 1, (h + 1) * m)))
@@ -101,18 +100,19 @@ def to_falling_basis(p: Poly) -> list:
 SYT_ENUMERATION_CAP = 8
 
 
-def count_syt(shape) -> int:
-    """Standard Young tableaux of the shape, by explicit backtracking.
+def count_syt(parts: tuple[int, ...]) -> int:
+    """Standard Young tableaux of the shape with these parts, by explicit
+    backtracking.
 
     Independent of hook products; capped at n <= 8 as a desk-scale oracle.
     """
-    if shape.n > SYT_ENUMERATION_CAP:
+    n = sum(parts)
+    if n > SYT_ENUMERATION_CAP:
         raise ValueError(f"SYT enumeration capped at n <= {SYT_ENUMERATION_CAP}")
-    parts = shape.parts
     fill = [0] * len(parts)  # cells already placed per row
 
     def place(value: int) -> int:
-        if value > shape.n:
+        if value > n:
             return 1
         total = 0
         for r in range(len(parts)):

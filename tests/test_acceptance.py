@@ -12,7 +12,7 @@ from math import factorial
 
 from klm import hooklen, klcoeff, oracle, seqfactor, zcoeff
 from klm.cli import run_certify
-from klm.seqfactor import SeqSpec, expand_falling
+from klm.seqfactor import expand_falling
 from oracles import count_syt
 
 
@@ -59,8 +59,7 @@ def test_criterion_05_hook_length_coverage():
             for rest in partitions(n - first, first):
                 yield (first,) + rest
 
-    syt_ok = all(hooklen.dim_irrep(hooklen.Partition(p)) ==
-                 count_syt(hooklen.Partition(p))
+    syt_ok = all(hooklen.dim_irrep(p) == count_syt(p)
                  for n in range(1, 9) for p in partitions(n, n))
     report(5, "hook-length coverage m<=6 d<=16 and SYT enumeration n<=8",
            facts.passed and sums.passed and syt_ok, (facts.witness, sums.witness))
@@ -101,7 +100,7 @@ def test_criterion_08_d_sequences_and_falling_invariants():
     basis_ok = True
     for family in ("f", "b"):
         for m in range(1, 16):
-            gs = expand_falling(SeqSpec(family, m))
+            gs = expand_falling(family, m)
             lead = Fraction((-1) ** (m - 1), factorial(m - 1) * factorial(m))
             if not (gs.coeff(0) == 1 and gs.coeff(gs.degree) == lead
                     and gs.degree + 1 == 2 * m - 1):

@@ -269,6 +269,24 @@ def test_a_coefficient_past_4300_digits_prints_exactly(tmp_path, monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", digits]
 
 
+def test_a_route_value_past_4300_digits_writes_its_csv_cell_exactly(tmp_path, monkeypatch,
+                                                                    capsys):
+    # The second run is a cache hit, so only its CSV reads the patched route;
+    # the cell's str() once made verify --csv exit 3.
+    digits = "1" + "0" * 4998 + "7"
+    argv = ["verify", "formulas", "--m-max", "1", "--d-max", "2",
+            "--cache", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 0
+    real = klcoeff.ROUTES["positive"]
+    monkeypatch.setitem(klcoeff.ROUTES, "positive", lambda m, d, i: (
+        Fraction(10 ** 4999 + 7) if (m, d, i) == (1, 2, 0) else real(m, d, i)))
+    csv_path = tmp_path / "routes.csv"
+    assert main(argv + ["--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert csv_path.read_text().splitlines() == [
+        "m,d,i,recursive,hook,alternating,positive", "1,1,0,1,,1,1", f"1,2,0,1,,1,{digits}"]
+
+
 def test_smallest_grid_and_one_job_run(tmp_path, capsys):
     argv = ["verify", "oracle", "--m-max", "1", "--d-max", "1", "--jobs", "1",
             "--cache", str(tmp_path / "c.jsonl")]

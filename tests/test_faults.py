@@ -42,9 +42,9 @@ def _plus_one_in_poly(real):
 
 
 def _plus_one_in_sequence(real):
-    """real(spec, d, i), plus 1 at m = M, (d, i) = (D, I)."""
-    def faulty(spec, d, i):
-        return real(spec, d, i) + (1 if (spec.m, d, i) == (M, D, I) else 0)
+    """real(family, m, d, i), plus 1 at (m, d, i) = (M, D, I) in either family."""
+    def faulty(family, m, d, i):
+        return real(family, m, d, i) + (1 if (m, d, i) == (M, D, I) else 0)
     return faulty
 
 

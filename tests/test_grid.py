@@ -233,8 +233,9 @@ def test_wrong_hook_step_gives_the_first_recurrence_witness(jobs, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_wrong_diagonal_value_gives_the_first_diagonal_witness(jobs, monkeypatch):
+    real = seqfactor.seq_value
     monkeypatch.setattr(seqfactor, "seq_value",
-                        _wrong_from_d(seqfactor.seq_value, 5, lambda v: v + 1))
+                        lambda family, m, d, i: real(family, m, d, i) + (d >= 5))
     cert = seqfactor.verify_diagonal_identities(3, 8, jobs)
     assert cert.verdict == "fail"
     assert cert.witness == {"m": 1, "d": 5, "f_diagonal": "2", "G_at_1": "1", "binomial": 1}
@@ -242,8 +243,9 @@ def test_wrong_diagonal_value_gives_the_first_diagonal_witness(jobs, monkeypatch
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_wrong_f_sequence_gives_the_first_reformulation_witness(jobs, monkeypatch):
+    real = seqfactor.seq_value
     monkeypatch.setattr(seqfactor, "seq_value",
-                        _wrong_from_d(seqfactor.seq_value, 4, lambda v: v + 1))
+                        lambda family, m, d, i: real(family, m, d, i) + (d >= 4))
     cert = seqfactor.kl_reformulation_check(3, 8, jobs)
     assert cert.verdict == "fail"
     assert cert.witness == {"side": "kl", "m": 1, "d": 4, "i": 0, "lhs": "6", "rhs": "12"}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from klm import hooklen
 from klm.arith import IntegrityError
-from klm.hooklen import (Partition, c_equivariant_sum, check_hook_cell, dim_irrep,
+from klm.hooklen import (c_equivariant_sum, check_hook_cell, dim_irrep,
                          equivariant_shape, first_row_hooks_piecewise, grid_cells,
                          hook_lengths, verify_equivariant_sum, verify_hook_factorizations)
 from klm.klcoeff import c_positive
@@ -16,55 +16,36 @@ from oracles import SYT_ENUMERATION_CAP, count_syt
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((2, 3))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    assert Partition((3, 2)).n == 5
-
-
-def test_partition_is_a_frozen_value():
+    # dim_irrep checks the parts it is given on a memo miss.
+    dim_irrep.cache_clear()
     with pytest.raises(ValueError, match=r"partition parts must be positive, got \(2, 0\)"):
-        Partition((2, 0))
-    with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
-        Partition(parts=(2, 3))
-    shape = Partition((3, 2, 2))
-    assert len(shape.parts) == 3 and len(Partition(()).parts) == 0
-    assert shape._replace(parts=(4, 1)) == Partition((4, 1))
-    assert Partition._make([(3, 2, 2)]) == shape and Partition._make([()]).parts == ()
-    # _make and _replace build through the same checks as the constructor.
-    with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
-        shape._replace(parts=(2, 3))
+        dim_irrep((2, 0))
     with pytest.raises(ValueError, match=r"partition parts must be positive, got \(0, -1\)"):
-        Partition._make([(0, -1)])
-    assert shape == Partition((3, 2, 2)) and shape != Partition((3, 2))
-    assert hash(shape) == hash(Partition((3, 2, 2)))
-    assert repr(shape) == "Partition(parts=(3, 2, 2))"
-    with pytest.raises(AttributeError):
-        shape.parts = (4,)
-    with pytest.raises(AttributeError):
-        shape.extra = 1
+        dim_irrep((0, -1))
+    with pytest.raises(ValueError, match=r"partition parts must weakly decrease, got \(2, 3\)"):
+        dim_irrep((2, 3))
+    assert dim_irrep(()) == 1 and dim_irrep((3, 2, 2)) == 21
 
 
 def test_hook_lengths_examples():
-    assert hook_lengths(Partition((2, 1))) == [[3, 1], [1]]
-    assert hook_lengths(Partition((5,))) == [[5, 4, 3, 2, 1]]
-    assert hook_lengths(Partition((3, 2))) == [[4, 3, 1], [2, 1]]
+    assert hook_lengths((2, 1)) == [[3, 1], [1]]
+    assert hook_lengths((5,)) == [[5, 4, 3, 2, 1]]
+    assert hook_lengths((3, 2)) == [[4, 3, 1], [2, 1]]
 
 
 def test_dim_irrep_examples():
-    assert dim_irrep(Partition((2, 2))) == 2
-    assert dim_irrep(Partition((3, 2))) == 5
-    assert dim_irrep(Partition((7,))) == 1
+    assert dim_irrep((2, 2)) == 2
+    assert dim_irrep((3, 2)) == 5
+    assert dim_irrep((7,)) == 1
 
 
 def test_a_hook_product_that_does_not_divide_n_factorial_is_an_integrity_error(monkeypatch):
     # (3, 2) with its last hook read as 2 instead of 1: 4*3*1*2*2 = 48 does not divide 5!.
-    monkeypatch.setattr(hooklen, "hook_lengths", lambda shape: [[4, 3, 1], [2, 2]])
+    monkeypatch.setattr(hooklen, "hook_lengths", lambda parts: [[4, 3, 1], [2, 2]])
     dim_irrep.cache_clear()
     try:
         with pytest.raises(IntegrityError, match="hook product 48 does not divide 5!"):
-            dim_irrep(Partition((3, 2)))
+            dim_irrep((3, 2))
     finally:
         dim_irrep.cache_clear()
 
@@ -80,12 +61,11 @@ def test_dim_matches_syt_enumeration():
 
     for n in range(1, SYT_ENUMERATION_CAP + 1):
         for parts in partitions(n, n):
-            shape = Partition(parts)
-            assert dim_irrep(shape) == count_syt(shape)
+            assert dim_irrep(parts) == count_syt(parts)
 
 
 def test_equivariant_shape_and_sum():
-    assert equivariant_shape(2, 3, 1, 1) == Partition((3, 2))
+    assert equivariant_shape(2, 3, 1, 1) == (3, 2)
     assert c_equivariant_sum(2, 3, 1) == 5
     assert c_equivariant_sum(1, 3, 1) == 2
     assert c_equivariant_sum(1, 5, 2) == 5
@@ -118,11 +98,14 @@ def test_a_wrong_first_row_closed_form_is_witnessed_as_a_fraction(monkeypatch):
 
 
 def test_every_equivariant_shape_on_the_hooks_grid_is_a_valid_partition():
-    # equivariant_shape skips Partition's checks; the validating constructor
-    # must accept every shape it builds on the crosscheck grid.
+    # equivariant_shape builds its parts unchecked; dim_irrep checks them on a
+    # memo miss, so every shape on the crosscheck grid must pass those checks.
+    dim_irrep.cache_clear()
     for m, d, i, h in grid_cells(8, 24):
-        shape = equivariant_shape(m, d, i, h)
-        assert type(shape) is Partition and Partition(shape.parts) == shape, (m, d, i, h)
+        parts = equivariant_shape(m, d, i, h)
+        assert all(p > 0 for p in parts) and list(parts) == sorted(parts, reverse=True), (
+            m, d, i, h)
+        assert dim_irrep(parts) > 0
 
 
 @given(st.lists(st.integers(1, 12), max_size=8))
@@ -131,4 +114,4 @@ def test_hook_lengths_are_arm_plus_leg_plus_one(parts):
     # arm: cells right of (r, c); leg: rows below r that reach column c.
     want = [[(p - c - 1) + sum(1 for q in parts[r + 1:] if q > c) + 1 for c in range(p)]
             for r, p in enumerate(parts)]
-    assert hook_lengths(Partition(parts)) == want
+    assert hook_lengths(parts) == want

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from klm.klcoeff import kl_poly
-from klm.oracle import (ExplicitLattice, RankedLattice, char_poly, kl_defining,
+from klm import oracle
+from klm.oracle import (ExplicitLattice, char_poly, flat_count, kl_defining,
                         restriction_contraction_audit, verify_oracle_agreement,
                         z_defining)
 from klm.polyring import Poly
@@ -18,32 +19,24 @@ def P(*coeffs) -> Poly:
 
 
 def test_char_poly_examples():
-    assert char_poly(RankedLattice(1, 2)) == P(2, -3, 1)
+    assert char_poly(1, 2) == P(2, -3, 1)
     for k in range(6):
-        assert char_poly(RankedLattice(0, k)) == P(-1, 1) ** k
+        assert char_poly(0, k) == P(-1, 1) ** k
     for m in range(4):
         for d in range(1, 6):
-            assert char_poly(RankedLattice(m, d)).eval(Fraction(1)) == 0
+            assert char_poly(m, d).eval(Fraction(1)) == 0
 
 
-def test_ranked_lattice_is_a_frozen_value():
-    for m, d in ((-1, 2), (1, -2)):
+def test_char_poly_rejects_an_invalid_uniform_matroid():
+    for m, d in ((-1, 2), (1, -2), (-1, 3)):
         with pytest.raises(ValueError, match=rf"invalid uniform matroid U_{{{m},{d}}}"):
-            RankedLattice(m, d)
-    lat = RankedLattice(m=2, d=3)
-    assert lat == RankedLattice(2, 3) and lat != RankedLattice(3, 2)
-    assert {lat, RankedLattice(2, 3)} == {lat}
-    assert (lat.rank, lat.ground, lat.flat_count(1), lat.flat_count(3)) == (3, 5, 5, 1)
-    assert repr(lat) == "RankedLattice(m=2, d=3)"
-    # _make and _replace build through the same checks as the constructor.
-    with pytest.raises(ValueError, match=r"invalid uniform matroid U_{2,-1}"):
-        lat._replace(d=-1)
-    with pytest.raises(ValueError, match=r"invalid uniform matroid U_{-1,3}"):
-        RankedLattice._make([-1, 3])
-    with pytest.raises(AttributeError):
-        lat.d = 4
-    with pytest.raises(AttributeError):
-        lat.extra = 1
+            char_poly(m, d)
+    assert char_poly(0, 0) == P(1)
+
+
+def test_flat_count_examples():
+    # U_{2,3}: rank 3 on 5 elements, with every subset of size < 3 a flat.
+    assert [flat_count(2, 3, k) for k in range(-1, 5)] == [0, 1, 5, 10, 1, 0]
 
 
 def test_kl_defining_examples():
@@ -87,8 +80,7 @@ def test_bitmask_flats_match_frozenset_closure():
         for d in range(1, n + 1):
             lat = ExplicitLattice(n, d)
             assert lat.flats == closure_flats(n, d)
-            assert lat.counts_by_rank() == [RankedLattice(n - d, d).flat_count(k)
-                                            for k in range(d + 1)]
+            assert lat.counts_by_rank() == [flat_count(n - d, d, k) for k in range(d + 1)]
 
 
 def full_closure_masks(lat: ExplicitLattice) -> list[int]:
@@ -114,7 +106,7 @@ def test_flats_match_the_full_closure_of_a_scrambled_rank_table(monkeypatch):
 def test_explicit_char_matches_fast_path():
     for n in range(1, 9):
         for d in range(1, n + 1):
-            assert ExplicitLattice(n, d).char_poly() == char_poly(RankedLattice(n - d, d))
+            assert ExplicitLattice(n, d).char_poly() == char_poly(n - d, d)
 
 
 def test_oracle_matches_closed_forms():
@@ -146,9 +138,9 @@ def test_audit_fails_on_a_wrong_rank_function(jobs, monkeypatch):
 def test_audit_fails_on_wrong_contraction_counts(jobs, monkeypatch):
     # One rank-1 flat too many in the rank-grouped counts of U_{0,2}: the
     # flats counted above the empty flat of U_{0,2} no longer match them.
-    real = RankedLattice.flat_count
-    monkeypatch.setattr(RankedLattice, "flat_count", lambda self, k: (
-        real(self, k) + (self.m == 0 and self.d == 2 and k == 1)))
+    real = oracle.flat_count
+    monkeypatch.setattr(oracle, "flat_count", lambda m, d, k: (
+        real(m, d, k) + (m == 0 and d == 2 and k == 1)))
     cert = restriction_contraction_audit(4, jobs)
     assert not cert.passed
     assert cert.witness == {"m": 0, "d": 2, "flat": [], "reason": "contraction lattice mismatch",

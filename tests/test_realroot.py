@@ -17,7 +17,7 @@ from klm.realroot import (NEG_INF, POS_INF, _direct_certificate, _palindromic_ha
                           hurwitz_positivity_symbolic,
                           multiplicity_profile, n_sequence_test, sturm_chain,
                           sturm_count)
-from klm.seqfactor import SeqSpec, gy_poly
+from klm.seqfactor import gy_poly
 from klm.zcoeff import z_from_kl
 from oracles import as_poly, as_table, degrees, det_cofactor, random_real_rooted
 
@@ -89,25 +89,25 @@ def test_hurwitz_delta_numeric():
 
 def test_hurwitz_delta_symbolic_paper_values():
     d = X
-    g = gy_poly(SeqSpec("f", 2))
+    g = gy_poly("f", 2)
     dg = g.derivative()
     half = Fraction(1, 2)
     want_d2 = (d - 1) ** 2 * d ** 2 * half
     assert hurwitz_delta(g, dg, 1) == want_d2
     want_d4 = (d - 1) ** 2 * d ** 3 * (d ** 3 + 2 * d ** 2 + 9 * d - 8) * Fraction(1, 16)
     assert hurwitz_delta(g, dg, 2) == want_d4
-    y = gy_poly(SeqSpec("b", 2))
+    y = gy_poly("b", 2)
     want_y4 = (d - 1) ** 2 * d ** 2 * (d ** 4 - 2 * d ** 3 + 9 * d ** 2 - 8 * d) * Fraction(1, 16)
     assert hurwitz_delta(y, y.derivative(), 2) == want_y4
 
 
 def test_hurwitz_symbolic_matches_numeric_evaluation():
-    g = gy_poly(SeqSpec("f", 3))
+    g = gy_poly("f", 3)
     sym = hurwitz_delta(g, g.derivative(), 2)
     # Degree in t is stable only for d >= 2(m-1); below that (d)_k kills
     # the leading coefficient and the determinant is normalized differently.
     for dd in range(4, 10):
-        num_poly = gy_poly(SeqSpec("f", 3), dd)
+        num_poly = gy_poly("f", 3, dd)
         num = hurwitz_delta(num_poly, num_poly.derivative(), 2)
         assert sym.eval(Fraction(dd)) == num
 
@@ -123,7 +123,7 @@ def hurwitz_rows(a, b, k: int) -> list[list]:
 def test_hurwitz_deltas_match_single_deltas_and_paper():
     for family in ("f", "b"):
         for m in (2, 3):
-            g = gy_poly(SeqSpec(family, m))
+            g = gy_poly(family, m)
             dg = g.derivative()
             k_max = 2 * (m - 1)
             deltas = hurwitz_deltas(g, dg, k_max)
@@ -135,7 +135,7 @@ def test_hurwitz_deltas_match_single_deltas_and_paper():
             rows = hurwitz_rows(g, dg, k_max)
             for k, v in enumerate(deltas, 1):
                 assert v.degree <= minor_degree_bound(degrees(rows), 2 * k)
-    g = gy_poly(SeqSpec("f", 2))
+    g = gy_poly("f", 2)
     in_dprime = hurwitz_deltas(g, g.derivative(), 2, 2)
     assert [str(c) for c in in_dprime[0].coeffs] == ["2", "6", "13/2", "3", "1/2"]
     assert [str(c) for c in in_dprime[1].coeffs] == [
@@ -144,7 +144,7 @@ def test_hurwitz_deltas_match_single_deltas_and_paper():
 
 def test_hurwitz_deltas_symbolic_match_cofactor_at_m2():
     for family in ("f", "b"):
-        g = gy_poly(SeqSpec(family, 2))
+        g = gy_poly(family, 2)
         rows = hurwitz_rows(g, g.derivative(), 2)
         want = [as_poly(det_cofactor([r[:j] for r in rows[:j]])) for j in (2, 4)]
         assert hurwitz_deltas(g, g.derivative(), 2) == want
@@ -248,7 +248,7 @@ def test_symbolic_hurwitz_deltas_fall_back_to_the_elimination(a, b, fallbacks, m
 
 @pytest.mark.parametrize("a, shift, t", [
     # Delta_4 of G_2 has degree 8 in d', so the sweep runs over d' = 0..8.
-    *((gy_poly(SeqSpec("f", 2)), 2, t) for t in (0, 4, 8)),
+    *((gy_poly("f", 2), 2, t) for t in (0, 4, 8)),
     # A numeric polynomial's sweep has one point, where the PRS gives the
     # determinants and the elimination checks them.
     (P(2, -3, 1), 0, 0),
