@@ -4,17 +4,32 @@ Coefficients are computed by several independent exact-rational routes that
 must agree on the nose, validated against a formula-free lattice oracle, and
 certified real-rooted via Sturm chains and Hurwitz determinants.
 
-The public names below load their module on first use (PEP 562), so that
-``import klm`` imports no engine module until one is needed.  ``klm.cli``,
-started as ``python -m klm.cli`` or imported by the ``klm`` console script,
-goes one step further for the same reason: it puts every engine module into
-``sys.modules`` and onto this package unexecuted, and a module executes on
-the first access to one of its attributes.
+``import klm`` registers every engine module of ``_ENGINE`` in
+``sys.modules`` and on this package without executing it (importlib's
+LazyLoader); a module executes on the first access to one of its attributes.
+This is the package's one regime for deferring modules: ``klm.cli`` and the
+engine modules bind their siblings with a module-level ``from . import``,
+which executes nothing, so a CLI cache hit executes no engine module and a
+miss only its command's.  The public names below resolve on first use
+(PEP 562) from the registered module that defines them.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.
+_ENGINE = ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen", "oracle",
+           "seqfactor", "realroot")
+
+for _layer in _ENGINE:
+    _spec = find_spec(f"{__name__}.{_layer}")
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = sys.modules[_spec.name] = globals()[_layer] = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _layer, _spec, _module
+
+# Public name -> the engine module that defines it.
 _EXPORTS = {
     "Certificate": "certificate",
     "IntegrityError": "arith",
@@ -33,9 +48,7 @@ __all__ = [*_EXPORTS, "__version__"]
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(globals()[_EXPORTS[name]], name)
     return value
 
 

@@ -10,9 +10,10 @@ byte for byte and never opens the cache for writing; a miss first checks
 that the cache can take its record, then produces, prints and records it.  A
 ``verify --csv`` run then writes its table, hit or miss.
 
-Every engine module is registered unexecuted before anything else runs,
-under ``python -m klm.cli`` and ``import klm.cli`` (the ``klm`` console
-script) alike, so a hit executes none of them and a miss only its command's.
+The engine modules are bound once, below, as ``import klm`` registered them:
+unexecuted.  Under ``python -m klm.cli`` and ``import klm.cli`` (the ``klm``
+console script) alike, a hit executes none of them and a miss only its
+command's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import sys
 import time
-from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # The run key's SHA-256 comes from CPython's built-in hash module, the one
 # hashlib falls back to without OpenSSL: importing hashlib would load
@@ -36,25 +36,6 @@ except ImportError:
     except ImportError:  # a build that leaves the built-in SHA-256 out
         from hashlib import sha256
 
-
-def _register_engine_lazily() -> None:
-    """Put every engine module not yet imported into sys.modules and onto the
-    klm package, unexecuted: importlib's LazyLoader executes a module on the
-    first access to one of its attributes."""
-    package = sys.modules[__package__]
-    for layer in ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen",
-                  "oracle", "seqfactor", "realroot"):
-        name = f"{__package__}.{layer}"
-        if name not in sys.modules:
-            spec = find_spec(name)
-            spec.loader = LazyLoader(spec.loader)
-            module = sys.modules[name] = module_from_spec(spec)
-            setattr(package, layer, module)
-            spec.loader.exec_module(module)
-
-
-_register_engine_lazily()
-# Bound after registration, so binding a module does not execute it.
 from . import (certificate, hooklen, klcoeff, oracle, polyring, realroot, seqfactor,
                zcoeff)
 

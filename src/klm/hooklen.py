@@ -15,6 +15,7 @@ from math import factorial, prod
 from .arith import IntegrityError
 from .certificate import Certificate, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand, max_index
+from .polyring import exact_str
 
 
 def hook_lengths(parts: tuple[int, ...]) -> list[list[int]]:
@@ -109,7 +110,7 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
     den1 = m + d - 2 * i - 2 * h + 1  # at least m - h + 1 >= 1, as h <= d - 2i
     if row1 * den1 != num1:
         return {**where, "identity": "first-row product", "product": row1,
-                "closed_form": str(Fraction(num1, den1))}
+                "closed_form": exact_str(Fraction(num1, den1))}
 
     row2 = prod(hooks[1])
     want2 = (i + h) * (i + h - 1) * factorial(h - 1)
@@ -126,7 +127,7 @@ def check_hook_cell(m: int, d: int, i: int, h: int) -> dict | None:
     summand = hook_summand(m, d, i, h)
     if dim_irrep(shape) != summand:
         return {**where, "identity": "dimension equals hook-form summand",
-                "dimension": dim_irrep(shape), "summand": str(summand)}
+                "dimension": dim_irrep(shape), "summand": exact_str(summand)}
     return None
 
 

@@ -24,7 +24,7 @@ from math import comb, factorial, perm
 
 from .arith import IntegrityError, as_integer, binomial, sum_over_lcm
 from .certificate import Certificate, grid_certificate
-from .polyring import Poly
+from .polyring import Poly, exact_str
 
 def max_index(d: int) -> int:
     """Largest coefficient index of P_{U_{m,d}}: floor((d-1)/2)."""
@@ -205,7 +205,7 @@ def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
     for m in range(1, m_max + 1):
         if p_sum(m, d, i) - q_sum(m, d, i) != 1:
             return {"identity": "p_m - q_m = 1", "m": m, "d": d, "i": i,
-                    "p": str(p_sum(m, d, i)), "q": str(q_sum(m, d, i))}
+                    "p": exact_str(p_sum(m, d, i)), "q": exact_str(q_sum(m, d, i))}
     if i < 1:
         return None
     base = Fraction(positive_term(d, i, 0), d - i)
@@ -213,13 +213,13 @@ def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
         f = {m: fn(m, d, i) for m in range(1, m_max + 1)}
         if f[1] != base:
             return {"identity": "f_1 base case", "form": form, "d": d, "i": i,
-                    "got": str(f[1]), "want": str(base)}
+                    "got": exact_str(f[1]), "want": exact_str(base)}
         for m in range(1, m_max):
             step = Fraction(positive_term(d, i, m), d - i)
             if f[m + 1] - f[m] != step:
                 return {"identity": "recurrence difference", "form": form,
                         "m": m, "d": d, "i": i,
-                        "difference": str(f[m + 1] - f[m]), "want": str(step)}
+                        "difference": exact_str(f[m + 1] - f[m]), "want": exact_str(step)}
     return None
 
 
@@ -250,9 +250,9 @@ def compare_routes_at(m: int, d: int, i: int) -> dict | None:
     ref = values["recursive"]
     if ref.denominator != 1 or ref < 0:
         return {"m": m, "d": d, "i": i, "reason": "not a nonnegative integer",
-                "value": str(ref)}
+                "value": exact_str(ref)}
     for route, val in values.items():
         if val is not None and val != ref:
             return {"m": m, "d": d, "i": i, "route": route,
-                    "value": str(val), "recursive": str(ref)}
+                    "value": exact_str(val), "recursive": exact_str(ref)}
     return None

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import add
 
+from . import klcoeff, zcoeff
 from .arith import binomial
 from .certificate import Certificate, grid_certificate
-from .polyring import Poly
+from .polyring import Poly, exact_str
 
 
 def flat_count(m: int, d: int, k: int) -> int:
@@ -180,19 +180,11 @@ class ExplicitLattice:
         for f in self.masks:
             inside[f], above[f] = 1, 1 << (w * ranks[f])
         for bit in (1 << x for x in range(self.n)):
-            # Only the masks s holding bit, each paired with s - bit: taken as
-            # the strided slices s = r + bit (mod 2 bit) while bit is small, and
-            # as the runs [lo + bit, lo + 2 bit) once it is large, in few slices.
-            step = 2 * bit
-            if bit * bit < size:
-                for r in range(bit):
-                    inside[r + bit::step] = map(add, inside[r + bit::step], inside[r::step])
-                    above[r::step] = map(add, above[r::step], above[r + bit::step])
-            else:
-                for lo in range(0, size, step):
-                    mid, hi = lo + bit, lo + step
-                    inside[mid:hi] = map(add, inside[mid:hi], inside[lo:mid])
-                    above[lo:mid] = map(add, above[lo:mid], above[mid:hi])
+            for s in range(size):
+                if s & bit:
+                    inside[s] += inside[s ^ bit]
+                else:
+                    above[s] += above[s | bit]
         for f in self.masks:
             if f != size - 1:
                 yield f, inside[f], [above[f] >> (w * r) & (1 << w) - 1
@@ -255,15 +247,14 @@ def verify_oracle_agreement(total_max: int, jobs: int = 1) -> Certificate:
 
 def check_oracle_pair(m: int, d: int) -> dict | None:
     """One (m, d) of the oracle agreement; None means oracle and closed forms agree."""
-    from .klcoeff import kl_poly
-    from .zcoeff import z_from_kl
     p, consistent = kl_defining(m, d)
     if not consistent:
         return {"m": m, "d": d, "reason": "defining identity inconsistent"}
-    if p != kl_poly(m, d):
+    closed_form = klcoeff.kl_poly(m, d)
+    if p != closed_form:
         return {"m": m, "d": d, "reason": "KL mismatch",
-                "oracle": [str(c) for c in p.coeffs],
-                "closed_form": [str(c) for c in kl_poly(m, d).coeffs]}
-    if z_defining(m, d) != z_from_kl(m, d):
+                "oracle": [exact_str(c) for c in p.coeffs],
+                "closed_form": [exact_str(c) for c in closed_form.coeffs]}
+    if z_defining(m, d) != zcoeff.z_from_kl(m, d):
         return {"m": m, "d": d, "reason": "Z mismatch"}
     return None

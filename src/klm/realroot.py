@@ -18,22 +18,24 @@ Borchardt-Hermite Hurwitz determinants give an independent
 distinct-real-zeros criterion, which ``hurwitz_positivity_symbolic`` reads in
 the shifted parameter d' = d - 2(m-1).  All of them are leading minors of
 one Hurwitz matrix, and ``hurwitz_deltas`` computes them the same way for a
-numeric polynomial (one point) and for (t, d) tables: from their values at
-integer points of d, where A(d) and B(d) are evaluated once from the integer
-rows of their tables, one subresultant PRS (Collins 1967) gives every
-determinant, and the elimination of the integer Hurwitz matrix of the same
-values checks it at the first, middle and last point and stands in where the
-PRS gives none.  The n-sequence test completes the toolbox.
+numeric polynomial and for (t, d) tables: from their values at integer
+points of d, where A(d) and B(d) are evaluated once from the integer rows of
+their tables, one subresultant PRS (Collins 1967) gives every determinant,
+and the elimination of the integer Hurwitz matrix of the same values checks
+it at the first, middle and last point and stands in where the PRS gives
+none.  Each determinant is interpolated up to its degree bound and checked at
+the next point.  The n-sequence test completes the toolbox.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import seqfactor
 from .arith import IntegrityError, binomial
 from .certificate import Certificate, judge
-from .polyring import (Poly, TDTable, X, cleared, horner, interpolate_steps, leading_minors,
-                       minor_degree_bound, primitive)
+from .polyring import (Poly, TDTable, X, cleared, exact_str, horner, interpolate_steps,
+                       leading_minors, minor_degree_bound, primitive)
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -221,7 +223,7 @@ def _direct_certificate(p: Poly, subject: str) -> Certificate:
             "multiplicities": multiplicity_profile(p, gcd_pp)})
     return judge(subject, "sturm", {
         "distinct_zeros": distinct, "negative_real_zeros": negative,
-        "coeffs": [str(c) for c in p.coeffs]})
+        "coeffs": [exact_str(c) for c in p.coeffs]})
 
 
 # -- Hurwitz determinants ------------------------------------------------------
@@ -274,13 +276,15 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
     The 2k x 2k Hurwitz matrix is the leading block of the 2K x 2K one, so
     every Delta_2k is a leading principal minor of one matrix.  Each Delta_2k
     is interpolated, as an exact polynomial in d - shift, from its values at
-    d = shift, shift + 1, ... up to its degree bound, where A(d) and B(d) are
-    evaluated once from the integer rows of their TDTables (a numeric Poly
-    enters as constant rows, so its sweep has one point).  When deg B < deg A,
-    one subresultant PRS of A(d), B(d) gives every value; the elimination of
-    the integer Hurwitz matrix of A(d), B(d) checks it at the first, middle
-    and last point, and stands in wherever lc(A)(d) = 0 or the PRS has a
-    degree gap.  Numeric Polys give Fractions, TDTables polynomials in d.
+    d = shift, shift + 1, ... up to its degree bound, and must take its value
+    at the next point, or IntegrityError is raised.  A(d) and B(d) are
+    evaluated once per point from the integer rows of their TDTables (a
+    numeric Poly enters as constant rows, so its sweep has two points).
+    When deg B < deg A, one subresultant PRS of A(d), B(d) gives every
+    value; the elimination of the integer Hurwitz matrix of A(d), B(d)
+    checks it at the first, middle and last point, and stands in wherever
+    lc(A)(d) = 0 or the PRS has a degree gap.  Numeric Polys give Fractions,
+    TDTables polynomials in d.
     """
     symbolic = isinstance(a, TDTable) or isinstance(b, TDTable)
     a, b = _table(a), _table(b)
@@ -293,9 +297,10 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
     a_rows, b_rows = a.rows, (b.rows + ((),) * n)[:n + 1]  # B's rows for t^0..t^n
     degrees = hurwitz_matrix([len(r) - 1 for r in a_rows[::-1]],
                              [len(r) - 1 for r in b_rows[::-1]], k_max)
-    bounds = {2 * k: minor_degree_bound(degrees, 2 * k) for k in range(1, k_max + 1)}
-    top = max(bounds.values())
-    values: dict[int, list[int]] = {j: [] for j in bounds}
+    # Each Delta_2k is swept to ends[2k], one point past its degree bound.
+    ends = {2 * k: minor_degree_bound(degrees, 2 * k) + 1 for k in range(1, k_max + 1)}
+    top = max(ends.values())
+    values: dict[int, list[int]] = {j: [] for j in ends}
     for t in range(top + 1):
         x = shift + t
         a_x = [horner(cs, x) for cs in a_rows]
@@ -303,17 +308,24 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
         # B at its formal degree n - 1.
         got = _subresultant_deltas(a_x, b_x[:n], k_max) if prs else None
         if got is None or t in (0, top // 2, top):
-            wanted = [j for j in bounds if t <= bounds[j]]
+            wanted = [j for j in ends if t <= ends[j]]
             ref = leading_minors(hurwitz_matrix(a_x[::-1], b_x[::-1], k_max), wanted)
             if got is not None and any(got[j] != v for j, v in ref.items()):
                 raise IntegrityError(f"leading minors at d = {x} disagree with elimination")
             got = ref
         for j, ys in values.items():
-            if t <= bounds[j]:
+            if t <= ends[j]:
                 ys.append(got[j])
-    # Delta_2k of the integer rows is (den_a den_b)^k times the true one.
-    deltas = [interpolate_steps(ys, (a.den * b.den) ** k)
-              for k, ys in enumerate(values.values(), 1)]
+    deltas = []
+    for k, ys in enumerate(values.values(), 1):
+        # Delta_2k of the integer rows is (den_a den_b)^k times the true one.
+        scale = (a.den * b.den) ** k
+        delta = interpolate_steps(ys[:-1], scale)
+        nums, den = cleared(delta.coeffs)
+        if horner(nums, len(ys) - 1) * scale != ys[-1] * den:
+            raise IntegrityError(f"Delta_{2 * k} interpolated up to d = {shift + len(ys) - 2} "
+                                 f"misses its value at d = {shift + len(ys) - 1}")
+        deltas.append(delta)
     return deltas if symbolic else [v.coeff(0) for v in deltas]
 
 
@@ -330,7 +342,6 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     d' = d - 2(m-1), must have strictly positive coefficients; the finitely
     many small cases d < 2(m-1) are settled by direct Sturm tests.
     """
-    from .seqfactor import gy_poly
     if m < 2:
         raise ValueError("the Hurwitz argument starts at m = 2")
     if family not in ("G", "Y"):
@@ -338,7 +349,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
     seq = "f" if family == "G" else "b"
     subject = f"hurwitz-{family} m={m}"
 
-    sym = gy_poly(seq, m)  # a TDTable: polynomial in t, integer rows in d
+    sym = seqfactor.gy_poly(seq, m)  # a TDTable: polynomial in t, integer rows in d
     # Evaluated at d = 2(m-1) + j, so every Delta_2k comes out in d'.
     deltas = hurwitz_deltas(sym, sym.derivative(), 2 * (m - 1), 2 * (m - 1))
     expansions = []
@@ -346,13 +357,13 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         for idx, c in enumerate(shifted.coeffs):
             if not c > 0:
                 return judge(subject, "hurwitz", {
-                    "k": k, "coefficient_index": idx, "value": str(c),
-                    "delta_in_dprime": [str(x) for x in shifted.coeffs]})
-        expansions.append([str(c) for c in shifted.coeffs])
+                    "k": k, "coefficient_index": idx, "value": exact_str(c),
+                    "delta_in_dprime": [exact_str(x) for x in shifted.coeffs]})
+        expansions.append([exact_str(c) for c in shifted.coeffs])
 
     small_cases = []
     for d in range(1, 2 * (m - 1)):
-        g = gy_poly(seq, m, d)
+        g = seqfactor.gy_poly(seq, m, d)
         if g.degree < 1:
             small_cases.append({"d": d, "degree": g.degree, "real_rooted": True})
             continue
@@ -361,7 +372,7 @@ def hurwitz_positivity_symbolic(family: str, m: int) -> Certificate:
         small_cases.append({"d": d, "degree": g.degree, "real_rooted": ok})
         if not ok:
             return judge(subject, "hurwitz", {
-                "small_case_d": d, "coeffs": [str(c) for c in g.coeffs]})
+                "small_case_d": d, "coeffs": [exact_str(c) for c in g.coeffs]})
     return judge(subject, "hurwitz", None, {
         "delta_coeffs_in_dprime": expansions, "small_cases": small_cases})
 
@@ -386,7 +397,7 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
         return judge(subject, "nseq", None, {"degree": 0})
     if p.coeff(0) == 0:
         return judge(subject, "nseq", {
-            "reason": "zero root", "coeffs": [str(c) for c in p.coeffs]})
+            "reason": "zero root", "coeffs": [exact_str(c) for c in p.coeffs]})
     # p(0) != 0, so one census counts both half-lines.
     distinct, (neg, pos), _ = _census(p, 0)
     if neg == distinct or pos == distinct:
@@ -395,4 +406,4 @@ def n_sequence_test(gamma: list[Fraction], d: int, subject: str | None = None) -
             "sign": "negative" if neg == distinct else "positive"})
     return judge(subject, "nseq", {
         "degree": p.degree, "negative": neg, "positive": pos,
-        "distinct": distinct, "coeffs": [str(c) for c in p.coeffs]})
+        "distinct": distinct, "coeffs": [exact_str(c) for c in p.coeffs]})

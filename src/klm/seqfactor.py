@@ -23,10 +23,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
+from . import klcoeff, zcoeff
 from .arith import IntegrityError, binomial, falling_factorial, stirling2
 from .certificate import Certificate, grid_certificate
-from .polyring import Poly, TDTable, horner, times_linear
-# klcoeff and zcoeff are imported where they are used: certify hurwitz-G/Y needs neither.
+from .polyring import Poly, TDTable, exact_str, horner, times_linear
 
 FAMILIES = ("f", "b")
 
@@ -165,8 +165,7 @@ def base_real_rooted_polys(m: int, d: int) -> tuple[Poly, Poly, Poly]:
 
 def fibonacci_truncation(d: int) -> Poly:
     """sum_i binom(d-i-1, i) t^i, the ascending companion of F_d."""
-    from .klcoeff import max_index
-    return Poly(tuple(Fraction(binomial(d - i - 1, i)) for i in range(max_index(d) + 1)))
+    return Poly(tuple(Fraction(binomial(d - i - 1, i)) for i in range(klcoeff.max_index(d) + 1)))
 
 
 def fibonacci_poly(d: int) -> Poly:
@@ -181,10 +180,8 @@ def fibonacci_poly(d: int) -> Poly:
 
 def kl_reformulation_check(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """Check the f/b reformulations of the KL, then the Z, coefficients of each (m, d)."""
-    from .klcoeff import max_index
-    from .zcoeff import grid_cells
-    cells = [(side, m, d, i) for m, d in grid_cells(m_max, d_max)
-             for side, top in (("kl", max_index(d)), ("z", d)) for i in range(top + 1)]
+    cells = [(side, m, d, i) for m, d in zcoeff.grid_cells(m_max, d_max)
+             for side, top in (("kl", klcoeff.max_index(d)), ("z", d)) for i in range(top + 1)]
     return grid_certificate(f"reformulation m<={m_max} d<={d_max}",
                             check_reformulation_at, cells, jobs)
 
@@ -199,16 +196,15 @@ def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
     form is ``seq_sum``'s b_m(d,i) times binomials, so it would test only a
     binomial identity.
     """
-    from .klcoeff import kl_coefficient
-    from .zcoeff import z_coefficient
     if side == "kl":
-        lhs, choose, family = kl_coefficient(m, d, i), binomial(d - i - 1, i), "f"
+        lhs, choose, family = klcoeff.kl_coefficient(m, d, i), binomial(d - i - 1, i), "f"
     else:
-        lhs, choose, family = z_coefficient(m, d, i, "from_kl"), binomial(d, i), "b"
+        lhs, choose, family = zcoeff.z_coefficient(m, d, i, "from_kl"), binomial(d, i), "b"
     lhs *= binomial(d + 2 * m, m)
     rhs = binomial(d + 2 * m, i + m) * choose * seq_value(family, m, d, i)
     if lhs != rhs:
-        return {"side": side, "m": m, "d": d, "i": i, "lhs": str(lhs), "rhs": str(rhs)}
+        return {"side": side, "m": m, "d": d, "i": i, "lhs": exact_str(lhs),
+                "rhs": exact_str(rhs)}
     return None
 
 
@@ -219,9 +215,9 @@ def diagonal_value(m: int, d: int) -> Fraction:
 
 def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
-    from .zcoeff import grid_cells
     return grid_certificate(f"diagonal-identities m<={m_max} d<={d_max}", check_diagonal_at,
-                            grid_cells(m_max, d_max), jobs, {"m_max": m_max, "d_max": d_max})
+                            zcoeff.grid_cells(m_max, d_max), jobs,
+                            {"m_max": m_max, "d_max": d_max})
 
 
 def check_diagonal_at(m: int, d: int) -> dict | None:
@@ -230,5 +226,6 @@ def check_diagonal_at(m: int, d: int) -> dict | None:
     got = diagonal_value(m, d)
     at_one = sum(gy_poly("f", m, d).coeffs)
     if got != want or at_one != want:
-        return {"m": m, "d": d, "f_diagonal": str(got), "G_at_1": str(at_one), "binomial": want}
+        return {"m": m, "d": d, "f_diagonal": exact_str(got), "G_at_1": exact_str(at_one),
+                "binomial": want}
     return None

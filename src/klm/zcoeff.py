@@ -18,7 +18,7 @@ from math import comb
 from .arith import IntegrityError, as_integer, binomial
 from .certificate import Certificate, grid_certificate
 from .klcoeff import kl_poly
-from .polyring import ONE, Poly, X, expand_binomial_affine
+from .polyring import ONE, Poly, X, exact_str, expand_binomial_affine
 from .seqfactor import seq_sum
 
 
@@ -130,16 +130,16 @@ def compare_routes_at(m: int, d: int) -> dict | None:
     z = z_from_kl(m, d)
     if z.coeff(0) != 1 or z.coeff(d) != 1:
         return {"m": m, "d": d, "reason": "boundary z^0 = z^d = 1 violated",
-                "z0": str(z.coeff(0)), "zd": str(z.coeff(d))}
+                "z0": exact_str(z.coeff(0)), "zd": exact_str(z.coeff(d))}
     for i in range(d + 1):
         ref = z.coeff(i)
         if ref.denominator != 1 or ref <= 0:
             return {"m": m, "d": d, "i": i, "reason": "not a positive integer",
-                    "value": str(ref)}
+                    "value": exact_str(ref)}
         values = {route: formula(m, d, i) for route, formula in ROUTES.items()}
         if any(val != ref for val in values.values()):
             return {"m": m, "d": d, "i": i,
-                    **{route: str(val) for route, val in values.items()}}
+                    **{route: exact_str(val) for route, val in values.items()}}
     return None
 
 
@@ -226,12 +226,12 @@ def check_narayana_at(d: int, enumerate_paths: bool) -> dict | None:
     for i in range(d + 1):
         want = narayana_ratio(d, i)
         if z.coeff(i) != want:
-            return {"d": d, "i": i, "z": str(z.coeff(i)), "narayana_ratio": want}
+            return {"d": d, "i": i, "z": exact_str(z.coeff(i)), "narayana_ratio": want}
     if enumerate_paths:
         # Z_{U_{1,d}} coefficient i is the count of Dyck paths of
         # semilength d+1 with i+1 peaks.
         counts = dyck_peak_counts(d + 1)
         for i in range(d + 1):
             if z.coeff(i) != counts[i]:
-                return {"d": d, "i": i, "z": str(z.coeff(i)), "dyck_peak_count": counts[i]}
+                return {"d": d, "i": i, "z": exact_str(z.coeff(i)), "dyck_peak_count": counts[i]}
     return None

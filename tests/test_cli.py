@@ -269,6 +269,20 @@ def test_a_coefficient_past_4300_digits_prints_exactly(tmp_path, monkeypatch, ca
     assert json.loads(capsys.readouterr().out)["coeffs"] == ["1", digits]
 
 
+def test_a_counterexample_past_4300_digits_fails_with_its_exact_witness(tmp_path, monkeypatch,
+                                                                        capsys):
+    # 1 + c t^2 has two non-real zeros; the witness's str() of c once made the
+    # failing certificate exit 3 as an internal error.
+    digits = "1" + "0" * 4998 + "7"
+    monkeypatch.setattr(klcoeff, "kl_poly", lambda m, d: Poly((1, 0, 10 ** 4999 + 7)))
+    argv = ["certify", "kl-roots", "--m", "2", "--d", "3", "--json",
+            "--cache", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "fail"
+    assert cert["witness"]["coeffs"] == ["1", "0", digits]
+
+
 def test_a_route_value_past_4300_digits_writes_its_csv_cell_exactly(tmp_path, monkeypatch,
                                                                     capsys):
     # The second run is a cache hit, so only its CSV reads the patched route;
@@ -679,15 +693,30 @@ def _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env):
         assert len(cache.read_text().splitlines()) == 1
 
 
+# Every module of the package but the CLI; `import klm` registers each one
+# unexecuted.
+ENGINE_LAYERS = tuple(sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                             if p.stem not in ("__init__", "cli")))
+
+
 def test_import_klm_is_lazy(cli_env):
-    script = ("import sys, klm\n"
-              "print(sorted(n for n in sys.modules if n.startswith('klm.')))\n"
-              "print(klm.kl_poly(2, 3) == klm.Poly((1, 5)), klm.__all__)\n")
+    # `import klm` registers every engine module unexecuted; resolving kl_poly
+    # executes klcoeff and what it imports, and no module that needs klcoeff.
+    script = ("import json, sys, types, klm\n"
+              "def klm_modules():\n"
+              "    return {n[4:]: type(m) is types.ModuleType for n, m in sys.modules.items()\n"
+              "            if n.startswith('klm.')}\n"
+              "print(json.dumps(klm_modules()))\n"
+              "print(klm.kl_poly(2, 3) == klm.Poly((1, 5)), klm.__all__)\n"
+              "print(json.dumps(klm_modules()))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=cli_env)
     assert proc.returncode == 0, proc.stderr
-    loaded, resolved = proc.stdout.splitlines()
-    assert loaded == "[]"
+    registered, resolved, after = proc.stdout.splitlines()
+    assert json.loads(registered) == dict.fromkeys(ENGINE_LAYERS, False)
+    executed = {n for n, done in json.loads(after).items() if done}
+    assert "klcoeff" in executed
+    assert not {"hooklen", "oracle", "seqfactor", "realroot"} & executed
     assert resolved == ("True ['Certificate', 'IntegrityError', 'Poly', 'kl_coefficient', "
                         "'kl_poly', 'render', 'z_coefficient', 'z_from_kl', 'z_poly', "
                         "'__version__']")
@@ -696,12 +725,6 @@ def test_import_klm_is_lazy(cli_env):
     assert set(klm.__all__) <= set(dir(klm))
     with pytest.raises(AttributeError):
         klm.no_such_name
-
-
-# Every module of the package but the CLI; `import klm.cli` registers each one
-# unexecuted.
-ENGINE_LAYERS = tuple(sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
-                             if p.stem not in ("__init__", "cli")))
 
 
 def test_import_klm_cli_loads_every_traced_layer(cli_env):

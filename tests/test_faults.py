@@ -1,5 +1,6 @@
 """Planted faults: an off-by-one in any one coefficient route, oracle or
-certified subject must make some verify suite or certify target fail.
+certified subject, or in any one exact kernel beneath the certificates, must
+make some verify suite or certify target fail.
 
 The product is the agreement of independent derivations, so this keeps that
 independence measurable: a change that merged two routes, or stopped a
@@ -18,7 +19,8 @@ MEMOS = {id(f): f for module in ENGINE for f in vars(module).values()
 
 COMMANDS = ([["verify", suite, "--m-max", "4", "--d-max", "8"] for suite in cli.VERIFY_SUITES]
             + [["certify", target, "--m", "2..4", "--d", "1..8"]
-               for target in ("kl-roots", "z-roots", "dseq-f", "dseq-b")])
+               for target in ("kl-roots", "z-roots", "dseq-f", "dseq-b")]
+            + [["certify", target, "--m", "2..5"] for target in ("hurwitz-G", "hurwitz-Y")])
 
 # The planted cell: inside every command's grid, and an interior KL index.
 M, D, I = 3, 5, 1
@@ -57,6 +59,74 @@ def _plus_one_in_b_sum(real):
     return faulty
 
 
+# Kernel plants: each changes one exact kernel on inputs of one shape only.
+
+
+def _interpolation_plus_one(real):
+    """real(ys, den), plus 1 on the constant when interpolated from more than 8 values."""
+    def faulty(ys, den):
+        p = real(ys, den)
+        return p + 1 if len(ys) > 8 else p
+    return faulty
+
+
+def _plus_one_at_seven(real):
+    """real(cs, x), plus 1 at x = 7."""
+    def faulty(cs, x):
+        return real(cs, x) + (1 if x == 7 else 0)
+    return faulty
+
+
+def _constant_plus_one_at_length_twelve(real):
+    """real(p, c, a), plus 1 on the constant of each 12-entry result."""
+    def faulty(p, c, a=1):
+        out = real(p, c, a)
+        return [out[0] + 1, *out[1:]] if len(out) == 12 else out
+    return faulty
+
+
+def _largest_order_plus_one(real):
+    """real(...) as {order: minor}, plus 1 on the largest order's minor."""
+    def faulty(*args):
+        out = real(*args)
+        if out:
+            out[max(out)] += 1
+        return out
+    return faulty
+
+
+def _negated_at_length_four(real):
+    """real(cs), negated when it has 4 entries."""
+    def faulty(cs):
+        out = real(cs)
+        return [-c for c in out] if len(out) == 4 else out
+    return faulty
+
+
+def _first_numerator_plus_one_at_length_seven(real):
+    """real(coeffs) as (numerators, denominator), plus 1 on the first of 7 numerators."""
+    def faulty(coeffs):
+        nums, den = real(coeffs)
+        return ([nums[0] + 1, *nums[1:]] if len(nums) == 7 else nums), den
+    return faulty
+
+
+def _remainder_plus_one_at_degree_five(real):
+    """real(a, b), plus 1 on the remainder's constant when a has degree 5."""
+    def faulty(a, b):
+        r = real(a, b)
+        return ([r[0] + 1, *r[1:]] if r else [1]) if len(a) == 6 else r
+    return faulty
+
+
+def _sign_flipped_at_zero_on_degree_five(real):
+    """real(p, x), negated at x = 0 when p has degree 5."""
+    def faulty(p, x):
+        s = real(p, x)
+        return -s if x == 0 and p.degree == 5 else s
+    return faulty
+
+
 PLANTS = {
     "c_recursive": (klcoeff, _plus_one_at_cell),
     "c_hook_form": (klcoeff, _plus_one_at_cell),
@@ -71,6 +141,15 @@ PLANTS = {
     "kl_poly": (klcoeff, _plus_one_in_poly),
     "seq_value": (seqfactor, _plus_one_in_sequence),
     "seq_sum": (seqfactor, _plus_one_in_b_sum),
+    "interpolate_steps": (polyring, _interpolation_plus_one),
+    "horner": (polyring, _plus_one_at_seven),
+    "times_linear": (polyring, _constant_plus_one_at_length_twelve),
+    "leading_minors": (polyring, _largest_order_plus_one),
+    "primitive": (polyring, _negated_at_length_four),
+    "cleared": (polyring, _first_numerator_plus_one_at_length_seven),
+    "_pseudo_rem": (realroot, _remainder_plus_one_at_degree_five),
+    "_sign_at": (realroot, _sign_flipped_at_zero_on_degree_five),
+    "_subresultant_deltas": (realroot, _largest_order_plus_one),
 }
 
 # A sum that two routes read is caught by the commands of both.

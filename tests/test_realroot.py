@@ -233,8 +233,9 @@ def with_derivative(a: Poly) -> tuple[TDTable, TDTable]:
     # (t - d + 4)(t + 1)(t + 5) has a double zero at d = 3 only.
     (*with_derivative(T(4 - X, 1) * T(1, 1) * T(5, 1)), [3]),
     # (t - d + 3)^2 (t + 1) has a double zero at every d (a triple one at
-    # d = 2), so the PRS ends early and every point falls back.
-    (*with_derivative(T(3 - X, 1) ** 2 * T(1, 1)), list(range(10))),
+    # d = 2), so the PRS ends early and every point falls back, the check
+    # point one past the largest degree bound included.
+    (*with_derivative(T(3 - X, 1) ** 2 * T(1, 1)), list(range(11))),
 ], ids=["lc-vanishes", "double-zero-at-one-d", "double-zero-at-every-d"])
 def test_symbolic_hurwitz_deltas_fall_back_to_the_elimination(a, b, fallbacks, monkeypatch):
     calls = prs_fallback_points(monkeypatch)
@@ -246,14 +247,18 @@ def test_symbolic_hurwitz_deltas_fall_back_to_the_elimination(a, b, fallbacks, m
                    for k in range(1, a.degree + 1)]
 
 
-@pytest.mark.parametrize("a, shift, t", [
-    # Delta_4 of G_2 has degree 8 in d', so the sweep runs over d' = 0..8.
-    *((gy_poly("f", 2), 2, t) for t in (0, 4, 8)),
-    # A numeric polynomial's sweep has one point, where the PRS gives the
+@pytest.mark.parametrize("a, shift, t, message", [
+    # Delta_4 of G_2 has degree 8 in d', so the sweep runs over d' = 0..9,
+    # one point past its degree bound.
+    *((gy_poly("f", 2), 2, t, f"leading minors at d = {2 + t} disagree") for t in (0, 4, 9)),
+    # A numeric polynomial's sweep has two points, where the PRS gives the
     # determinants and the elimination checks them.
-    (P(2, -3, 1), 0, 0),
-], ids=["first", "middle", "last", "numeric"])
-def test_a_wrong_prs_value_trips_the_spot_check(a, shift, t, monkeypatch):
+    (P(2, -3, 1), 0, 0, "leading minors at d = 0 disagree"),
+    # No elimination recomputes d' = 7, but Delta_4, interpolated from
+    # d' = 0..8, then misses its value at d' = 9.
+    (gy_poly("f", 2), 2, 7, "Delta_4 interpolated up to d = 10 misses its value at d = 11"),
+], ids=["first", "middle", "last", "numeric", "between"])
+def test_a_wrong_prs_value_trips_the_spot_check(a, shift, t, message, monkeypatch):
     calls = []
     prs = realroot._subresultant_deltas
 
@@ -262,7 +267,7 @@ def test_a_wrong_prs_value_trips_the_spot_check(a, shift, t, monkeypatch):
         calls.append(None)
         return {**out, 4: out[4] + 1} if len(calls) == t + 1 else out
     monkeypatch.setattr(realroot, "_subresultant_deltas", tampered)
-    with pytest.raises(IntegrityError, match=f"leading minors at d = {shift + t} disagree"):
+    with pytest.raises(IntegrityError, match=message):
         hurwitz_deltas(a, a.derivative(), 2, shift)
 
 
