@@ -42,14 +42,9 @@ from . import (certificate, hooklen, klcoeff, oracle, polyring, realroot, seqfac
 ENGINE_VERSION = "klm-0.3.0"
 DEFAULT_CACHE = ".klm-cache.jsonl"
 
-COMPUTE_KINDS = ("kl", "z", "char", "G", "Y", "Q", "R")
 # The keys of klcoeff.ROUTES, spelled out because reading them there would
 # execute klcoeff before the cache lookup.
 KL_ROUTES = ("recursive", "hook", "alternating", "positive")
-VERIFY_SUITES = ("formulas", "z-formulas", "hooks", "oracle", "identities",
-                 "narayana", "reform")
-CERTIFY_TARGETS = ("kl-roots", "z-roots", "dseq-f", "dseq-b",
-                   "hurwitz-G", "hurwitz-Y")
 
 
 class UsageError(Exception):
@@ -125,13 +120,18 @@ def cache_lookup(path, key: str) -> dict | None:
     Only a line that contains the key is parsed.  A torn, hand-edited or
     too deeply nested line, or a record without an ASCII text payload and an
     exit code of 0 or 1, is never one that klm wrote, so it is passed over
-    rather than failing every later command.
+    rather than failing every later command.  A path that cannot be opened
+    is a usage error; it opens without blocking, so a FIFO reads as empty
+    and is refused when the miss checks that it can be written.
     """
     needle = key.encode()
     try:
-        fh = open(path, "rb")
+        fh = open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb")
     except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise UsageError(f"cache path {path!r} cannot be read: "
+                         f"{exc.strerror or exc}") from None
     with fh:
         for line in fh:
             if needle not in line:
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default $KLM_CACHE or .klm-cache.jsonl)")
 
     pc = sub.add_parser("compute", help="compute one polynomial")
-    pc.add_argument("kind", choices=COMPUTE_KINDS)
+    pc.add_argument("kind", choices=COMPUTE)
     pc.add_argument("--m", type=int, required=True)
     pc.add_argument("--d", type=int, default=None)
     pc.add_argument("--route", default=_DefaultRoute("positive"), choices=KL_ROUTES)
@@ -224,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
 
     pv = sub.add_parser("verify", help="run a cross-check grid")
-    pv.add_argument("suite", choices=VERIFY_SUITES)
+    pv.add_argument("suite", choices=VERIFY)
     pv.add_argument("--m-max", type=positive_int, default=4, dest="m_max")
     pv.add_argument("--d-max", type=positive_int, default=10, dest="d_max")
     pv.add_argument("--csv", default=None, help="write per-route CSV rows here")
     common(pv)
 
     pz = sub.add_parser("certify", help="emit certificates for a target family")
-    pz.add_argument("target", choices=CERTIFY_TARGETS)
+    pz.add_argument("target", choices=CERTIFY)
     pz.add_argument("--m", required=True, help="m or lo..hi")
     pz.add_argument("--d", default=None, help="d or lo..hi")
     common(pz)
@@ -313,44 +313,29 @@ def check_args(args) -> None:
         raise UsageError(f"{'gy' if kind in ('G', 'Y') else 'qr'}_poly requires d >= 1, got {d}")
 
 
-# -- certify cells ---------------------------------------------------------------
-
-
-def _cell_kl_root(m, d):
-    return realroot.all_zeros_real_negative(klcoeff.kl_poly(m, d), f"kl-roots m={m} d={d}")
-
-
-def _cell_z_root(m, d):
-    return realroot.all_zeros_real_negative(zcoeff.z_from_kl(m, d), f"z-roots m={m} d={d}")
-
-
-def _cell_dseq(family, m, d):
-    gamma = [seqfactor.seq_value(family, m, d, i) for i in range(d + 1)]
-    return realroot.n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
-
-
 # -- compute ---------------------------------------------------------------------
 
+# Each table below maps a subcommand's choices, in their --help order, to
+# functions that read the engine only when called, so building the tables
+# executes no engine module.
 
-def compute_poly(kind: str, m: int, d: int | None,
-                 route: str) -> polyring.Poly | polyring.TDTable:
-    """The polynomial of kind at (m, d); d is None for a symbolic d (G and Y, a TDTable)."""
-    if kind == "kl":
-        return klcoeff.kl_poly(m, d, route)
-    if kind == "z":
-        return zcoeff.z_from_kl(m, d)
-    if kind == "char":
-        return oracle.char_poly(m, d)
-    family = "f" if kind in ("G", "Q") else "b"
-    if kind in ("G", "Y"):
-        return seqfactor.gy_poly(family, m, d)
-    return seqfactor.qr_poly(family, m, d)
+# Kind -> its polynomial at (m, d, route); d is None for a symbolic d (G and
+# Y, a TDTable), and route applies to kl alone.
+COMPUTE = {
+    "kl": lambda m, d, route: klcoeff.kl_poly(m, d, route),
+    "z": lambda m, d, route: zcoeff.z_from_kl(m, d),
+    "char": lambda m, d, route: oracle.char_poly(m, d),
+    "G": lambda m, d, route: seqfactor.gy_poly("f", m, d),
+    "Y": lambda m, d, route: seqfactor.gy_poly("b", m, d),
+    "Q": lambda m, d, route: seqfactor.qr_poly("f", m, d),
+    "R": lambda m, d, route: seqfactor.qr_poly("b", m, d),
+}
 
 
 def produce_compute(args) -> tuple[str, int]:
     """The polynomial as text, or as JSON with one string per coefficient of
     t^k (rendered in d for a symbolic d)."""
-    p = compute_poly(args.kind, args.m, args.d, args.route)
+    p = COMPUTE[args.kind](args.m, args.d, args.route)
     if not args.json:
         return polyring.render(p) + "\n", 0
     coeffs = ([polyring.exact_str(c) for c in p.coeffs] if args.d is not None
@@ -361,26 +346,24 @@ def produce_compute(args) -> tuple[str, int]:
 # -- verify ----------------------------------------------------------------------
 
 
+# Suite -> its certificates at (m_max, d_max, jobs).
+VERIFY = {
+    "formulas": lambda m, d, jobs: [klcoeff.verify_four_routes(m, d, jobs)],
+    "z-formulas": lambda m, d, jobs: [zcoeff.verify_three_routes(m, d, jobs)],
+    "hooks": lambda m, d, jobs: [hooklen.verify_hook_factorizations(m, d, jobs),
+                                 hooklen.verify_equivariant_sum(m, d, jobs)],
+    "oracle": lambda m, d, jobs: [oracle.verify_oracle_agreement(m + d, jobs),
+                                  oracle.restriction_contraction_audit(min(10, m + d), jobs)],
+    "identities": lambda m, d, jobs: [klcoeff.verify_proof_identities(m, d, jobs),
+                                      seqfactor.verify_diagonal_identities(m, d, jobs)],
+    "narayana": lambda m, d, jobs: [zcoeff.narayana_check(d, jobs=jobs)],
+    "reform": lambda m, d, jobs: [seqfactor.kl_reformulation_check(m, d, jobs)],
+}
+
+
 def run_verify(suite: str, m_max: int, d_max: int, jobs: int) -> list[certificate.Certificate]:
     """The certificates of suite's grids."""
-    if suite == "formulas":
-        return [klcoeff.verify_four_routes(m_max, d_max, jobs)]
-    if suite == "z-formulas":
-        return [zcoeff.verify_three_routes(m_max, d_max, jobs)]
-    if suite == "hooks":
-        return [hooklen.verify_hook_factorizations(m_max, d_max, jobs),
-                hooklen.verify_equivariant_sum(m_max, d_max, jobs)]
-    if suite == "oracle":
-        return [oracle.verify_oracle_agreement(m_max + d_max, jobs),
-                oracle.restriction_contraction_audit(min(10, m_max + d_max), jobs)]
-    if suite == "identities":
-        return [klcoeff.verify_proof_identities(m_max, d_max, jobs),
-                seqfactor.verify_diagonal_identities(m_max, d_max, jobs)]
-    if suite == "narayana":
-        return [zcoeff.narayana_check(d_max, jobs=jobs)]
-    if suite == "reform":
-        return [seqfactor.kl_reformulation_check(m_max, d_max, jobs)]
-    raise UsageError(f"unknown verify suite {suite!r}")
+    return VERIFY[suite](m_max, d_max, jobs)
 
 
 def _format_certs(certs: list[certificate.Certificate], as_json: bool) -> tuple[str, int]:
@@ -421,21 +404,33 @@ def produce_verify(args) -> tuple[str, int]:
 # -- certify ---------------------------------------------------------------------
 
 
+def _cell_roots(kind, m, d):
+    """The real-root certificate of the polynomial that ``compute kind`` prints."""
+    return realroot.all_zeros_real_negative(COMPUTE[kind](m, d, "positive"),
+                                            f"{kind}-roots m={m} d={d}")
+
+
+def _cell_dseq(family, m, d):
+    gamma = [seqfactor.seq_value(family, m, d, i) for i in range(d + 1)]
+    return realroot.n_sequence_test(gamma, d, f"dseq-{family} m={m} d={d}")
+
+
+# Target -> its module-level cell worker, which a --jobs pool pickles by name,
+# and its cells over the --m and --d ranges (ms, ds), in grid order.
+CERTIFY = {
+    "kl-roots": lambda ms, ds: (_cell_roots, [("kl", m, d) for m in ms for d in ds]),
+    "z-roots": lambda ms, ds: (_cell_roots, [("z", m, d) for m in ms for d in ds]),
+    "dseq-f": lambda ms, ds: (_cell_dseq, [("f", m, d) for m in ms for d in ds]),
+    "dseq-b": lambda ms, ds: (_cell_dseq, [("b", m, d) for m in ms for d in ds]),
+    "hurwitz-G": lambda ms, ds: (realroot.hurwitz_positivity_symbolic, [("G", m) for m in ms]),
+    "hurwitz-Y": lambda ms, ds: (realroot.hurwitz_positivity_symbolic, [("Y", m) for m in ms]),
+}
+
+
 def run_certify(target: str, ms: list[int], ds: list[int],
                 jobs: int) -> list[certificate.Certificate]:
     """The certificates of target's grid, in grid order."""
-    if target == "kl-roots":
-        return certificate.map_cells(_cell_kl_root, [(m, d) for m in ms for d in ds], jobs)
-    if target == "z-roots":
-        return certificate.map_cells(_cell_z_root, [(m, d) for m in ms for d in ds], jobs)
-    if target in ("dseq-f", "dseq-b"):
-        family = target[-1]
-        return certificate.map_cells(_cell_dseq, [(family, m, d) for m in ms for d in ds], jobs)
-    if target in ("hurwitz-G", "hurwitz-Y"):
-        family = target[-1]
-        return certificate.map_cells(realroot.hurwitz_positivity_symbolic,
-                                     [(family, m) for m in ms], jobs)
-    raise UsageError(f"unknown certify target {target!r}")
+    return certificate.map_cells(*CERTIFY[target](ms, ds), jobs)
 
 
 def produce_certify(args) -> tuple[str, int]:

@@ -116,7 +116,8 @@ def test_verify_csv_export(tmp_path, run_cli):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_failing_text_certify_line_carries_its_witness(jobs, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(klcoeff, "kl_poly", lambda m, d: Poly((Fraction(1), Fraction(-1))))
+    monkeypatch.setattr(klcoeff, "kl_poly",
+                        lambda m, d, route="positive": Poly((Fraction(1), Fraction(-1))))
     argv = ["certify", "kl-roots", "--m", "2", "--d", "3..4", "--jobs", jobs,
             "--cache", str(tmp_path / "c.jsonl")]
     assert main(argv) == 1
@@ -169,6 +170,21 @@ def test_route_choices_are_the_engine_routes():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     route = next(a for a in commands.choices["compute"]._actions if a.dest == "route")
     assert tuple(route.choices) == cli.KL_ROUTES == tuple(klcoeff.ROUTES)
+
+
+@pytest.mark.parametrize("command, dest, table, names", [
+    ("compute", "kind", cli.COMPUTE, ("kl", "z", "char", "G", "Y", "Q", "R")),
+    ("verify", "suite", cli.VERIFY, ("formulas", "z-formulas", "hooks", "oracle",
+                                     "identities", "narayana", "reform")),
+    ("certify", "target", cli.CERTIFY, ("kl-roots", "z-roots", "dseq-f", "dseq-b",
+                                        "hurwitz-G", "hurwitz-Y")),
+], ids=["compute", "verify", "certify"])
+def test_each_commands_choices_are_its_tables_keys(command, dest, table, names):
+    """argparse offers each command's table keys, in the order --help lists them."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in commands.choices[command]._actions if a.dest == dest)
+    assert tuple(action.choices) == tuple(table) == names
 
 
 def test_verify_empty_grid_is_a_usage_error(tmp_path, run_cli):
@@ -274,7 +290,8 @@ def test_a_counterexample_past_4300_digits_fails_with_its_exact_witness(tmp_path
     # 1 + c t^2 has two non-real zeros; the witness's str() of c once made the
     # failing certificate exit 3 as an internal error.
     digits = "1" + "0" * 4998 + "7"
-    monkeypatch.setattr(klcoeff, "kl_poly", lambda m, d: Poly((1, 0, 10 ** 4999 + 7)))
+    monkeypatch.setattr(klcoeff, "kl_poly",
+                        lambda m, d, route="positive": Poly((1, 0, 10 ** 4999 + 7)))
     argv = ["certify", "kl-roots", "--m", "2", "--d", "3", "--json",
             "--cache", str(tmp_path / "c.jsonl")]
     assert main(argv) == 1
@@ -405,10 +422,11 @@ ENTRIES = {
 FRONT = {"module": set(), "console": {"klm.cli"}}
 
 
-def _launch(entry, argv, tmp_path, cli_env,
-            env_cache=None) -> tuple[subprocess.CompletedProcess, set[str]]:
+def _launch(entry, argv, tmp_path, cli_env, env_cache=None,
+            timeout=None) -> tuple[subprocess.CompletedProcess, set[str]]:
     """The CLI started through entry on argv in tmp_path, with $KLM_CACHE
-    env_cache or else a fresh cache there, and the modules it executed.
+    env_cache or else a fresh cache there, and the modules it executed; a
+    launch that outlives timeout seconds fails the test.
 
     The report reads sys.modules: an engine module registered by
     LazyLoader is a plain module once it has executed, and its execution
@@ -421,13 +439,14 @@ def _launch(entry, argv, tmp_path, cli_env,
     env = dict(cli_env, KLM_CACHE=str(tmp_path / "cache.jsonl") if env_cache is None
                else env_cache)
     proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=timeout)
     return proc, set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-def _launches(argv, tmp_path, cli_env, env_cache=None):
+def _launches(argv, tmp_path, cli_env, env_cache=None, timeout=None):
     """_launch(entry, ...) under each entry in turn."""
-    return [_launch(entry, argv, tmp_path, cli_env, env_cache) for entry in ENTRIES]
+    return [_launch(entry, argv, tmp_path, cli_env, env_cache, timeout) for entry in ENTRIES]
 
 
 def _assert_a_hit_executes_no_engine_module(entry, tmp_path, cli_env):
@@ -540,6 +559,46 @@ def test_a_cache_that_cannot_be_written_is_a_usage_error(tmp_path, cli_env):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "usage error: cache path '/proc/version' cannot be written" in proc.stderr
         assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
+
+
+def test_a_fifo_cache_is_a_usage_error_not_a_hang(tmp_path, cli_env):
+    # The lookup's blocking open once waited forever for a writer.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for proc, executed in _launches(["compute", "kl", "--m", "2", "--d", "3",
+                                     "--cache", str(fifo)], tmp_path, cli_env, timeout=10):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: cache path {str(fifo)!r} cannot be written" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("symlink-loop", "Too many levels of symbolic links"),
+    ("name-too-long", "File name too long"),
+], ids=["symlink-loop", "name-too-long"])
+def test_a_cache_that_cannot_be_read_is_a_usage_error(case, message, tmp_path, cli_env):
+    # Such a cache once failed the lookup's open as an internal error (exit 3).
+    if case == "symlink-loop":
+        path = tmp_path / "a"
+        path.symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+    else:
+        path = tmp_path / ("c" * 300)
+    made = sorted(tmp_path.iterdir())
+    for proc, executed in _launches(["compute", "kl", "--m", "2", "--d", "3",
+                                     "--cache", str(path)], tmp_path, cli_env, timeout=10):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"usage error: cache path {str(path)!r} cannot be read: {message}" in proc.stderr
+        assert {n for n in executed if n.startswith("klm.")} <= {"klm.cli"}
+    assert sorted(tmp_path.iterdir()) == made
+
+
+def test_dev_null_as_the_cache_runs_and_keeps_nothing(tmp_path, run_cli):
+    code, out, err = run_cli(["compute", "kl", "--m", "2", "--d", "3", "--cache", "/dev/null"],
+                             tmp_path)
+    assert (code, out) == (0, "1 + 5*t\n"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs a procfs file")
@@ -988,15 +1047,15 @@ def fuzz_argv(draw) -> list[str]:
     command = draw(st.sampled_from(["compute", "verify", "certify"]))
     small = st.sampled_from(["1", "2", "3"])
     if command == "compute":
-        kind = draw(st.sampled_from(cli.COMPUTE_KINDS))
+        kind = draw(st.sampled_from(list(cli.COMPUTE)))
         argv = [command, kind, "--m", draw(small)]
         argv += (["--symbolic-d"] if kind in "GY" and draw(st.booleans())
                  else ["--d", draw(small)])
     elif command == "verify":
-        argv = [command, draw(st.sampled_from(cli.VERIFY_SUITES)),
+        argv = [command, draw(st.sampled_from(list(cli.VERIFY))),
                 "--m-max", draw(small), "--d-max", draw(small)]
     else:
-        target = draw(st.sampled_from(cli.CERTIFY_TARGETS))
+        target = draw(st.sampled_from(list(cli.CERTIFY)))
         argv = [command, target, "--m", draw(st.sampled_from(["2", "3", "2..3"]))]
         if not target.startswith("hurwitz"):
             argv += ["--d", draw(st.sampled_from(["1", "3", "1..3"]))]

@@ -17,7 +17,7 @@ ENGINE = (arith, polyring, klcoeff, zcoeff, hooklen, oracle, seqfactor, realroot
 MEMOS = {id(f): f for module in ENGINE for f in vars(module).values()
          if hasattr(f, "cache_clear")}.values()
 
-COMMANDS = ([["verify", suite, "--m-max", "4", "--d-max", "8"] for suite in cli.VERIFY_SUITES]
+COMMANDS = ([["verify", suite, "--m-max", "4", "--d-max", "8"] for suite in cli.VERIFY]
             + [["certify", target, "--m", "2..4", "--d", "1..8"]
                for target in ("kl-roots", "z-roots", "dseq-f", "dseq-b")]
             + [["certify", target, "--m", "2..5"] for target in ("hurwitz-G", "hurwitz-Y")])
