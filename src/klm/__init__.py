@@ -7,11 +7,15 @@ certified real-rooted via Sturm chains and Hurwitz determinants.
 ``import klm`` registers every engine module of ``_ENGINE`` in
 ``sys.modules`` and on this package without executing it (importlib's
 LazyLoader); a module executes on the first access to one of its attributes.
-This is the package's one regime for deferring modules: ``klm.cli`` and the
-engine modules bind their siblings with a module-level ``from . import``,
-which executes nothing, so a CLI cache hit executes no engine module and a
-miss only its command's.  The public names below resolve on first use
-(PEP 562) from the registered module that defines them.
+This is the package's one regime for deferring modules.  ``klm.cli`` binds
+the engine with ``from . import``, which executes nothing; an engine module
+binds a sibling's names (``from .x import f``, which executes x) only when
+every command that executes it calls into x, and otherwise binds the module
+and reads ``x.f`` at call time.  So a CLI cache hit executes no engine
+module, a miss only what its command calls (``compute kl``: ``polyring`` and
+``klcoeff``), and no module executes a sibling that imports it back.  The
+public names below resolve on first use (PEP 562) from the registered module
+that defines them.
 """
 
 import sys
@@ -19,8 +23,8 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-_ENGINE = ("arith", "polyring", "certificate", "klcoeff", "zcoeff", "hooklen", "oracle",
-           "seqfactor", "realroot")
+_ENGINE = ("polyring", "certificate", "klcoeff", "zcoeff", "hooklen", "oracle", "seqfactor",
+           "realroot")
 
 for _layer in _ENGINE:
     _spec = find_spec(f"{__name__}.{_layer}")
@@ -32,7 +36,7 @@ del _layer, _spec, _module
 # Public name -> the engine module that defines it.
 _EXPORTS = {
     "Certificate": "certificate",
-    "IntegrityError": "arith",
+    "IntegrityError": "polyring",
     "Poly": "polyring",
     "kl_coefficient": "klcoeff",
     "kl_poly": "klcoeff",

@@ -257,13 +257,16 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def check_args(args) -> None:
     """Reject an argument that args' command would ignore, a missing --d, an
-    index below what the engine accepts (in the engine's words), and a --csv
-    the command cannot write or that names the run cache (the table would wipe it).
+    index below what the engine accepts (in the engine's words), a grid bound
+    that leaves a verify suite nothing to check, and a --csv the command cannot
+    write or that names the run cache (the table would wipe it).
 
     Runs before the cache is read and before any engine module executes, so an
     exception raised while the command runs is an internal fault.
     """
     if args.command == "verify":
+        if args.suite == "hooks" and args.d_max < 3:
+            raise UsageError(f"the hook grids start at d = 3, got --d-max {args.d_max}")
         if args.csv is not None:
             if args.suite not in ("formulas", "z-formulas"):
                 raise UsageError("--csv is supported for the formulas and z-formulas suites")

@@ -12,10 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .arith import IntegrityError
 from .certificate import Certificate, grid_certificate
 from .klcoeff import c_recursive, grid_cells as kl_grid_cells, hook_summand, max_index
-from .polyring import exact_str
+from .polyring import IntegrityError, exact_str
 
 
 def hook_lengths(parts: tuple[int, ...]) -> list[list[int]]:

@@ -11,7 +11,7 @@ a grid, and its keys are the CLI's route choices and CSV columns.
 Each formula has one copy: the alternating form is (-1)^i binom(d+m, i) times
 the proof sum p_m of ``p_sum``, and ``positive_term`` serves the positive form
 and the proof identities.  The recursion runs in integers; the hook form adds
-integer numerators over the lcm of its denominators (``arith.sum_over_lcm``),
+integer numerators over the lcm of its denominators (``polyring.sum_over_lcm``),
 and p_m and q_m each sum integer numerators over one stated denominator, so
 each builds one Fraction at the end.
 """
@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .arith import IntegrityError, as_integer, binomial, sum_over_lcm
-from .certificate import Certificate, grid_certificate
-from .polyring import Poly, exact_str
+from . import certificate
+from .polyring import IntegrityError, Poly, as_integer, binomial, exact_str, sum_over_lcm
 
 def max_index(d: int) -> int:
     """Largest coefficient index of P_{U_{m,d}}: floor((d-1)/2)."""
@@ -182,15 +181,16 @@ def f_normalized_hook(m: int, d: int, i: int) -> Fraction:
     return c_hook_form(m, d, i, extended_bound=True) / binomial(d + m, i)
 
 
-def verify_proof_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+def verify_proof_identities(m_max: int, d_max: int, jobs: int = 1) -> certificate.Certificate:
     """Exhaustively check the hypergeometric identities behind the closed forms.
 
     A pass counts the checks: m_max per (d, i), plus 2(m_max - 1) when i >= 1.
     """
     cells = [(m_max, d, i) for d in range(1, d_max + 1) for i in range(max_index(d) + 1)]
     checked = sum(m_max + (2 * (m_max - 1) if i >= 1 else 0) for _, _, i in cells)
-    return grid_certificate(f"proof-identities m<={m_max} d<={d_max}",
-                            check_proof_identities_at, cells, jobs, {"checked": checked})
+    return certificate.grid_certificate(f"proof-identities m<={m_max} d<={d_max}",
+                                        check_proof_identities_at, cells, jobs,
+                                        {"checked": checked})
 
 
 def check_proof_identities_at(m_max: int, d: int, i: int) -> dict | None:
@@ -229,7 +229,7 @@ def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int, int]]:
             for d in range(1, d_max + 1) for i in range(max_index(d) + 1)]
 
 
-def verify_four_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+def verify_four_routes(m_max: int, d_max: int, jobs: int = 1) -> certificate.Certificate:
     """Grid agreement of all four routes, including both hook-form bounds.
 
     Runs ``compare_routes_at`` on every cell of ``grid_cells(m_max, d_max)``,
@@ -237,8 +237,8 @@ def verify_four_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     number of coefficients}, or fails with the first disagreeing cell in
     grid order.
     """
-    return grid_certificate(f"four-route-agreement m<={m_max} d<={d_max}",
-                            compare_routes_at, grid_cells(m_max, d_max), jobs)
+    return certificate.grid_certificate(f"four-route-agreement m<={m_max} d<={d_max}",
+                                        compare_routes_at, grid_cells(m_max, d_max), jobs)
 
 
 def compare_routes_at(m: int, d: int, i: int) -> dict | None:

@@ -12,10 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from . import klcoeff, zcoeff
-from .arith import binomial
-from .certificate import Certificate, grid_certificate
-from .polyring import Poly, exact_str
+from . import certificate, klcoeff, zcoeff
+from .polyring import Poly, binomial, exact_str
 
 
 def flat_count(m: int, d: int, k: int) -> int:
@@ -191,13 +189,13 @@ class ExplicitLattice:
                                      for r in range(ranks[f], self.d + 1)]
 
 
-def restriction_contraction_audit(n_max: int, jobs: int = 1) -> Certificate:
+def restriction_contraction_audit(n_max: int, jobs: int = 1) -> certificate.Certificate:
     """Exhaustively validate the fast path's structural facts for every m + d <= n_max."""
     if n_max > 12:
         raise ValueError("audit is exhaustive over subsets; n_max capped at 12")
     cells = [(n - d, d) for n in range(1, n_max + 1) for d in range(1, n + 1)]
-    return grid_certificate(f"restriction-contraction-audit m+d<={n_max}", audit_matroid,
-                            cells, jobs, {"matroids": len(cells)})
+    return certificate.grid_certificate(f"restriction-contraction-audit m+d<={n_max}",
+                                        audit_matroid, cells, jobs, {"matroids": len(cells)})
 
 
 def audit_matroid(m: int, d: int) -> dict | None:
@@ -238,11 +236,11 @@ def audit_matroid(m: int, d: int) -> dict | None:
     return None
 
 
-def verify_oracle_agreement(total_max: int, jobs: int = 1) -> Certificate:
+def verify_oracle_agreement(total_max: int, jobs: int = 1) -> certificate.Certificate:
     """kl_defining and z_defining match the closed-form routes for m+d <= total_max."""
     cells = [(m, d) for m in range(1, total_max) for d in range(1, total_max - m + 1)]
-    return grid_certificate(f"oracle-agreement m+d<={total_max}", check_oracle_pair,
-                            cells, jobs, {"pairs": len(cells)})
+    return certificate.grid_certificate(f"oracle-agreement m+d<={total_max}",
+                                        check_oracle_pair, cells, jobs, {"pairs": len(cells)})
 
 
 def check_oracle_pair(m: int, d: int) -> dict | None:

@@ -32,10 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import seqfactor
-from .arith import IntegrityError, binomial
 from .certificate import Certificate, judge
-from .polyring import (Poly, TDTable, X, cleared, exact_str, horner, interpolate_steps,
-                       leading_minors, minor_degree_bound, primitive)
+from .polyring import (IntegrityError, Poly, TDTable, X, binomial, cleared, exact_str, horner,
+                       interpolate_steps, leading_minors, minor_degree_bound, primitive)
 
 NEG_INF = "-inf"
 POS_INF = "+inf"

@@ -23,10 +23,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, lcm
 
-from . import klcoeff, zcoeff
-from .arith import IntegrityError, binomial, falling_factorial, stirling2
-from .certificate import Certificate, grid_certificate
-from .polyring import Poly, TDTable, exact_str, horner, times_linear
+from . import certificate, klcoeff, zcoeff
+from .polyring import (IntegrityError, Poly, TDTable, binomial, exact_str, falling_factorial,
+                       horner, stirling2, times_linear)
 
 FAMILIES = ("f", "b")
 
@@ -178,12 +177,12 @@ def fibonacci_poly(d: int) -> Poly:
     return Poly(coeffs)
 
 
-def kl_reformulation_check(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+def kl_reformulation_check(m_max: int, d_max: int, jobs: int = 1) -> certificate.Certificate:
     """Check the f/b reformulations of the KL, then the Z, coefficients of each (m, d)."""
     cells = [(side, m, d, i) for m, d in zcoeff.grid_cells(m_max, d_max)
              for side, top in (("kl", klcoeff.max_index(d)), ("z", d)) for i in range(top + 1)]
-    return grid_certificate(f"reformulation m<={m_max} d<={d_max}",
-                            check_reformulation_at, cells, jobs)
+    return certificate.grid_certificate(f"reformulation m<={m_max} d<={d_max}",
+                                        check_reformulation_at, cells, jobs)
 
 
 def check_reformulation_at(side: str, m: int, d: int, i: int) -> dict | None:
@@ -213,11 +212,11 @@ def diagonal_value(m: int, d: int) -> Fraction:
     return seq_value("f", m, d, d)
 
 
-def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+def verify_diagonal_identities(m_max: int, d_max: int, jobs: int = 1) -> certificate.Certificate:
     """f_m(d,d) = binom(m+d-1, m-1) and G_{m,d}(1) equals the same value."""
-    return grid_certificate(f"diagonal-identities m<={m_max} d<={d_max}", check_diagonal_at,
-                            zcoeff.grid_cells(m_max, d_max), jobs,
-                            {"m_max": m_max, "d_max": d_max})
+    return certificate.grid_certificate(f"diagonal-identities m<={m_max} d<={d_max}",
+                                        check_diagonal_at, zcoeff.grid_cells(m_max, d_max),
+                                        jobs, {"m_max": m_max, "d_max": d_max})
 
 
 def check_diagonal_at(m: int, d: int) -> dict | None:

@@ -15,11 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .arith import IntegrityError, as_integer, binomial
-from .certificate import Certificate, grid_certificate
+from . import certificate, seqfactor
 from .klcoeff import kl_poly
-from .polyring import ONE, Poly, X, exact_str, expand_binomial_affine
-from .seqfactor import seq_sum
+from .polyring import (ONE, IntegrityError, Poly, X, as_integer, binomial, exact_str,
+                       expand_binomial_affine)
 
 
 def _check_range(m: int, d: int, i: int) -> None:
@@ -78,7 +77,7 @@ def z_positive(m: int, d: int, i: int) -> Fraction:
     binom(d+m, i+m) binom(d+m, i) b_m(d,i) / binom(d+m, m), with b_m(d,i)
     read from ``seqfactor.seq_sum``."""
     _check_range(m, d, i)
-    num, den = seq_sum("b", m, d, i)
+    num, den = seqfactor.seq_sum("b", m, d, i)
     return Fraction(comb(d + m, i + m) * comb(d + m, i) * num, comb(d + m, m) * den)
 
 
@@ -112,7 +111,7 @@ def grid_cells(m_max: int, d_max: int) -> list[tuple[int, int]]:
     return [(m, d) for m in range(1, m_max + 1) for d in range(1, d_max + 1)]
 
 
-def verify_three_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
+def verify_three_routes(m_max: int, d_max: int, jobs: int = 1) -> certificate.Certificate:
     """Grid agreement of the three Z routes plus the z^0 = z^d = 1 boundary.
 
     Runs ``compare_routes_at`` on every cell of ``grid_cells(m_max, d_max)``,
@@ -121,8 +120,8 @@ def verify_three_routes(m_max: int, d_max: int, jobs: int = 1) -> Certificate:
     m_max * d_max}; a failure carries the first disagreeing cell in grid
     order.
     """
-    return grid_certificate(f"z-three-route-agreement m<={m_max} d<={d_max}",
-                            compare_routes_at, grid_cells(m_max, d_max), jobs)
+    return certificate.grid_certificate(f"z-three-route-agreement m<={m_max} d<={d_max}",
+                                        compare_routes_at, grid_cells(m_max, d_max), jobs)
 
 
 def compare_routes_at(m: int, d: int) -> dict | None:
@@ -207,16 +206,16 @@ def dyck_peak_counts(n: int) -> list[int]:
 DYCK_ENUMERATION_CAP = 12
 
 
-def narayana_check(d_max: int, jobs: int = 1) -> Certificate:
+def narayana_check(d_max: int, jobs: int = 1) -> certificate.Certificate:
     """Certify Z_{U_{1,d}} against two independent Narayana oracles.
 
     The closed ratio covers every d <= d_max; the Dyck-path count by peaks
     additionally covers d <= DYCK_ENUMERATION_CAP.
     """
     cells = [(d, d <= DYCK_ENUMERATION_CAP) for d in range(1, d_max + 1)]
-    return grid_certificate(f"narayana z(1,d) d<={d_max}", check_narayana_at, cells, jobs,
-                            {"d_max": d_max,
-                             "enumerated_up_to": min(d_max, DYCK_ENUMERATION_CAP)})
+    return certificate.grid_certificate(
+        f"narayana z(1,d) d<={d_max}", check_narayana_at, cells, jobs,
+        {"d_max": d_max, "enumerated_up_to": min(d_max, DYCK_ENUMERATION_CAP)})
 
 
 def check_narayana_at(d: int, enumerate_paths: bool) -> dict | None:

@@ -4,8 +4,7 @@ import random
 from fractions import Fraction
 from math import factorial, lcm
 
-from klm.arith import binomial, stirling2
-from klm.polyring import Poly, TDTable, X, expand_binomial_affine
+from klm.polyring import Poly, TDTable, X, binomial, expand_binomial_affine, stirling2
 
 
 def as_poly(c) -> Poly:

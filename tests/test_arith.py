@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from klm.arith import (IntegrityError, as_integer, binomial, falling_factorial, stirling2,
-                       sum_over_lcm)
+from klm.polyring import (IntegrityError, as_integer, binomial, falling_factorial,
+                          stirling2, sum_over_lcm)
 
 
 def test_binomial_examples():

@@ -1,6 +1,7 @@
 """Command-line surface: rendering, JSON schema, cache replay, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -469,18 +470,26 @@ def test_a_console_cache_hit_executes_no_engine_module(tmp_path, cli_env):
     _assert_a_hit_executes_no_engine_module("console", tmp_path, cli_env)
 
 
-# argv, the modules its miss executes, and modules it must not execute.
+# argv, the modules its miss executes, and modules it must not execute.  No
+# compute kind builds a certificate.
 MISS_CASES = [
     (["compute", "kl", "--m", "2", "--d", "5"], {"klm.klcoeff"},
-     {"klm.hooklen", "klm.oracle", "klm.seqfactor", "klm.realroot", "dataclasses", "csv"}),
+     {"klm.certificate", "klm.hooklen", "klm.oracle", "klm.seqfactor", "klm.realroot",
+      "dataclasses", "csv"}),
+    (["compute", "z", "--m", "2", "--d", "5"], {"klm.zcoeff"},
+     {"klm.certificate", "klm.seqfactor"}),
+    (["compute", "char", "--m", "2", "--d", "5"], {"klm.oracle"}, {"klm.certificate"}),
+    (["compute", "G", "--m", "2", "--d", "5"], {"klm.seqfactor"}, {"klm.certificate"}),
     (["certify", "z-roots", "--m", "2..3", "--d", "1..4"], {"klm.realroot"},
-     {"klm.hooklen", "klm.oracle", "dataclasses"}),
+     {"klm.hooklen", "klm.oracle", "klm.seqfactor", "dataclasses"}),
     (["verify", "formulas", "--m-max", "2", "--d-max", "4"], {"klm.klcoeff"},
      {"klm.oracle", "klm.hooklen"}),
+    (["verify", "narayana", "--d-max", "6"], {"klm.zcoeff"}, {"klm.seqfactor"}),
     (["certify", "hurwitz-G", "--m", "2"], {"klm.seqfactor", "klm.realroot"},
      {"klm.klcoeff", "klm.zcoeff", "klm.hooklen", "klm.oracle"}),
 ]
-MISS_IDS = ["compute-kl", "certify-z-roots", "verify-formulas", "certify-hurwitz-G"]
+MISS_IDS = ["compute-kl", "compute-z", "compute-char", "compute-G", "certify-z-roots",
+            "verify-formulas", "verify-narayana", "certify-hurwitz-G"]
 
 
 def _assert_a_miss_executes_only_its_commands_modules(entry, argv, loads, skips, tmp_path,
@@ -708,8 +717,10 @@ def test_a_grid_target_without_d_is_a_usage_error(target, tmp_path, cli_env):
     (["certify", "dseq-f", "--m", "2", "--d", "0"], "dseq-f requires d >= 1, got 0"),
     (["certify", "hurwitz-Y", "--m", "1..3"], "the Hurwitz argument starts at m = 2"),
     (["certify", "kl-roots", "--m", "2", "--d", "1..x"], "expected an integer or lo..hi, got '1..x'"),
+    (["verify", "hooks", "--m-max", "4", "--d-max", "2"],
+     "the hook grids start at d = 3, got --d-max 2"),
 ], ids=["compute-kl-m", "compute-char-d", "compute-Q-m", "z-roots-d", "dseq-d", "hurwitz-m",
-        "non-integer-range"])
+        "non-integer-range", "hooks-d-max"])
 def test_an_index_below_the_engines_bound_is_a_usage_error(argv, message, tmp_path, cli_env):
     _assert_rejected_before_the_cache(argv, message, tmp_path, cli_env)
 
@@ -784,6 +795,38 @@ def test_import_klm_is_lazy(cli_env):
     assert set(klm.__all__) <= set(dir(klm))
     with pytest.raises(AttributeError):
         klm.no_such_name
+
+
+def _sibling_imports(path: Path) -> tuple[set[str], set[str]]:
+    """The siblings a module imports at module level: those whose names it
+    binds (``from .x import f``, which executes x) and those it binds as
+    modules (``from . import x``, which executes nothing)."""
+    names, modules = set(), set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module)
+            else:
+                modules.update(alias.name for alias in node.names)
+    return names, modules
+
+
+def test_no_module_executes_a_sibling_that_imports_it_back():
+    # Executing a module executes every module it reaches through
+    # ``from .x import f``; one of those that imports it back would run while
+    # it is still half executed.
+    imports = {p.stem: _sibling_imports(p) for p in Path(cli.__file__).parent.glob("*.py")}
+    cycles = {}
+    for a in imports:
+        reached, todo = set(), [a]
+        while todo:
+            fresh = imports[todo.pop()][0] - reached
+            reached |= fresh
+            todo += fresh
+        back = sorted(x for x in reached if a in imports[x][0] | imports[x][1])
+        if back:
+            cycles[a] = back
+    assert cycles == {}
 
 
 def test_import_klm_cli_loads_every_traced_layer(cli_env):

@@ -9,9 +9,9 @@ command from reading one, would let a plant below pass every command.
 
 import pytest
 
-from klm import arith, cli, hooklen, klcoeff, oracle, polyring, realroot, seqfactor, zcoeff
+from klm import cli, hooklen, klcoeff, oracle, polyring, realroot, seqfactor, zcoeff
 
-ENGINE = (arith, polyring, klcoeff, zcoeff, hooklen, oracle, seqfactor, realroot)
+ENGINE = (polyring, klcoeff, zcoeff, hooklen, oracle, seqfactor, realroot)
 
 # Every lru_cache memo of the engine, taken before any plant replaces a name.
 MEMOS = {id(f): f for module in ENGINE for f in vars(module).values()

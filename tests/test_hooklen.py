@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from klm import hooklen
-from klm.arith import IntegrityError
 from klm.hooklen import (c_equivariant_sum, check_hook_cell, dim_irrep,
                          equivariant_shape, first_row_hooks_piecewise, grid_cells,
                          hook_lengths, verify_equivariant_sum, verify_hook_factorizations)
 from klm.klcoeff import c_positive
+from klm.polyring import IntegrityError
 from oracles import SYT_ENUMERATION_CAP, count_syt
 
 

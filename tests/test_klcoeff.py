@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klm import klcoeff
-from klm.arith import binomial
 from klm.klcoeff import (c_alternating, c_hook_form, c_positive, c_recursive,
                          hook_summand, hook_term, kl_coefficient, kl_poly, max_index,
                          p_sum, q_sum, verify_four_routes, verify_proof_identities)
-from klm.polyring import IntegrityError, Poly
+from klm.polyring import IntegrityError, Poly, binomial
 
 from oracles import multinomial
 

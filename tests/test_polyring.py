@@ -7,11 +7,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from klm.arith import falling_factorial
 from klm.polyring import (ONE, Poly, TDTable, X, cleared, det_fraction, det_parametric,
-                          exact_str, expand_binomial_affine, interpolate, leading_minors,
-                          minor_degree_bound, poly_gcd, primitive, render, render_in_d,
-                          squarefree_part, times_linear)
+                          exact_str, expand_binomial_affine, falling_factorial, interpolate,
+                          leading_minors, minor_degree_bound, poly_gcd, primitive, render,
+                          render_in_d, squarefree_part, times_linear)
 from oracles import as_poly, degrees, det_cofactor, to_falling_basis
 
 

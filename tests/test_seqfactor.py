@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klm import seqfactor
-from klm.arith import IntegrityError, binomial, falling_factorial
-from klm.polyring import ONE, Poly, TDTable, X, render
+from klm.polyring import (ONE, IntegrityError, Poly, TDTable, X, binomial, falling_factorial,
+                          render)
 from klm.seqfactor import (FAMILIES, base_real_rooted_polys, diagonal_value,
                            expand_falling, fibonacci_poly, fibonacci_truncation,
                            gy_poly, kl_reformulation_check, qr_poly, seq_value)
