@@ -1,8 +1,8 @@
 """Exact integer, rational and dense polynomial arithmetic.
 
-First the integer and rational kernels: ``binomial``, ``falling_factorial``,
-``stirling2``, ``sum_over_lcm`` and ``as_integer``, which raises
-``IntegrityError``, the error of any failed internal cross-check.
+First the integer and rational kernels: ``binomial``, ``falling_factorial``
+(of an int, a Fraction or a Poly), ``sum_over_lcm`` and ``as_integer``, which
+raises ``IntegrityError``, the error of any failed internal cross-check.
 
 A :class:`Poly` is a polynomial in one variable with ascending Fraction (or
 int) coefficients.  A :class:`TDTable` is a polynomial in t whose
@@ -13,8 +13,12 @@ Beneath both, and beneath every integer certificate, is one kernel on
 ascending integer coefficient lists: ``cleared`` puts ints or Fractions over
 the positive lcm of their denominators, ``primitive`` divides out the
 content, ``times_linear`` multiplies by a x + c and ``horner`` evaluates at
-an int or a Fraction.  The other modules call these rather than keep copies
-of them.
+an int or a Fraction.  On it, one integer interpolation kernel:
+``forward_differences`` of the values at t = 0, 1, ..., n, and
+``interpolate_steps``, which turns them into numerators over n!.  The
+Hurwitz determinants are interpolated in d with it, and the falling-factorial
+tables of G and Y are read with it off their h-sum, first in i, then in d.
+The other modules call these rather than keep copies of them.
 
 Also here: exact determinants.  One fraction-free Bareiss elimination over
 the integers (Bareiss 1968) serves them all: with row swaps it gives the
@@ -32,8 +36,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 
@@ -49,8 +52,8 @@ def binomial(n: int, k: int) -> int:
 
     Out-of-range k (k < 0 or k > n) returns 0, matching the summation
     convention the closed-form coefficient formulas rely on.  Negative n
-    is a usage error; a generalized binomial in a parameter is
-    ``expand_binomial_affine``.
+    is a usage error; a generalized binomial C(a, k) in a parameter is
+    ``falling_factorial(a, k) * Fraction(1, factorial(k))``.
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
@@ -82,21 +85,6 @@ def falling_factorial(x, k: int):
     for j in range(k):
         out = out * (x - j)
     return out
-
-
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k).
-
-    Satisfies the basis change x^n = sum_k S(n, k) (x)_k.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"stirling2 requires nonnegative arguments, got ({n}, {k})")
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def as_integer(x) -> int:
@@ -366,20 +354,6 @@ def _primitive(p: Poly) -> Poly:
     return Poly(primitive(cleared(p.coeffs)[0]))
 
 
-def expand_binomial_affine(a: Poly, k: int) -> Poly:
-    """Generalized binomial coefficient C(a, k) = prod_{j<k}(a - j) / k!.
-
-    a is a Poly, typically affine; the result is expanded in the monomial
-    basis.
-    """
-    if k < 0:
-        raise ValueError(f"expand_binomial_affine requires k >= 0, got {k}")
-    out = ONE
-    for j in range(k):
-        out = out * (a - j)
-    return out * Fraction(1, factorial(k))
-
-
 # -- exact determinants ------------------------------------------------------
 
 
@@ -434,25 +408,30 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(sign * pivots[-1], scale)
 
 
-def interpolate_steps(ys: list[int], den: int) -> Poly:
-    """The polynomial taking ys[t] / den at t = 0, 1, ..., len(ys) - 1.
-
-    Newton forward differences, then sum_k diff_k (t)_k / k! by Horner in
-    the falling factorials, all over the integers scaled by (len(ys)-1)!.
-    """
-    n = len(ys) - 1
+def forward_differences(ys: list[int]) -> list[int]:
+    """The forward differences at 0 of the values ys[t] at t = 0, 1, ...:
+    entry k is sum_j (-1)^(k-j) binom(k, j) ys[j]."""
     diffs = list(ys)
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
+    for level in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, level - 1, -1):
             diffs[i] -= diffs[i - 1]
+    return diffs
+
+
+def interpolate_steps(ys: list[int]) -> tuple[list[int], int]:
+    """The polynomial taking the integer ys[t] at t = 0, 1, ..., n, n = len(ys) - 1,
+    as integer numerators over n!, the (nums, den) of ``cleared`` but not in
+    lowest terms: sum_k diff_k (t)_k / k!, by Horner in the falling factorials.
+    """
+    diffs = forward_differences(ys)
     acc: list[int] = []
     fact = 1  # n! / k!
-    for k in range(n, -1, -1):
+    for k in range(len(ys) - 1, -1, -1):
         # acc <- acc * (t - k) + diffs[k] * n! / k!
         acc = times_linear(acc, -k)
         acc[0] += diffs[k] * fact
         fact *= k or 1
-    return Poly(tuple(Fraction(c, den * fact) for c in acc))
+    return acc, fact
 
 
 def interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:

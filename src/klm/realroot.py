@@ -317,14 +317,13 @@ def hurwitz_deltas(a: Poly | TDTable, b: Poly | TDTable, k_max: int, shift: int 
                 ys.append(got[j])
     deltas = []
     for k, ys in enumerate(values.values(), 1):
-        # Delta_2k of the integer rows is (den_a den_b)^k times the true one.
-        scale = (a.den * b.den) ** k
-        delta = interpolate_steps(ys[:-1], scale)
-        nums, den = cleared(delta.coeffs)
-        if horner(nums, len(ys) - 1) * scale != ys[-1] * den:
+        nums, den = interpolate_steps(ys[:-1])
+        if horner(nums, len(ys) - 1) != ys[-1] * den:
             raise IntegrityError(f"Delta_{2 * k} interpolated up to d = {shift + len(ys) - 2} "
                                  f"misses its value at d = {shift + len(ys) - 1}")
-        deltas.append(delta)
+        # Delta_2k of the integer rows is (den_a den_b)^k times the true one.
+        den *= (a.den * b.den) ** k
+        deltas.append(Poly(Fraction(c, den) for c in nums))
     return deltas if symbolic else [v.coeff(0) for v in deltas]
 
 

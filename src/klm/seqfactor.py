@@ -7,25 +7,27 @@ factorial basis produces g_{m,k}(d) resp. y_{m,k}(d), and from those the
 polynomials G_{m,d}(t), Y_{m,d}(t) whose real-rootedness drives the
 d-sequence argument, alongside Q_d(t) and R_d(t).
 
-The expansion is symbolic and integer: the defining h-sum becomes one
-table of integer coefficients of i^n d^a over a common denominator, and the
-Stirling numbers S(n, k) move each column to the falling basis in i, giving
-the g_{m,k}(d) as the rows of one TDTable.  The symbolic G and Y are that
-table with row k times (d)_k; at an integer d its rows are evaluated and
-multiplied by the integer (d)_k.  At numeric arguments the h-sum of f_m or
-b_m has one copy, ``seq_sum``, which adds integer numerators over one
-denominator per family and m; ``seq_value`` and ``zcoeff.z_positive`` read it.
+The h-sum of f_m or b_m has one copy, ``seq_sum``, which adds integer
+numerators over one denominator per family and m; ``seq_value``,
+``zcoeff.z_positive`` and the symbolic expansion all read it.  That expansion
+is integer and exact: seq_sum is a polynomial in (d, i), of degree at most
+m - 1 in d and 2(m - 1) in i, so its forward differences in i at i = 0 are
+k! g_{m,k}(d) at each d, and each g_{m,k} is interpolated in d from a grid of
+d = 0..m - 1.  One point past each bound, at i = 2m - 1 and at d = m, must
+agree, or the expansion raises IntegrityError.  The g_{m,k}(d) are the rows
+of one TDTable.  The symbolic G and Y are that table with row k times (d)_k;
+at an integer d its rows are evaluated and multiplied by the integer (d)_k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import certificate, klcoeff, zcoeff
 from .polyring import (IntegrityError, Poly, TDTable, binomial, exact_str, falling_factorial,
-                       horner, stirling2, times_linear)
+                       forward_differences, horner, interpolate_steps, times_linear)
 
 FAMILIES = ("f", "b")
 
@@ -43,6 +45,11 @@ def seq_sum(family: str, m: int, d: int, i: int) -> tuple[int, int]:
     binom(i+m, m-h-1) / ((m-h) binom(m,h)) for f, whose denominators divide m!,
     and (i(h-m+1) + m) / ((h+1) m) for b, whose denominators divide m m!.
     A family other than f or b, or an m below 1, is a ValueError.
+
+    On every integer d and every i >= 0, d < i too, the numerator is one
+    polynomial in (d, i) over a fixed denominator: each binomial is the
+    generalized one, exact at every step.  Its degree is at most m - 1 in d,
+    which only binom(d-i+h, h) with h < m reads, and at most 2(m - 1) in i.
     """
     _check_family(family, m)
     f = family == "f"
@@ -71,37 +78,29 @@ def expand_falling(family: str, m: int) -> TDTable:
     """Falling-factorial coefficients g_{m,k}(d) (family f) or y_{m,k}(d) (family b),
     as the rows k of one integer table in d over one denominator.
 
-    The defining h-sum is expanded in (i, d).  With u = d - i its h-th term is
-    A_h(i) (u+1)(u+2)...(u+h) / E_h, where A_h has integer coefficients:
-      f: A_h = (i+m)_{m-h-1} (i-1+h)_h,   E_h = (m-h) binom(m,h) (m-h-1)! h!^2;
-      b: A_h = (i(h-m+1) + m) (i-1+h)_h,  E_h = (h+1) m h!^2.
-    Each u^r = sum_a binom(r,a) d^a (-i)^(r-a) lands in one integer table of
-    i^n d^a over D = lcm_h E_h; i^n = sum_k S(n,k) (i)_k moves each d^a
-    column to the falling basis, and g_{m,k} is row k of the result over D.
+    They are read off ``seq_sum`` within its bounds: with n = 2(m - 1), the
+    forward differences at i = 0 of its numerators in i = 0..n + 1, at each
+    d = 0..m, are k! den g_{m,k}(d), and the (n + 1)-th must vanish; each
+    g_{m,k} is interpolated from d = 0..m - 1 and must take its value at
+    d = m.  A miss is an IntegrityError naming the family, m and the variable.
     """
     _check_family(family, m)
-    terms = []
-    for h in range(m):
-        a_h = reduce(times_linear, range(h), [1])  # (i-1+h)_h
-        if family == "f":
-            a_h = reduce(times_linear, range(h + 2, m + 1), a_h)  # (i+m)_{m-h-1}
-            den = (m - h) * binomial(m, h) * factorial(m - h - 1) * factorial(h) ** 2
-        else:
-            a_h = times_linear(a_h, m, h - m + 1)
-            den = (h + 1) * m * factorial(h) ** 2
-        rising = reduce(times_linear, range(1, h + 1), [1])  # (u+1)...(u+h)
-        terms.append((a_h, rising, den))
-    common = lcm(*(den for _, _, den in terms))
-    table = [[0] * m for _ in range(max(len(a) + len(u) - 1 for a, u, _ in terms))]
-    for a_h, rising, den in terms:
-        scale = common // den
-        for r, c in enumerate(rising):
-            for a in range(r + 1):
-                w = (-1) ** (r - a) * scale * c * comb(r, a)
-                for n, e in enumerate(a_h, r - a):
-                    table[n][a] += w * e
-    return TDTable(([sum(stirling2(n, k) * table[n][a] for n in range(k, len(table)))
-                     for a in range(m)] for k in range(len(table))), common)
+    n = 2 * (m - 1)
+    den = seq_sum(family, m, 0, 0)[1]
+    diffs = [forward_differences([seq_sum(family, m, d, i)[0] for i in range(n + 2)])
+             for d in range(m + 1)]
+    for d, row in enumerate(diffs):
+        if row[-1]:
+            raise IntegrityError(f"{family}_{m} has degree above {n} in i at d = {d}")
+    rows = []
+    for k in range(n + 1):
+        nums, fact = interpolate_steps([row[k] for row in diffs[:-1]])
+        if horner(nums, m) != diffs[m][k] * fact:
+            raise IntegrityError(f"g_{k} of {family}_{m} has degree above {m - 1} in d")
+        # Row k over den (m - 1)! k! is g_{m,k}; scaled by n! / k!, all share one denominator.
+        scale = factorial(n) // factorial(k)
+        rows.append([c * scale for c in nums])
+    return TDTable(rows, den * fact * factorial(n))
 
 
 def gy_poly(family: str, m: int, d: int | None = None) -> Poly | TDTable:

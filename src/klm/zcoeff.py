@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from . import certificate, seqfactor
 from .klcoeff import kl_poly
 from .polyring import (ONE, IntegrityError, Poly, X, as_integer, binomial, exact_str,
-                       expand_binomial_affine)
+                       falling_factorial)
 
 
 def _check_range(m: int, d: int, i: int) -> None:
@@ -152,7 +152,7 @@ def z_diagonal_symbolic(m: int) -> bool:
     total = Poly()
     for h in range(m):
         # binom(d-1+h, h) expanded as a polynomial in d.
-        b = expand_binomial_affine(X + (h - 1), h) if h else ONE
+        b = falling_factorial(X + (h - 1), h) * Fraction(1, factorial(h)) if h else ONE
         linear = X * Fraction(h - m + 1, (h + 1) * m) + Fraction(m, (h + 1) * m)
         total = total + linear * b
     return total == 1

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
-from klm.polyring import Poly, TDTable, X, binomial, expand_binomial_affine, stirling2
+from klm.polyring import Poly, TDTable, X, binomial, falling_factorial
 
 
 def as_poly(c) -> Poly:
@@ -67,15 +68,32 @@ def symbolic_in_i(family: str, m: int) -> Poly:
     d_var = X  # the inner variable; kept distinct by nesting level
     total = Poly()
     for h in range(m):
-        b_ih = expand_binomial_affine(i_var + (h - 1), h)
+        # Each generalized binomial C(a, k) is (a)_k / k!.
+        b_ih = falling_factorial(i_var + (h - 1), h) * Fraction(1, factorial(h))
         # binom(d-i+h, h): affine in i with constant part d+h.
-        b_dh = expand_binomial_affine(Poly((d_var + h, Fraction(-1))), h)
+        b_dh = falling_factorial(Poly((d_var + h, Fraction(-1))), h) * Fraction(1, factorial(h))
         if family == "f":
-            pref = expand_binomial_affine(i_var + m, m - h - 1) * Fraction(1, (m - h) * binomial(m, h))
+            pref = (falling_factorial(i_var + m, m - h - 1) * Fraction(1, factorial(m - h - 1))
+                    * Fraction(1, (m - h) * binomial(m, h)))
         else:
             pref = Poly((Fraction(1, h + 1), Fraction(h - m + 1, (h + 1) * m)))
         total = total + pref * b_ih * b_dh
     return total
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k), by its recurrence.
+
+    Satisfies the basis change x^n = sum_k S(n, k) (x)_k.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"stirling2 requires nonnegative arguments, got ({n}, {k})")
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def to_falling_basis(p: Poly) -> list:

@@ -63,10 +63,19 @@ def _plus_one_in_b_sum(real):
 
 
 def _interpolation_plus_one(real):
-    """real(ys, den), plus 1 on the constant when interpolated from more than 8 values."""
-    def faulty(ys, den):
-        p = real(ys, den)
-        return p + 1 if len(ys) > 8 else p
+    """real(ys) as (numerators, denominator), plus 1 on the constant when
+    interpolated from more than 8 values."""
+    def faulty(ys):
+        nums, den = real(ys)
+        return ([nums[0] + den, *nums[1:]] if len(ys) > 8 else nums), den
+    return faulty
+
+
+def _last_difference_plus_one(real):
+    """real(ys), plus 1 on the last difference of a list longer than 8."""
+    def faulty(ys):
+        diffs = real(ys)
+        return [*diffs[:-1], diffs[-1] + 1] if len(ys) > 8 else diffs
     return faulty
 
 
@@ -142,6 +151,7 @@ PLANTS = {
     "seq_value": (seqfactor, _plus_one_in_sequence),
     "seq_sum": (seqfactor, _plus_one_in_b_sum),
     "interpolate_steps": (polyring, _interpolation_plus_one),
+    "forward_differences": (polyring, _last_difference_plus_one),
     "horner": (polyring, _plus_one_at_seven),
     "times_linear": (polyring, _constant_plus_one_at_length_twelve),
     "leading_minors": (polyring, _largest_order_plus_one),

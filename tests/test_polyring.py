@@ -2,15 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from klm.polyring import (ONE, Poly, TDTable, X, cleared, det_fraction, det_parametric,
-                          exact_str, expand_binomial_affine, falling_factorial, interpolate,
-                          leading_minors, minor_degree_bound, poly_gcd, primitive, render,
-                          render_in_d, squarefree_part, times_linear)
+                          exact_str, falling_factorial, forward_differences, horner, interpolate,
+                          interpolate_steps, leading_minors, minor_degree_bound, poly_gcd,
+                          primitive, render, render_in_d, squarefree_part, times_linear)
 from oracles import as_poly, degrees, det_cofactor, to_falling_basis
 
 
@@ -50,13 +50,18 @@ def test_eval_is_ring_homomorphism(p, q, x):
     assert (p + q).eval(x) == p.eval(x) + q.eval(x)
 
 
+def binomial_of_poly(a: Poly, k: int):
+    """The generalized binomial C(a, k), as the product expands it: (a)_k / k!."""
+    return falling_factorial(a, k) * Fraction(1, factorial(k))
+
+
 def test_expand_binomial_affine_examples():
     # binom(i-1+h, h) at h=1, k=1 -> i
-    assert expand_binomial_affine(X + 0, 1) == X
+    assert binomial_of_poly(X + 0, 1) == X
     # binom(d-i, 1) with d symbolic in the inner layer: keep d numeric here.
-    assert expand_binomial_affine(P(5) - X, 1) == P(5, -1)
+    assert binomial_of_poly(P(5) - X, 1) == P(5, -1)
     # binom(d-i+1, 2) = (d-i+1)(d-i)/2 at d=4: (5-i)(4-i)/2
-    got = expand_binomial_affine(P(5, -1), 2)
+    got = binomial_of_poly(P(5, -1), 2)
     assert got == P(10, Fraction(-9, 2), Fraction(1, 2))
 
 
@@ -265,3 +270,19 @@ def test_times_linear_is_the_poly_product(p, c, a):
     assert Poly(times_linear(p, c, a)) == Poly(p) * Poly((c, a))
     assert Poly(times_linear(tuple(p), c)) == Poly(p) * Poly((c, 1))
     assert all(type(x) is int for x in times_linear(p, c, a))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10))
+def test_interpolate_steps_takes_every_value_over_its_denominator(ys):
+    nums, den = interpolate_steps(ys)
+    assert all(type(c) is int for c in nums) and den == factorial(len(ys) - 1)
+    assert all(horner(nums, t) == y * den for t, y in enumerate(ys))
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(0, 6))
+def test_forward_differences_vanish_past_the_degree(p, extra):
+    # A degree-e polynomial sampled at t = 0..n, n >= e: differences past e are 0.
+    e, n = len(p) - 1, len(p) - 1 + extra
+    diffs = forward_differences([horner(p, t) for t in range(n + 1)])
+    assert len(diffs) == n + 1 and not any(diffs[e + 1:])
+    assert diffs[e] == p[-1] * factorial(e)

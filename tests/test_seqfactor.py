@@ -160,6 +160,38 @@ def test_qr_poly_checks_its_factorization_against_gy_poly(monkeypatch):
         qr_poly("f", 3, 5)
 
 
+@pytest.fixture
+def fresh_expand_falling():
+    """An empty expand_falling memo before and after the test, so no table read
+    off a patched seq_sum outlives it."""
+    expand_falling.cache_clear()
+    yield
+    expand_falling.cache_clear()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_expand_falling_checks_seq_sum_one_point_past_each_bound(family, monkeypatch,
+                                                                 fresh_expand_falling):
+    m, n = 3, 4  # n = 2(m - 1), the degree bound in i
+    real = seqfactor.seq_sum
+
+    def plus_one_where(at):
+        def faulty(family, m, d, i):
+            num, den = real(family, m, d, i)
+            return num + (1 if at(d, i) else 0), den
+        return faulty
+
+    # One value at (d, i) = (0, n + 1) gives a nonzero (n + 1)-th difference in i.
+    monkeypatch.setattr(seqfactor, "seq_sum", plus_one_where(lambda d, i: (d, i) == (0, n + 1)))
+    with pytest.raises(IntegrityError, match=f"{family}_3 has degree above 4 in i at d = 0"):
+        expand_falling(family, m)
+    # Every value at d = m moves by the same amount: the differences in i past
+    # the 0-th keep, so the i check passes and g_0 misses its value at d = m.
+    monkeypatch.setattr(seqfactor, "seq_sum", plus_one_where(lambda d, i: d == m))
+    with pytest.raises(IntegrityError, match=f"g_0 of {family}_3 has degree above 2 in d"):
+        expand_falling(family, m)
+
+
 # seq_value and numeric gy_poly with one Fraction per term and at Fraction(d):
 # references for seqfactor's common-denominator sums at the integer d.
 def seq_value_per_term(family, m, d, i):
